@@ -38,6 +38,7 @@ from .errors import (
 )
 from .fraisse import (
     VFormation,
+    amalgamate_k0,
     amalgamate_k1,
     amalgamate_k2,
     amalgamate_k3,
@@ -47,7 +48,6 @@ from .fraisse import (
     check_homogeneity,
     check_random_graph_property,
     jep_union,
-    k0_jep,
     random_weighted_graph,
     replay_transcript,
 )

@@ -11,6 +11,8 @@ Four classes over the one-binary-predicate signature are built in:
 Membership predicates scan element tuples directly.  The hereditary,
 joint-embedding, and amalgamation property checkers run over bounded
 exhaustive enumerations of isomorphism types and report counterexamples.
+Each built-in class comes with a closed-form amalgamator; the checkers
+search exhaustively only for a class that has none.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .algebra import Chain
-from .errors import BudgetError
+from .errors import AmalgamationError, BudgetError
 from .logic import SIG_LT, evaluate, parse_formula
 from .structure import (
     GradedStructure,
@@ -50,19 +52,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassSpec:
-    """A named class: membership predicate plus optional constructors.
+    """A named class: membership predicate plus an optional amalgamator.
 
-    ``amalgamate`` maps a v-formation to a verified member containing
-    both arms; ``joint_extension`` maps two members to a verified common
-    extension.  Either may be None, in which case the checkers fall
-    back to bounded searches.
+    ``amalgamate`` maps a v-formation to a member containing both arms,
+    raising ``AmalgamationError`` when it cannot; over the empty base it
+    also gives joint extensions.  When it is None the JEP and AP
+    checkers search exhaustively for witnesses, and the limit builder
+    refuses the class.  Specs compare by value, and the enumeration
+    cache is keyed by the spec.
     """
 
     name: str
     signature: object
     membership: object
     amalgamate: object = None
-    joint_extension: object = None
 
 
 def _require_lt(m: GradedStructure):
@@ -208,7 +211,7 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
     """
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
-    key = (spec.name, _chain_key(chain), max_size)
+    key = (spec, _chain_key(chain), max_size)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
     total = 0
@@ -316,9 +319,11 @@ def check_jep(spec: ClassSpec, chain: Chain, k: int,
               search_budget: int = 10**8) -> PropertyReport:
     """Every pair of members has a common extension in the class.
 
-    The class joint-extension constructor is used as the witness first;
-    pairs it cannot settle fall back to a search over enumerated members
-    of size up to the two sizes combined.
+    With an amalgamator, its amalgam over the empty base is the witness,
+    verified to be a member into which both inputs embed; a failure is a
+    counterexample.  Without one, members of size up to the two sizes
+    combined are searched.  The stats count constructed and searched
+    pairs.
     """
     from . import fraisse
 
@@ -331,19 +336,26 @@ def check_jep(spec: ClassSpec, chain: Chain, k: int,
         for j in range(i, len(members)):
             m2 = members[j]
             checked += 1
-            if spec.joint_extension is not None:
-                try:
-                    witness = spec.joint_extension(m1, m2)
-                except fraisse.AmalgamationError:
-                    witness = None
-                if witness is not None and spec.membership(witness) \
-                        and find_embeddings(m1, witness, limit=1) \
-                        and find_embeddings(m2, witness, limit=1):
-                    constructed += 1
-                    continue
-            searched += 1
-            if not _search_common_extension(spec, chain, m1, m2, search_budget):
-                bad.append(Counterexample("jep", f"type[{i}] and type[{j}] have no common extension"))
+            if spec.amalgamate is None:
+                searched += 1
+                if not _search_common_extension(spec, chain, m1, m2, search_budget):
+                    bad.append(Counterexample("jep", f"type[{i}] and type[{j}] have no common extension"))
+                continue
+            try:
+                witness = fraisse._jep_via_amalgam(spec.amalgamate, m1, m2)
+            except AmalgamationError as exc:
+                problem = str(exc)
+            else:
+                verified = spec.membership(witness) \
+                    and find_embeddings(m1, witness, limit=1) \
+                    and find_embeddings(m2, witness, limit=1)
+                problem = None if verified else "result is not a common extension in the class"
+            if problem is None:
+                constructed += 1
+            else:
+                bad.append(Counterexample(
+                    "jep", f"amalgamator failed on type[{i}] and type[{j}]: {problem}"
+                ))
     stats = {"constructed": constructed, "searched": searched}
     return PropertyReport("jep", spec.name, chain.name, k, checked, bad, stats)
 
@@ -353,19 +365,19 @@ def check_ap(spec: ClassSpec, chain: Chain, k: int,
     """Every v-formation of enumerated members has an amalgam.
 
     For each member pair and each way of sharing a common substructure,
-    the class amalgamator is asked for a witness; on failure a bounded
-    exhaustive completion search over the cross values runs.  The
-    report's stats carry how often the amalgamator's internal fallback
-    and the checker-level search were needed.
+    the class amalgamator's witness is verified to be a member containing
+    both arms; a failure is a counterexample.  A class without an
+    amalgamator gets a bounded exhaustive completion search over the
+    cross values instead.  The stats count constructed and searched
+    v-formations.
     """
     from . import fraisse
 
     members = enumerate_class(spec, chain, k)
     checked = 0
+    constructed = 0
+    searched = 0
     bad: list[Counterexample] = []
-    stats = fraisse.AmalgamStats()
-    search_used = 0
-    constructor_failed = 0
     for i, m1 in enumerate(members):
         for ssize in range(1, len(m1.universe) + 1):
             for subset in itertools.combinations(m1.universe, ssize):
@@ -374,30 +386,26 @@ def check_ap(spec: ClassSpec, chain: Chain, k: int,
                     for g in find_embeddings(base, m2):
                         checked += 1
                         v = fraisse.align_v_formation(base, m1, m2, g.mapping)
-                        ok = False
-                        if spec.amalgamate is not None:
-                            try:
-                                witness = spec.amalgamate(v, stats=stats)
-                                ok = fraisse.verify_amalgam(spec, v, witness)
-                            except fraisse.AmalgamationError:
-                                constructor_failed += 1
-                        if not ok:
-                            search_used += 1
-                            witness = fraisse.search_amalgam(v, spec.membership, cap=search_cap)
-                            ok = witness is not None
-                        if not ok:
-                            bad.append(Counterexample(
-                                "ap",
-                                f"no amalgam for base of type[{i}] on {{{' '.join(subset)}}} "
-                                f"into type[{j}] via {sorted(g.mapping.items())}",
-                            ))
-    report_stats = {
-        "amalgam_calls": stats.calls,
-        "amalgam_internal_fallbacks": stats.fallbacks,
-        "constructor_failed": constructor_failed,
-        "search_used": search_used,
-    }
-    return PropertyReport("ap", spec.name, chain.name, k, checked, bad, report_stats)
+                        where = (f"base of type[{i}] on {{{' '.join(subset)}}} "
+                                 f"into type[{j}] via {sorted(g.mapping.items())}")
+                        if spec.amalgamate is None:
+                            searched += 1
+                            if fraisse.search_amalgam(v, spec.membership, cap=search_cap) is None:
+                                bad.append(Counterexample("ap", f"no amalgam for {where}"))
+                            continue
+                        try:
+                            witness = spec.amalgamate(v)
+                        except AmalgamationError as exc:
+                            problem = str(exc)
+                        else:
+                            verified = fraisse.verify_amalgam(spec, v, witness)
+                            problem = None if verified else "result is not an amalgam in the class"
+                        if problem is None:
+                            constructed += 1
+                        else:
+                            bad.append(Counterexample("ap", f"amalgamator failed on {where}: {problem}"))
+    stats = {"constructed": constructed, "searched": searched}
+    return PropertyReport("ap", spec.name, chain.name, k, checked, bad, stats)
 
 
 def get_class(name: str) -> ClassSpec:
@@ -405,10 +413,10 @@ def get_class(name: str) -> ClassSpec:
     from . import fraisse
 
     table = {
-        "k0": ClassSpec("k0", SIG_LT, k0_member, None, fraisse.k0_jep),
-        "k1": ClassSpec("k1", SIG_LT, k1_member, fraisse.amalgamate_k1, fraisse.k1_jep),
-        "k2": ClassSpec("k2", SIG_LT, k2_member, fraisse.amalgamate_k2, fraisse.k2_jep),
-        "k3": ClassSpec("k3", SIG_LT, k3_member, fraisse.amalgamate_k3, fraisse.k3_jep),
+        "k0": ClassSpec("k0", SIG_LT, k0_member, fraisse.amalgamate_k0),
+        "k1": ClassSpec("k1", SIG_LT, k1_member, fraisse.amalgamate_k1),
+        "k2": ClassSpec("k2", SIG_LT, k2_member, fraisse.amalgamate_k2),
+        "k3": ClassSpec("k3", SIG_LT, k3_member, fraisse.amalgamate_k3),
     }
     if name not in table:
         raise ValueError(f"unknown class {name!r}; expected one of {sorted(table)}")

@@ -1,11 +1,15 @@
 """Amalgamation constructions, stage-wise limit building, and verifiers.
 
-The class amalgamators realize each class's explicit recipe on the
-union of the arm universes and verify the result's membership.  The
-limit builder grows a substructure chain by satisfying embedding
-extension tasks through amalgamation, recording a replayable
-transcript.  The verifiers measure finite stages against the extension
-and homogeneity properties, reporting defects instead of failing.
+Every built-in class amalgamates through one core: the union of the arm
+universes, each cross pair set by the class's closed-form rule, and one
+membership check that raises ``AmalgamationError`` on failure.  Joint
+extension is the amalgam over the empty base.  The exhaustive
+``search_amalgam`` serves classes without a construction and the tests
+as an oracle.  The limit builder grows a substructure chain by
+satisfying embedding extension tasks through amalgamation, recording a
+replayable transcript.  The verifiers measure finite stages against the
+extension and homogeneity properties, reporting defects instead of
+failing.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ import hashlib
 import itertools
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
 from .algebra import Chain, make_from_table
+from .classes import enumerate_class, get_class, k0_member, k1_member, k2_member, k3_member
 from .errors import AmalgamationError, BudgetError
 from .logic import SIG_LT
 from .structure import (
@@ -29,7 +33,6 @@ from .structure import (
     canonical_form,
     extend_embedding,
     find_embeddings,
-    free_union,
     fresh_names,
     generated_substructure,
     is_embedding,
@@ -42,19 +45,14 @@ from .structure import (
 
 __all__ = [
     "VFormation",
-    "AmalgamStats",
     "align_v_formation",
     "verify_amalgam",
     "search_amalgam",
+    "amalgamate_k0",
     "amalgamate_k1",
     "amalgamate_k2",
     "amalgamate_k3",
-    "k0_jep",
-    "k1_jep",
-    "k2_jep",
-    "k3_jep",
     "jep_union",
-    "LimitState",
     "Transcript",
     "build_limit",
     "replay_transcript",
@@ -87,14 +85,6 @@ class VFormation:
         shared = set(self.arm1.universe) & set(self.arm2.universe)
         if shared != set(self.base.universe):
             raise ValueError("arms must intersect exactly in the base")
-
-
-@dataclass
-class AmalgamStats:
-    """Counts how often an amalgamator ran and used its fallback search."""
-
-    calls: int = 0
-    fallbacks: int = 0
 
 
 def align_v_formation(base: GradedStructure, arm1: GradedStructure,
@@ -135,96 +125,122 @@ def _amalgam_frame(v: VFormation):
     return universe, values, cross
 
 
-def amalgamate_k1(v: VFormation, stats: AmalgamStats | None = None) -> GradedStructure:
-    """Simple union of two weighted graphs over their shared part.
+def _amalgamate(v: VFormation, cross_rule, member) -> GradedStructure:
+    """The amalgamation core shared by every built-in class.
 
-    Mixed pairs get the bottom value in both directions, which keeps
-    the result loopless and symmetric; membership is verified anyway.
+    ``cross_rule(x, y)`` gives the values of (x, y) and (y, x) for x new
+    in the first arm and y new in the second; ``member`` is the class's
+    membership predicate, checked once on the result.
     """
-    if stats is not None:
-        stats.calls += 1
     universe, values, cross = _amalgam_frame(v)
-    bot = v.arm1.chain.bot
-    for a, b in cross:
-        values[(a, b)] = bot
-        values[(b, a)] = bot
+    for x, y in cross:
+        values[(x, y)], values[(y, x)] = cross_rule(x, y)
     out = binary_structure(v.arm1.chain, universe, values, name="amalgam")
-    from .classes import k1_member
-
-    if not k1_member(out):
-        raise AmalgamationError("simple union of weighted graphs lost membership")
+    if not member(out):
+        raise AmalgamationError(f"cross rule lost membership ({member.__name__} rejects the amalgam)")
     return out
 
 
-def _crisp_position(arm: GradedStructure, listing: list[str], x: str) -> int:
-    """How many listed base elements sit (in the filter) below x in the arm."""
-    ch = arm.chain
-    lt = arm.pred_interp["<"]
-    return sum(1 for a in listing if ch.in_filter(lt[(a, x)]))
+def _composition(v: VFormation):
+    """C(x, y) = max over base b of min(v1(x, b), v2(b, y)), both ways.
 
-
-def amalgamate_k2(v: VFormation, stats: AmalgamStats | None = None) -> GradedStructure:
-    """Interleave two graded total preorders around their shared base.
-
-    The base is listed along the filter cut of its relation; each new
-    element takes the block index given by how many base elements sit
-    below it, first-arm elements preceding second-arm elements inside a
-    block.  Cross pairs get the filter threshold in the forward
-    direction and the falsum constant backward.  If the verified result
-    leaves the class (ties between arms and base can do that), an
-    exhaustive completion search over the cross values takes over.
+    Returns a function of (x, y), x in the first arm and y in the second,
+    giving (C(x, y), C(y, x)); both are bottom over an empty base.
     """
-    if stats is not None:
-        stats.calls += 1
-    from .classes import k2_member
+    lt1 = v.arm1.pred_interp["<"]
+    lt2 = v.arm2.pred_interp["<"]
+    base = v.base.universe
+    bot = v.arm1.chain.bot
 
-    universe, values, cross = _amalgam_frame(v)
-    chain = v.arm1.chain
-    ch_lt = v.base.pred_interp["<"]
-
-    def strictly_below(a: str) -> int:
-        return sum(
-            1
-            for b in v.base.universe
-            if chain.in_filter(ch_lt[(b, a)]) and not chain.in_filter(ch_lt[(a, b)])
+    def through(x, y):
+        return (
+            max((min(lt1[(x, b)], lt2[(b, y)]) for b in base), default=bot),
+            max((min(lt2[(y, b)], lt1[(b, x)]) for b in base), default=bot),
         )
 
-    listing = sorted(v.base.universe, key=lambda a: (strictly_below(a), v.base.index(a)))
-    pos1 = {x: _crisp_position(v.arm1, listing, x) for x, _ in cross}
-    pos2 = {y: _crisp_position(v.arm2, listing, y) for _, y in cross}
-    for x, y in cross:
-        if pos1[x] <= pos2[y]:
-            values[(x, y)] = chain.one
-            values[(y, x)] = chain.zero
-        else:
-            values[(y, x)] = chain.one
-            values[(x, y)] = chain.zero
-    out = binary_structure(chain, universe, values, name="amalgam")
-    if k2_member(out):
-        return out
-    if stats is not None:
-        stats.fallbacks += 1
-    found = search_amalgam(v, k2_member)
-    if found is None:
-        raise AmalgamationError("no total-preorder amalgam exists on the union universe")
-    return found
+    return through
 
 
-def amalgamate_k3(v: VFormation, stats: AmalgamStats | None = None) -> GradedStructure:
+def amalgamate_k0(v: VFormation) -> GradedStructure:
+    """Close two graded preorders through their shared base.
+
+    Since ``one`` is neutral, membership is min-transitivity plus loops
+    at or above ``one``; each cross pair takes the composition through
+    the base, which is the whole sup-min closure of the union.
+    """
+    return _amalgamate(v, _composition(v), k0_member)
+
+
+def amalgamate_k1(v: VFormation) -> GradedStructure:
+    """Simple union of two weighted graphs over their shared part.
+
+    Mixed pairs get the bottom value in both directions, which keeps
+    the result loopless and symmetric.
+    """
+    bot = v.arm1.chain.bot
+    return _amalgamate(v, lambda x, y: (bot, bot), k1_member)
+
+
+def _k2_key(arm: GradedStructure, base, z: str, levels) -> tuple[int, ...]:
+    """(pos_1(z), ..., pos_one(z)): z's place among the base blocks per level.
+
+    pos_a(z) is twice the number of base elements strictly below z at
+    level a, plus one when z is tied with some base element there.
+    """
+    lt = arm.pred_interp["<"]
+    key = []
+    for a in levels:
+        below = sum(1 for b in base if lt[(b, z)] >= a > lt[(z, b)])
+        tied = any(lt[(b, z)] >= a and lt[(z, b)] >= a for b in base)
+        key.append(2 * below + tied)
+    return tuple(key)
+
+
+def amalgamate_k2(v: VFormation) -> GradedStructure:
+    """Interleave two graded total preorders around their shared base.
+
+    Every a-cut (a <= ``one``) of a member is a weak order.  At level a
+    a new element sits in a gap between base blocks (even position) or
+    inside a block (odd position); x <=_a y when x's key up to level a
+    is lexicographically at most y's, so inside a gap the first arm
+    goes first, and y <=_a x when y's key is smaller or both sit in the
+    same block.  A cross pair takes the largest level at which it holds,
+    or the composition through the base when that is larger.  Comparing
+    whole key prefixes, not the level's position alone, keeps the cuts
+    nested.
+    """
+    chain = v.arm1.chain
+    base = v.base.universe
+    levels = range(1, chain.one + 1)
+    keys = {z: _k2_key(arm, base, z, levels)
+            for arm in (v.arm1, v.arm2) for z in arm.universe if z not in base}
+    through = _composition(v)
+
+    def rule(x, y):
+        kx, ky = keys[x], keys[y]
+        forward = max((a for a in levels if kx[:a] <= ky[:a]), default=chain.bot)
+        backward = max(
+            (a for a in levels if ky[:a] < kx[:a] or (ky[:a] == kx[:a] and kx[a - 1] % 2)),
+            default=chain.bot,
+        )
+        cxy, cyx = through(x, y)
+        return max(cxy, forward), max(cyx, backward)
+
+    return _amalgamate(v, rule, k2_member)
+
+
+def amalgamate_k3(v: VFormation) -> GradedStructure:
     """Cross rule for threshold partial orders.
 
     A mixed pair is pushed into the filter exactly when a base witness
     sits between its endpoints at the filter level; otherwise it takes
-    the falsum constant.  The output is verified; failure is a fatal
-    diagnostic, since the construction is supposed to work always.
+    the falsum constant.
     """
-    if stats is not None:
-        stats.calls += 1
-    universe, values, cross = _amalgam_frame(v)
     chain = v.arm1.chain
     lt1 = v.arm1.pred_interp["<"]
     lt2 = v.arm2.pred_interp["<"]
-    for a, b in cross:
+
+    def rule(a, b):
         forward = any(
             chain.in_filter(lt1[(a, x)]) and chain.in_filter(lt2[(x, b)])
             for x in v.base.universe
@@ -233,22 +249,18 @@ def amalgamate_k3(v: VFormation, stats: AmalgamStats | None = None) -> GradedStr
             chain.in_filter(lt1[(x, a)]) and chain.in_filter(lt2[(b, x)])
             for x in v.base.universe
         )
-        values[(a, b)] = chain.one if forward else chain.zero
-        values[(b, a)] = chain.one if backward else chain.zero
-    out = binary_structure(chain, universe, values, name="amalgam")
-    from .classes import k3_member
+        return (chain.one if forward else chain.zero), (chain.one if backward else chain.zero)
 
-    if not k3_member(out):
-        raise AmalgamationError("threshold-order cross rule lost membership")
-    return out
+    return _amalgamate(v, rule, k3_member)
 
 
 def search_amalgam(v: VFormation, membership, cap: int = 10**6) -> GradedStructure | None:
     """Exhaustive completion search over the cross values, first hit wins.
 
-    All amalgam constructions here live on the union of the arm
-    universes, so only the mixed pairs are open; every assignment of
-    chain values to them (both directions) is tried in rank order.
+    For classes without a construction, and as the tests' oracle.  All
+    amalgams here live on the union of the arm universes, so only the
+    mixed pairs are open; every assignment of chain values to them (both
+    directions) is tried in rank order.
     """
     universe, values, cross = _amalgam_frame(v)
     chain = v.arm1.chain
@@ -265,40 +277,15 @@ def search_amalgam(v: VFormation, membership, cap: int = 10**6) -> GradedStructu
     return None
 
 
-def _empty_like(m: GradedStructure) -> GradedStructure:
-    return binary_structure(m.chain, (), {}, name="empty")
-
-
 def _jep_via_amalgam(amalgamator, m1: GradedStructure, m2: GradedStructure) -> GradedStructure:
+    """Joint extension: the amalgam over the empty base, m2 renamed apart."""
     taken = set(m1.universe) | set(m2.universe)
     overlap = [e for e in m2.universe if e in set(m1.universe)]
     if overlap:
         news = fresh_names("u", len(overlap), taken)
         m2 = rename(m2, dict(zip(overlap, news)))
-    return amalgamator(VFormation(_empty_like(m1), m1, m2))
-
-
-def k0_jep(m1: GradedStructure, m2: GradedStructure) -> GradedStructure:
-    """Common extension of two graded preorders: disjoint union with
-    mixed pairs at the falsum constant; membership is verified."""
-    from .classes import k0_member
-
-    out = free_union(m1, m2, m1.chain.zero)
-    if not k0_member(out):
-        raise AmalgamationError("free union with falsum cross values lost preorder membership")
-    return out
-
-
-def k1_jep(m1: GradedStructure, m2: GradedStructure) -> GradedStructure:
-    return _jep_via_amalgam(amalgamate_k1, m1, m2)
-
-
-def k2_jep(m1: GradedStructure, m2: GradedStructure) -> GradedStructure:
-    return _jep_via_amalgam(amalgamate_k2, m1, m2)
-
-
-def k3_jep(m1: GradedStructure, m2: GradedStructure) -> GradedStructure:
-    return _jep_via_amalgam(amalgamate_k3, m1, m2)
+    empty = binary_structure(m1.chain, (), {}, name="empty")
+    return amalgamator(VFormation(empty, m1, m2))
 
 
 def jep_union(members, spec, verify: bool = True) -> GradedStructure:
@@ -311,11 +298,11 @@ def jep_union(members, spec, verify: bool = True) -> GradedStructure:
     members = list(members)
     if not members:
         raise ValueError("need at least one member")
-    if spec.joint_extension is None:
-        raise ValueError(f"class {spec.name} has no joint-extension constructor")
+    if spec.amalgamate is None:
+        raise ValueError(f"class {spec.name} has no amalgamator")
     current = members[0]
     for m in members[1:]:
-        current = spec.joint_extension(current, m)
+        current = _jep_via_amalgam(spec.amalgamate, current, m)
     if verify:
         for i, m in enumerate(members):
             if not find_embeddings(m, current, limit=1):
@@ -324,25 +311,6 @@ def jep_union(members, spec, verify: bool = True) -> GradedStructure:
 
 
 # --- stage-wise limit construction ---
-
-
-@dataclass
-class Task:
-    """A pending extension demand: grow f's image from n to a copy of nprime."""
-
-    mapping: dict
-    n: GradedStructure
-    nprime: GradedStructure
-
-
-@dataclass
-class LimitState:
-    """Bookkeeping for the stage construction."""
-
-    stage: int
-    current: GradedStructure
-    pending: list[Task] = field(default_factory=list)
-    fresh_counter: int = 0
 
 
 @dataclass
@@ -407,8 +375,6 @@ class Transcript:
 
 def _extension_pairs(spec, chain, size_budget, shuffle_seed):
     """Members and the (proper substructure, member) demand pairs, in order."""
-    from .classes import enumerate_class
-
     members = list(enumerate_class(spec, chain, size_budget))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(members)
@@ -420,15 +386,6 @@ def _extension_pairs(spec, chain, size_budget, shuffle_seed):
                 if spec.membership(n):
                     pairs.append((n, nprime))
     return members, pairs
-
-
-def _amalgamate_for(spec, v: VFormation, stats: AmalgamStats) -> GradedStructure:
-    if spec.amalgamate is not None:
-        return spec.amalgamate(v, stats=stats)
-    found = search_amalgam(v, spec.membership)
-    if found is None:
-        raise AmalgamationError("no amalgam found by completion search")
-    return found
 
 
 def build_limit(spec, chain: Chain, stages: int, size_budget: int,
@@ -445,6 +402,8 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
     """
     if stages < 0:
         raise ValueError("stages must be non-negative")
+    if spec.amalgamate is None:
+        raise ValueError(f"class {spec.name} has no amalgamator")
     members, pairs = _extension_pairs(spec, chain, size_budget, shuffle_seed)
     if not members:
         raise ValueError(f"class {spec.name} has no members within the budget")
@@ -458,68 +417,51 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
         initial_text=structure_to_text(current),
     )
     stage_list = [current]
-    stats = AmalgamStats()
     for stage in range(stages):
-        tasks = []
-        for n, nprime in pairs:
-            for f in find_embeddings(n, current):
-                tasks.append(Task(f.mapping, n, nprime))
-        state = LimitState(stage=stage, current=current, pending=tasks)
-        for pos, task in enumerate(tasks):
-            if extend_embedding(task.nprime, state.current, task.mapping, limit=1):
+        tasks = [
+            (f.mapping, n, nprime)
+            for n, nprime in pairs
+            for f in find_embeddings(n, current)
+        ]
+        for pos, (mapping, n, nprime) in enumerate(tasks):
+            if extend_embedding(nprime, current, mapping, limit=1):
                 continue
-            base = restrict(state.current, set(task.mapping.values()))
-            new_elems = [e for e in task.nprime.universe if e not in task.n.universe]
-            fresh = fresh_names(
-                "n", len(new_elems),
-                set(state.current.universe) | set(task.nprime.universe),
-            )
-            ren = {e: task.mapping[e] for e in task.n.universe}
+            base = restrict(current, set(mapping.values()))
+            new_elems = [e for e in nprime.universe if e not in n.universe]
+            fresh = fresh_names("n", len(new_elems), set(current.universe) | set(nprime.universe))
+            ren = {e: mapping[e] for e in n.universe}
             ren.update(zip(new_elems, fresh))
-            arm = rename(task.nprime, ren)
-            v = VFormation(base, state.current, arm)
+            arm = rename(nprime, ren)
             try:
-                state.current = _amalgamate_for(spec, v, stats)
+                current = spec.amalgamate(VFormation(base, current, arm))
             except AmalgamationError as exc:
                 raise AmalgamationError(
                     f"stage {stage}: {exc} ({len(tasks) - pos - 1} tasks pending)"
                 ) from exc
             transcript.events.append(Event(stage, tuple(base.universe), structure_to_text(arm)))
-            if not extend_embedding(task.nprime, state.current, task.mapping, limit=1):
+            if not extend_embedding(nprime, current, mapping, limit=1):
                 raise AmalgamationError(f"stage {stage}: amalgam did not satisfy its task")
-        current = state.current
         stage_list.append(current)
     return stage_list, transcript
 
 
 def replay_transcript(transcript: Transcript):
     """Re-run the recorded amalgamation sequence; returns the stages."""
-    from .classes import get_class
-
     spec = get_class(transcript.class_name)
     chain = transcript.chain
     current = structure_from_text(transcript.initial_text, chain=chain)
     stage_list = [current]
-    stats = AmalgamStats()
     events = list(transcript.events)
     for stage in range(transcript.stages):
         for event in (e for e in events if e.stage == stage):
             arm = structure_from_text(event.arm_text, chain=chain)
             base = restrict(current, event.base_ids)
-            v = VFormation(base, current, arm)
-            current = _amalgamate_for(spec, v, stats)
+            current = spec.amalgamate(VFormation(base, current, arm))
         stage_list.append(current)
     return stage_list
 
 
 # --- verifiers ---
-
-
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -536,17 +478,15 @@ class ExtensionDefect:
 
 
 def check_extension_property(m: GradedStructure, spec, k: int,
-                             within=None, jobs: int = 1) -> list[ExtensionDefect]:
+                             within=None) -> list[ExtensionDefect]:
     """Embeddings of members into m that fail to extend to some member extension.
 
     ``within`` restricts the embeddings' images to a subset of m's
     universe; extensions may still use all of m.
     """
-    from .classes import enumerate_class
-
     members = enumerate_class(spec, m.chain, k)
     allowed = set(within) if within is not None else None
-    instances = []
+    defects = []
     for nprime in members:
         form_np = canonical_form(nprime)
         for ssize in range(1, len(nprime.universe)):
@@ -558,16 +498,11 @@ def check_extension_property(m: GradedStructure, spec, k: int,
                 for f in find_embeddings(n, m):
                     if allowed is not None and any(v not in allowed for v in f.mapping.values()):
                         continue
-                    instances.append((form_n, form_np, n, nprime, f.mapping))
-
-    def check(inst):
-        form_n, form_np, n, nprime, mapping = inst
-        if extend_embedding(nprime, m, mapping, limit=1):
-            return None
-        return ExtensionDefect(form_n, form_np, tuple(sorted(mapping.items())))
-
-    results = _parallel_map(check, instances, jobs)
-    return [r for r in results if r is not None]
+                    if not extend_embedding(nprime, m, f.mapping, limit=1):
+                        defects.append(
+                            ExtensionDefect(form_n, form_np, tuple(sorted(f.mapping.items())))
+                        )
+    return defects
 
 
 @dataclass(frozen=True)
@@ -715,16 +650,13 @@ class WitnessDefect:
 
 
 def check_random_graph_property(m: GradedStructure, max_x: int, within=None,
-                                max_candidates: int = 10**6,
-                                jobs: int = 1) -> list[WitnessDefect]:
+                                max_candidates: int = 10**6) -> list[WitnessDefect]:
     """Subset-map demands with no matching witness vertex.
 
     For every subset X of ``within`` (default: the whole universe) with
     at most ``max_x`` elements and every map from X to the chain,
     checks that some vertex outside X matches the map symmetrically.
     """
-    from .classes import k1_member
-
     if not k1_member(m):
         raise ValueError("structure is not a weighted graph (loopless symmetric)")
     chain = m.chain
@@ -736,22 +668,15 @@ def check_random_graph_property(m: GradedStructure, max_x: int, within=None,
     if total > max_candidates:
         raise BudgetError(f"{total} demands exceed the cap of {max_candidates}")
     lt = m.pred_interp["<"]
-    demands = [
-        (X, fv)
-        for s in range(max_x + 1)
-        for X in itertools.combinations(pool, s)
-        for fv in itertools.product(range(chain.size), repeat=s)
-    ]
-
-    def check(demand):
-        X, fv = demand
-        excluded = set(X)
-        for w in m.universe:
-            if w in excluded:
-                continue
-            if all(lt[(w, a)] == fv[i] and lt[(a, w)] == fv[i] for i, a in enumerate(X)):
-                return None
-        return WitnessDefect(X, fv)
-
-    results = _parallel_map(check, demands, jobs)
-    return [r for r in results if r is not None]
+    defects = []
+    for s in range(max_x + 1):
+        for X in itertools.combinations(pool, s):
+            excluded = set(X)
+            for fv in itertools.product(range(chain.size), repeat=s):
+                if not any(
+                    w not in excluded
+                    and all(lt[(w, a)] == fv[i] and lt[(a, w)] == fv[i] for i, a in enumerate(X))
+                    for w in m.universe
+                ):
+                    defects.append(WitnessDefect(X, fv))
+    return defects

@@ -22,6 +22,7 @@ from gradedmodels.classes import (
     sentence_member,
 )
 from gradedmodels.errors import BudgetError
+from gradedmodels.fraisse import amalgamate_k1
 from gradedmodels.logic import SIG_LT
 from gradedmodels.structure import binary_structure, canonical_form, rename
 
@@ -209,6 +210,18 @@ def test_enumerate_boundaries(bool_chain):
         enumerate_class(get_class("k1"), bool_chain, -1)
 
 
+def test_enumeration_cache_keyed_by_spec(bool_chain):
+    assert len(enumerate_class(get_class("k1"), bool_chain, 2)) == 3
+
+    def edgeless(m):
+        return k1_member(m) and all(
+            m.value("<", a, b) == m.chain.bot for a in m.universe for b in m.universe
+        )
+
+    # a user class reusing a built-in name gets its own members
+    assert len(enumerate_class(ClassSpec("k1", SIG_LT, edgeless), bool_chain, 2)) == 2
+
+
 def test_enumeration_is_deduplicated_and_member_closed(luk3):
     members = enumerate_class(get_class("k3"), luk3, 2)
     forms = [canonical_form(m) for m in members]
@@ -290,21 +303,40 @@ def test_jep_counterexample_without_constructor(luk3):
     assert report.stats["searched"] == report.checked
 
 
-def test_ap_counterexample_for_capped_class(bool_chain):
-    def membership(m):
-        if not k1_member(m):
-            return False
-        edges = sum(
-            1 for a in m.universe for b in m.universe
-            if a < b and m.value("<", a, b) == 1
-        )
-        return edges <= 1
+def at_most_one_edge(m):
+    if not k1_member(m):
+        return False
+    edges = sum(
+        1 for a in m.universe for b in m.universe
+        if a < b and m.value("<", a, b) == 1
+    )
+    return edges <= 1
 
-    capped = ClassSpec("one_edge", SIG_LT, membership)
+
+def test_ap_counterexample_for_capped_class(bool_chain):
+    capped = ClassSpec("one_edge", SIG_LT, at_most_one_edge)
     assert check_hp(capped, bool_chain, 2).ok
     report = check_ap(capped, bool_chain, 2)
     assert not report.ok
-    assert report.stats["search_used"] > 0
+    assert report.stats["searched"] == report.checked
+
+
+def test_amalgamator_failures_are_counterexamples(bool_chain, luk3):
+    capped = ClassSpec("one_edge", SIG_LT, at_most_one_edge, amalgamate_k1)
+    report = check_ap(capped, bool_chain, 2)
+    assert not report.ok
+    assert report.stats["searched"] == 0
+    assert report.stats["constructed"] + len(report.counterexamples) == report.checked
+    assert report.counterexamples[0].detail.startswith("amalgamator failed on base of type[")
+
+    def single_vertex(m):
+        return k1_member(m) and len(m.universe) == 1
+
+    singles = ClassSpec("singletons", SIG_LT, single_vertex, amalgamate_k1)
+    report = check_jep(singles, luk3, 1)
+    assert report.stats == {"constructed": 0, "searched": 0}
+    assert len(report.counterexamples) == report.checked
+    assert "amalgamator failed on type[0] and type[0]" in report.counterexamples[0].detail
 
 
 def test_reports_render_deterministically(bool_chain):

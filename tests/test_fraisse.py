@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gradedmodels.algebra import boolean_chain, make_from_table, make_godel, make_lukasiewicz
 from gradedmodels.classes import (
     ClassSpec,
     check_ap,
@@ -17,10 +20,11 @@ from gradedmodels.classes import (
 )
 from gradedmodels.errors import AmalgamationError, BudgetError
 from gradedmodels.fraisse import (
-    AmalgamStats,
     Transcript,
     VFormation,
+    _jep_via_amalgam,
     align_v_formation,
+    amalgamate_k0,
     amalgamate_k1,
     amalgamate_k2,
     amalgamate_k3,
@@ -31,8 +35,6 @@ from gradedmodels.fraisse import (
     check_random_graph_property,
     defect_classes,
     jep_union,
-    k0_jep,
-    k1_jep,
     random_weighted_graph,
     replay_transcript,
     search_amalgam,
@@ -50,7 +52,8 @@ from gradedmodels.structure import (
     structure_to_text,
 )
 
-from test_classes import pair
+from conftest import U3_ROWS
+from test_classes import at_most_one_edge, pair
 from test_structure import edge_graph
 
 
@@ -69,7 +72,7 @@ def test_v_formation_validation(bool_chain):
 def test_k1_jep_degenerate_two_vertices(bool_chain):
     v1 = binary_structure(bool_chain, ["a"], {("a", "a"): 0})
     v2 = binary_structure(bool_chain, ["b"], {("b", "b"): 0})
-    out = k1_jep(v1, v2)
+    out = _jep_via_amalgam(amalgamate_k1, v1, v2)
     assert len(out.universe) == 2
     assert out.value("<", "a", "b") == 0 and out.value("<", "b", "a") == 0
 
@@ -94,7 +97,7 @@ def test_k1_amalgam_trivial(bool_chain):
 def test_k0_jep_reflexive_singletons(luk3):
     s1 = binary_structure(luk3, ["a"], {("a", "a"): 2})
     s2 = binary_structure(luk3, ["b"], {("b", "b"): 2})
-    out = k0_jep(s1, s2)
+    out = _jep_via_amalgam(amalgamate_k0, s1, s2)
     assert k0_member(out)
     assert out.value("<", "a", "b") == luk3.zero == 0
 
@@ -104,7 +107,7 @@ def test_k0_jep_two_chains(luk3):
         luk3, ["a", "b"],
         {("a", "a"): 2, ("b", "b"): 2, ("a", "b"): 2, ("b", "a"): 0},
     )
-    out = k0_jep(chain2, chain2)
+    out = _jep_via_amalgam(amalgamate_k0, chain2, chain2)
     assert len(out.universe) == 4
     assert k0_member(out)
 
@@ -144,15 +147,13 @@ def test_k2_amalgam_midpoints_first_arm_first(luk3):
         )
 
     base = pair(luk3, 2, 0)
-    stats = AmalgamStats()
-    out = amalgamate_k2(VFormation(base, two_chain_with("x"), two_chain_with("y")), stats=stats)
+    out = amalgamate_k2(VFormation(base, two_chain_with("x"), two_chain_with("y")))
     assert len(out.universe) == 4
     assert k2_member(out)
     assert out.value("<", "x", "y") == 2 and out.value("<", "y", "x") == 0
-    assert stats.fallbacks == 0
 
 
-def test_k2_amalgam_tied_elements_need_fallback(bool_chain):
+def test_k2_amalgam_tied_elements(bool_chain):
     base = binary_structure(bool_chain, ["a"], {("a", "a"): 1})
     arm1 = binary_structure(
         bool_chain, ["a", "x"],
@@ -162,12 +163,103 @@ def test_k2_amalgam_tied_elements_need_fallback(bool_chain):
         bool_chain, ["a", "y"],
         {("a", "a"): 1, ("y", "y"): 1, ("a", "y"): 1, ("y", "a"): 1},
     )
-    stats = AmalgamStats()
-    out = amalgamate_k2(VFormation(base, arm1, arm2), stats=stats)
+    out = amalgamate_k2(VFormation(base, arm1, arm2))
     assert k2_member(out)
-    assert stats.fallbacks == 1
     # x and y are both tied with a, so they must end up tied with each other
     assert out.value("<", "x", "y") == 1 and out.value("<", "y", "x") == 1
+
+
+def test_k2_amalgam_needs_lexicographic_keys(luk3):
+    # y is tied with b at level 1 but strictly above it at level 2, x is
+    # strictly above b at both: the level-2 positions agree, the level-1
+    # ones put y below x, and y must stay below x at level 2 too.
+    base = binary_structure(luk3, ["b"], {("b", "b"): 2})
+    arm1 = binary_structure(
+        luk3, ["b", "x"],
+        {("b", "b"): 2, ("x", "x"): 2, ("b", "x"): 2, ("x", "b"): 0},
+    )
+    arm2 = binary_structure(
+        luk3, ["b", "y"],
+        {("b", "b"): 2, ("y", "y"): 2, ("b", "y"): 2, ("y", "b"): 1},
+    )
+    out = amalgamate_k2(VFormation(base, arm1, arm2))
+    assert k2_member(out)
+    assert out.value("<", "y", "x") == 2 and out.value("<", "x", "y") == 0
+
+
+def test_k0_amalgam_composes_through_the_base(luk3):
+    base = binary_structure(luk3, ["b"], {("b", "b"): 2})
+    arm1 = binary_structure(
+        luk3, ["x", "b"],
+        {("x", "x"): 2, ("b", "b"): 2, ("x", "b"): 1, ("b", "x"): 0},
+    )
+    arm2 = binary_structure(
+        luk3, ["b", "y"],
+        {("y", "y"): 2, ("b", "b"): 2, ("b", "y"): 2, ("y", "b"): 0},
+    )
+    out = amalgamate_k0(VFormation(base, arm1, arm2))
+    assert k0_member(out)
+    assert out.value("<", "x", "y") == 1 and out.value("<", "y", "x") == 0
+
+
+RULE_CHAINS = (
+    boolean_chain(),
+    make_lukasiewicz(3),
+    make_godel(3),
+    make_from_table(3, U3_ROWS, one=1, zero=0, name="u3"),
+    make_lukasiewicz(4),
+)
+
+
+def _draw_arm(data, chain, elems, values, order):
+    """Random values on the unset pairs (loops at or above ``one``), the
+    pairs along ``order`` raised to ``one``, then the sup-min closure."""
+    values = dict(values)
+    for a in elems:
+        for c in elems:
+            if (a, c) not in values:
+                low = chain.one if a == c else 0
+                values[(a, c)] = data.draw(st.integers(low, chain.size - 1))
+    for i, a in enumerate(order):
+        for c in order[i + 1:]:
+            values[(a, c)] = max(values[(a, c)], chain.one)
+    for b in elems:
+        for a in elems:
+            for c in elems:
+                values[(a, c)] = max(values[(a, c)], min(values[(a, b)], values[(b, c)]))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["k0", "k2"]), st.sampled_from(RULE_CHAINS), st.data())
+def test_k0_k2_rules_on_random_v_formations(name, chain, data):
+    """Independently generated arms over a shared base, at most 5 elements
+    in all; k2 arms also get a random linear order at level ``one``."""
+    n_base = data.draw(st.integers(0, 3))
+    low = 0 if n_base else 1
+    n1 = data.draw(st.integers(low, 5 - n_base - low))
+    n2 = data.draw(st.integers(low, 5 - n_base - n1))
+    base = [f"b{i}" for i in range(n_base)]
+    elems1 = base + [f"x{i}" for i in range(n1)]
+    elems2 = base + [f"y{i}" for i in range(n2)]
+    order1 = order2 = []
+    if name == "k2":
+        order1 = data.draw(st.permutations(elems1))
+        order2 = [e for e in order1 if e in base]
+        for y in elems2[n_base:]:
+            order2.insert(data.draw(st.integers(0, len(order2))), y)
+    values1 = _draw_arm(data, chain, elems1, {}, order1)
+    fixed = {(a, c): values1[(a, c)] for a in base for c in base}
+    values2 = _draw_arm(data, chain, elems2, fixed, order2)
+    assume(all(values2[p] == v for p, v in fixed.items()))
+    arm1 = binary_structure(chain, elems1, values1)
+    arm2 = binary_structure(chain, elems2, values2)
+    spec = get_class(name)
+    assert spec.membership(arm1) and spec.membership(arm2)
+    v = VFormation(restrict(arm1, base), arm1, arm2)
+    out = spec.amalgamate(v)
+    assert spec.membership(out)
+    assert is_substructure(arm1, out) and is_substructure(arm2, out)
 
 
 def test_k3_amalgam_witness_rule(bool_chain):
@@ -214,7 +306,7 @@ def test_k3_amalgam_degenerate_arm(luk3):
     assert is_isomorphic(out, arm2) is not None
 
 
-@pytest.mark.parametrize("name", ["k1", "k2", "k3"])
+@pytest.mark.parametrize("name", ["k0", "k1", "k2", "k3"])
 @pytest.mark.parametrize("chain_fixture", ["bool_chain", "luk3"])
 def test_amalgamators_verified_on_all_small_v_formations(name, chain_fixture, request):
     """Exhaustive: every v-formation of members of size <= 3 amalgamates
@@ -223,12 +315,8 @@ def test_amalgamators_verified_on_all_small_v_formations(name, chain_fixture, re
     spec = get_class(name)
     report = check_ap(spec, chain, 3)
     assert report.ok
-    assert report.stats["constructor_failed"] == 0
-    assert report.stats["search_used"] == 0
-    if name == "k2":
-        assert report.stats["amalgam_internal_fallbacks"] < report.stats["amalgam_calls"]
-    else:
-        assert report.stats["amalgam_internal_fallbacks"] == 0
+    assert report.stats["searched"] == 0
+    assert report.stats["constructed"] == report.checked
 
 
 def test_k3_rule_agrees_with_search_or_both_members(luk3):
@@ -272,6 +360,15 @@ def test_jep_union_realizes_k1_age(bool_chain):
     members = enumerate_class(spec, bool_chain, 2)
     out = jep_union(members, spec)
     assert age(out, 2) == {canonical_form(m) for m in members}
+
+
+def test_limit_and_jep_union_need_an_amalgamator(bool_chain):
+    capped = ClassSpec("one_edge", SIG_LT, at_most_one_edge)
+    with pytest.raises(ValueError):
+        build_limit(capped, bool_chain, 1, 2)
+    vertex = binary_structure(bool_chain, ["v"], {("v", "v"): 0})
+    with pytest.raises(ValueError):
+        jep_union([vertex, vertex], capped)
 
 
 def test_build_limit_zero_stages(bool_chain):
@@ -340,14 +437,6 @@ def test_extension_property_defects_on_tiny_structure(bool_chain):
     defects = check_extension_property(single, spec, 2)
     assert defects
     assert all(d.render().startswith("extension defect") for d in defects)
-
-
-def test_extension_property_jobs_flag_matches_sequential(bool_chain):
-    spec = get_class("k1")
-    single = binary_structure(bool_chain, ["v"], {("v", "v"): 0})
-    assert check_extension_property(single, spec, 2) == check_extension_property(
-        single, spec, 2, jobs=4
-    )
 
 
 def test_homogeneity_complete_graph(bool_chain):
@@ -448,11 +537,6 @@ def test_random_graph_budget_guards(luk3):
         check_random_graph_property(g, 3, max_candidates=10)
 
 
-def test_random_graph_checker_jobs_flag(luk3):
-    g = random_weighted_graph(luk3, 1)
-    assert check_random_graph_property(g, 1) == check_random_graph_property(g, 1, jobs=3)
-
-
 def test_amalgamate_k1_rejects_arms_outside_the_class(bool_chain):
     loop = binary_structure(bool_chain, ["a"], {("a", "a"): 1})
     with pytest.raises(AmalgamationError):
@@ -460,19 +544,10 @@ def test_amalgamate_k1_rejects_arms_outside_the_class(bool_chain):
 
 
 def test_search_amalgam_exhausts_capped_class(bool_chain):
-    def membership(m):
-        if not k1_member(m):
-            return False
-        edges = sum(
-            1 for a in m.universe for b in m.universe
-            if a < b and m.value("<", a, b) == 1
-        )
-        return edges <= 1
-
     base = binary_structure(bool_chain, ["c"], {("c", "c"): 0})
     arm1 = edge_graph(bool_chain, [("a", "c")], ["a", "c"])
     arm2 = edge_graph(bool_chain, [("c", "b")], ["c", "b"])
     v = VFormation(base, arm1, arm2)
-    assert search_amalgam(v, membership) is None
+    assert search_amalgam(v, at_most_one_edge) is None
     with pytest.raises(BudgetError):
-        search_amalgam(v, membership, cap=1)
+        search_amalgam(v, at_most_one_edge, cap=1)
