@@ -8,7 +8,7 @@ Four classes over the one-binary-predicate signature are built in:
 * ``k3`` threshold partial orders: the filter cut of the relation is a
   partial order; values below the filter are unconstrained.
 
-Membership predicates scan element tuples directly.  The hereditary,
+Membership predicates compare ranks in the ``<`` table.  The hereditary,
 joint-embedding, and amalgamation property checkers run over bounded
 exhaustive enumerations of isomorphism types and report counterexamples.
 Each built-in class comes with a closed-form amalgamator; the checkers
@@ -17,7 +17,6 @@ search exhaustively only for a class that has none.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 
@@ -28,8 +27,6 @@ from .structure import (
     GradedStructure,
     canonical_form,
     find_embeddings,
-    make_structure,
-    rename,
     restrict,
 )
 
@@ -68,85 +65,78 @@ class ClassSpec:
     amalgamate: object = None
 
 
-def _require_lt(m: GradedStructure):
+def _require_lt(m: GradedStructure) -> tuple[int, ...]:
+    """The table of ``<``; membership is defined over that one predicate."""
     if m.signature != SIG_LT:
         raise ValueError("class membership is defined over the one-binary-predicate signature")
+    return m.pred_tables[0]
+
+
+# Membership reads ranks from validated tables and compares them as
+# plain ints.  Since ``one`` is neutral, res(x, y) >= one exactly when
+# x <= y, so "res(x, y) is in the filter" is the comparison x <= y.
 
 
 def k0_member(m: GradedStructure) -> bool:
-    """Graded preorder: loops and all transitivity instances in the filter."""
-    _require_lt(m)
-    if not m.universe:
+    """Graded preorder: loops and all transitivity instances in the filter.
+
+    A transitivity instance res(min(v(a,b), v(b,c)), v(a,c)) is in the
+    filter exactly when min(v(a,b), v(b,c)) <= v(a,c).
+    """
+    lt = _require_lt(m)
+    n = len(m.universe)
+    if not n or min(lt[::n + 1]) < m.chain.one:
         return False
-    ch = m.chain
-    lt = m.pred_interp["<"]
-    for a in m.universe:
-        if not ch.in_filter(lt[(a, a)]):
-            return False
-    for a in m.universe:
-        for b in m.universe:
-            vab = lt[(a, b)]
-            for c in m.universe:
-                if not ch.in_filter(ch.res(ch.meet(vab, lt[(b, c)]), lt[(a, c)])):
+    rows = [lt[a * n:(a + 1) * n] for a in range(n)]
+    for row_a in rows:
+        for vab, row_b in zip(row_a, rows):
+            for vbc, vac in zip(row_b, row_a):
+                if min(vab, vbc) > vac:
                     return False
     return True
 
 
 def k1_member(m: GradedStructure) -> bool:
-    """Weighted graph: every loop below the filter, symmetric edge values."""
-    _require_lt(m)
-    if not m.universe:
+    """Weighted graph: every loop below the filter, symmetric edge values.
+
+    res(v(a,b), v(b,a)) is in the filter for all a, b exactly when
+    v(a,b) <= v(b,a) for all a, b, that is, when v is symmetric.
+    """
+    lt = _require_lt(m)
+    n = len(m.universe)
+    if not n or max(lt[::n + 1]) >= m.chain.one:
         return False
-    ch = m.chain
-    lt = m.pred_interp["<"]
-    for a in m.universe:
-        if ch.in_filter(lt[(a, a)]):
-            return False
-    for a in m.universe:
-        for b in m.universe:
-            if not ch.in_filter(ch.res(lt[(a, b)], lt[(b, a)])):
-                return False
-    return True
+    return all(lt[a * n:(a + 1) * n] == lt[a::n] for a in range(n))
 
 
 def k2_member(m: GradedStructure) -> bool:
     """Graded total preorder: preorder conditions plus totality."""
-    _require_lt(m)
     if not k0_member(m):
         return False
-    ch = m.chain
-    lt = m.pred_interp["<"]
-    for a in m.universe:
-        for b in m.universe:
-            if not ch.in_filter(ch.join(lt[(a, b)], lt[(b, a)])):
-                return False
-    return True
+    lt = m.pred_tables[0]
+    n = len(m.universe)
+    one = m.chain.one
+    return all(max(vab, vba) >= one
+               for a in range(n) for vab, vba in zip(lt[a * n:(a + 1) * n], lt[a::n]))
 
 
 def k3_member(m: GradedStructure) -> bool:
     """Threshold partial order: the filter cut is reflexive, transitive,
     and antisymmetric; these are conditionals on filter membership, not
     graded formulas."""
-    _require_lt(m)
-    if not m.universe:
+    lt = _require_lt(m)
+    n = len(m.universe)
+    if not n:
         return False
-    ch = m.chain
-    lt = m.pred_interp["<"]
-    for a in m.universe:
-        if not ch.in_filter(lt[(a, a)]):
-            return False
-    cut = {
-        (a, b)
-        for a in m.universe
-        for b in m.universe
-        if ch.in_filter(lt[(a, b)])
-    }
-    for a, b in cut:
-        if a != b and (b, a) in cut:
-            return False
-    for a, b in cut:
-        for c in m.universe:
-            if (b, c) in cut and (a, c) not in cut:
+    one = m.chain.one
+    cut = [[v >= one for v in lt[a * n:(a + 1) * n]] for a in range(n)]
+    if not all(cut[a][a] for a in range(n)):
+        return False
+    for a in range(n):
+        for b in range(n):
+            if a == b or not cut[a][b]:
+                continue
+            if cut[b][a] or any(bc and not ac for bc, ac in zip(cut[b], cut[a])):
                 return False
     return True
 
@@ -196,10 +186,6 @@ def sentence_member(class_name: str, m: GradedStructure) -> bool:
 _ENUM_CACHE: dict = {}
 
 
-def _chain_key(chain: Chain):
-    return (chain.size, chain.conj_table, chain.one, chain.zero)
-
-
 def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
                     budget: int = 10**8) -> list[GradedStructure]:
     """All isomorphism types of members with at most ``max_size`` elements.
@@ -211,7 +197,8 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
     """
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
-    key = (spec, _chain_key(chain), max_size)
+    # Chains compare and hash by their tables, not their names.
+    key = (spec, chain, max_size)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
     total = 0
@@ -224,15 +211,12 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
     seen: set[bytes] = set()
     for s in range(1, max_size + 1):
         elems = tuple(f"x{i}" for i in range(s))
-        slots = [
-            (p, t)
-            for p, ar in spec.signature.predicates
-            for t in itertools.product(elems, repeat=ar)
-        ]
-        for combo in itertools.product(range(chain.size), repeat=len(slots)):
-            values = dict(zip(slots, combo))
-            m = make_structure(chain, elems, values, signature=spec.signature,
-                               name=f"{spec.name}_{s}")
+        bounds = list(itertools.accumulate((s ** ar for _, ar in spec.signature.predicates), initial=0))
+        # A candidate's tables are slices of one product tuple; with one
+        # predicate the slice is the tuple itself.
+        for combo in itertools.product(range(chain.size), repeat=bounds[-1]):
+            tables = tuple(combo[a:b] for a, b in zip(bounds, bounds[1:]))
+            m = GradedStructure(chain, spec.signature, elems, tables, name=f"{spec.name}_{s}")
             if not spec.membership(m):
                 continue
             form = canonical_form(m)
@@ -247,10 +231,6 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
 
 
 # --- property reports ---
-
-
-def _digest(form: bytes) -> str:
-    return hashlib.sha256(form).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

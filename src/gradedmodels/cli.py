@@ -127,6 +127,13 @@ def _cmd_check(args, out) -> int:
     return 0 if report.ok else 1
 
 
+def _write_stages(folder: str, stages) -> None:
+    os.makedirs(folder, exist_ok=True)
+    for i, stage in enumerate(stages):
+        with open(os.path.join(folder, f"stage{i:03d}.gs"), "w", encoding="utf-8") as fh:
+            fh.write(structure.structure_to_text(stage))
+
+
 def _cmd_limit(args, out) -> int:
     if args.action == "build":
         spec = classes.get_class(args.klass)
@@ -134,11 +141,7 @@ def _cmd_limit(args, out) -> int:
         stages, transcript = fraisse.build_limit(
             spec, chain, args.stages, args.budget, shuffle_seed=args.seed_order
         )
-        os.makedirs(args.out, exist_ok=True)
-        for i, stage in enumerate(stages):
-            path = os.path.join(args.out, f"stage{i:03d}.gs")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(structure.structure_to_text(stage))
+        _write_stages(args.out, stages)
         with open(os.path.join(args.out, "transcript.json"), "w", encoding="utf-8") as fh:
             fh.write(transcript.to_json())
         rows = [("stages", len(stages)), ("events", len(transcript.events))]
@@ -149,11 +152,7 @@ def _cmd_limit(args, out) -> int:
         with open(args.transcript, "r", encoding="utf-8") as fh:
             transcript = fraisse.Transcript.from_json(fh.read())
         stages = fraisse.replay_transcript(transcript)
-        os.makedirs(args.out, exist_ok=True)
-        for i, stage in enumerate(stages):
-            path = os.path.join(args.out, f"stage{i:03d}.gs")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(structure.structure_to_text(stage))
+        _write_stages(args.out, stages)
         _emit(out, [("stages", len(stages))], args.format)
         return 0
     m = _load_structure(args.stage)

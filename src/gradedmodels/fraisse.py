@@ -29,7 +29,7 @@ from .structure import (
     GradedStructure,
     Morphism,
     _consistent_extension,
-    binary_structure,
+    _flat,
     canonical_form,
     extend_embedding,
     find_embeddings,
@@ -112,33 +112,55 @@ def verify_amalgam(spec, v: VFormation, witness: GradedStructure) -> bool:
 
 
 def _amalgam_frame(v: VFormation):
-    """Union universe, within-arm values, and the unassigned cross pairs."""
-    if v.arm1.signature != SIG_LT:
+    """Union universe, its table with the within-arm values, the cross pairs.
+
+    The union lists the first arm, then the second arm's new elements;
+    ``place`` maps second-arm positions to union positions.  A cross
+    pair (x, y) holds the positions of x new in the first arm and y new
+    in the second; its two cells in the table are left as None.
+    """
+    arm1, arm2 = v.arm1, v.arm2
+    if arm1.signature != SIG_LT:
         raise ValueError("amalgamation recipes are defined over the one-binary-predicate signature")
-    base_set = set(v.base.universe)
-    ext1 = [e for e in v.arm1.universe if e not in base_set]
-    ext2 = [e for e in v.arm2.universe if e not in base_set]
-    universe = v.arm1.universe + tuple(ext2)
-    values = dict(v.arm2.pred_interp["<"])
-    values.update(v.arm1.pred_interp["<"])
-    cross = [(a, b) for a in ext1 for b in ext2]
-    return universe, values, cross
+    base = v.base.positions
+    n1 = len(arm1.universe)
+    ext2 = [y for y, e in enumerate(arm2.universe) if e not in base]
+    universe = arm1.universe + tuple(arm2.universe[y] for y in ext2)
+    place = [arm1.positions.get(e) for e in arm2.universe]
+    for k, y in enumerate(ext2):
+        place[y] = n1 + k
+    size = len(universe)
+    table = [None] * size * size
+    for arm_place, lt in ((place, arm2.pred_tables[0]), (range(n1), arm1.pred_tables[0])):
+        for f, val in zip(_flat([arm_place] * 2, size), lt):
+            table[f] = val
+    cross = [(x, y) for x, e in enumerate(arm1.universe) if e not in base for y in ext2]
+    return universe, table, cross, place
 
 
 def _amalgamate(v: VFormation, cross_rule, member) -> GradedStructure:
     """The amalgamation core shared by every built-in class.
 
     ``cross_rule(x, y)`` gives the values of (x, y) and (y, x) for x new
-    in the first arm and y new in the second; ``member`` is the class's
-    membership predicate, checked once on the result.
+    in the first arm and y new in the second, both given by their
+    positions in their own arm; ``member`` is the class's membership
+    predicate, checked once on the result.
     """
-    universe, values, cross = _amalgam_frame(v)
+    universe, table, cross, place = _amalgam_frame(v)
+    size = len(universe)
     for x, y in cross:
-        values[(x, y)], values[(y, x)] = cross_rule(x, y)
-    out = binary_structure(v.arm1.chain, universe, values, name="amalgam")
+        j = place[y]
+        table[x * size + j], table[j * size + x] = cross_rule(x, y)
+    out = GradedStructure(v.arm1.chain, SIG_LT, universe, (tuple(table),), name="amalgam")
     if not member(out):
         raise AmalgamationError(f"cross rule lost membership ({member.__name__} rejects the amalgam)")
     return out
+
+
+def _base_positions(v: VFormation):
+    """The base elements' positions in the first and in the second arm."""
+    return ([v.arm1.positions[b] for b in v.base.universe],
+            [v.arm2.positions[b] for b in v.base.universe])
 
 
 def _composition(v: VFormation):
@@ -147,15 +169,15 @@ def _composition(v: VFormation):
     Returns a function of (x, y), x in the first arm and y in the second,
     giving (C(x, y), C(y, x)); both are bottom over an empty base.
     """
-    lt1 = v.arm1.pred_interp["<"]
-    lt2 = v.arm2.pred_interp["<"]
-    base = v.base.universe
+    lt1, lt2 = v.arm1.pred_tables[0], v.arm2.pred_tables[0]
+    n1, n2 = len(v.arm1.universe), len(v.arm2.universe)
+    base = list(zip(*_base_positions(v)))
     bot = v.arm1.chain.bot
 
     def through(x, y):
         return (
-            max((min(lt1[(x, b)], lt2[(b, y)]) for b in base), default=bot),
-            max((min(lt2[(y, b)], lt1[(b, x)]) for b in base), default=bot),
+            max((min(lt1[x * n1 + b1], lt2[b2 * n2 + y]) for b1, b2 in base), default=bot),
+            max((min(lt2[y * n2 + b2], lt1[b1 * n1 + x]) for b1, b2 in base), default=bot),
         )
 
     return through
@@ -181,17 +203,19 @@ def amalgamate_k1(v: VFormation) -> GradedStructure:
     return _amalgamate(v, lambda x, y: (bot, bot), k1_member)
 
 
-def _k2_key(arm: GradedStructure, base, z: str, levels) -> tuple[int, ...]:
+def _k2_key(arm: GradedStructure, base, z: int, levels) -> tuple[int, ...]:
     """(pos_1(z), ..., pos_one(z)): z's place among the base blocks per level.
 
     pos_a(z) is twice the number of base elements strictly below z at
     level a, plus one when z is tied with some base element there.
+    ``base`` and z are positions in ``arm``.
     """
-    lt = arm.pred_interp["<"]
+    lt = arm.pred_tables[0]
+    n = len(arm.universe)
     key = []
     for a in levels:
-        below = sum(1 for b in base if lt[(b, z)] >= a > lt[(z, b)])
-        tied = any(lt[(b, z)] >= a and lt[(z, b)] >= a for b in base)
+        below = sum(1 for b in base if lt[b * n + z] >= a > lt[z * n + b])
+        tied = any(lt[b * n + z] >= a and lt[z * n + b] >= a for b in base)
         key.append(2 * below + tied)
     return tuple(key)
 
@@ -210,14 +234,16 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
     nested.
     """
     chain = v.arm1.chain
-    base = v.base.universe
     levels = range(1, chain.one + 1)
-    keys = {z: _k2_key(arm, base, z, levels)
-            for arm in (v.arm1, v.arm2) for z in arm.universe if z not in base}
+    base1, base2 = _base_positions(v)
+    keys1 = {x: _k2_key(v.arm1, base1, x, levels)
+             for x, e in enumerate(v.arm1.universe) if e not in v.base.positions}
+    keys2 = {y: _k2_key(v.arm2, base2, y, levels)
+             for y, e in enumerate(v.arm2.universe) if e not in v.base.positions}
     through = _composition(v)
 
     def rule(x, y):
-        kx, ky = keys[x], keys[y]
+        kx, ky = keys1[x], keys2[y]
         forward = max((a for a in levels if kx[:a] <= ky[:a]), default=chain.bot)
         backward = max(
             (a for a in levels if ky[:a] < kx[:a] or (ky[:a] == kx[:a] and kx[a - 1] % 2)),
@@ -237,19 +263,15 @@ def amalgamate_k3(v: VFormation) -> GradedStructure:
     the falsum constant.
     """
     chain = v.arm1.chain
-    lt1 = v.arm1.pred_interp["<"]
-    lt2 = v.arm2.pred_interp["<"]
+    one = chain.one
+    lt1, lt2 = v.arm1.pred_tables[0], v.arm2.pred_tables[0]
+    n1, n2 = len(v.arm1.universe), len(v.arm2.universe)
+    base = list(zip(*_base_positions(v)))
 
-    def rule(a, b):
-        forward = any(
-            chain.in_filter(lt1[(a, x)]) and chain.in_filter(lt2[(x, b)])
-            for x in v.base.universe
-        )
-        backward = any(
-            chain.in_filter(lt1[(x, a)]) and chain.in_filter(lt2[(b, x)])
-            for x in v.base.universe
-        )
-        return (chain.one if forward else chain.zero), (chain.one if backward else chain.zero)
+    def rule(x, y):
+        forward = any(lt1[x * n1 + b1] >= one and lt2[b2 * n2 + y] >= one for b1, b2 in base)
+        backward = any(lt1[b1 * n1 + x] >= one and lt2[y * n2 + b2] >= one for b1, b2 in base)
+        return (one if forward else chain.zero), (one if backward else chain.zero)
 
     return _amalgamate(v, rule, k3_member)
 
@@ -262,16 +284,17 @@ def search_amalgam(v: VFormation, membership, cap: int = 10**6) -> GradedStructu
     mixed pairs are open; every assignment of chain values to them (both
     directions) is tried in rank order.
     """
-    universe, values, cross = _amalgam_frame(v)
+    universe, table, cross, place = _amalgam_frame(v)
+    size = len(universe)
+    cells = [f for x, y in cross for f in (x * size + place[y], place[y] * size + x)]
     chain = v.arm1.chain
-    slots = [p for pair in cross for p in (pair, (pair[1], pair[0]))]
-    count = chain.size ** len(slots)
+    count = chain.size ** len(cells)
     if count > cap:
         raise BudgetError(f"{count} cross assignments exceed the cap of {cap}")
-    for combo in itertools.product(range(chain.size), repeat=len(slots)):
-        trial = dict(values)
-        trial.update(zip(slots, combo))
-        out = binary_structure(chain, universe, trial, name="amalgam")
+    for combo in itertools.product(range(chain.size), repeat=len(cells)):
+        for f, val in zip(cells, combo):
+            table[f] = val
+        out = GradedStructure(chain, SIG_LT, universe, (tuple(table),), name="amalgam")
         if membership(out):
             return out
     return None
@@ -284,7 +307,7 @@ def _jep_via_amalgam(amalgamator, m1: GradedStructure, m2: GradedStructure) -> G
     if overlap:
         news = fresh_names("u", len(overlap), taken)
         m2 = rename(m2, dict(zip(overlap, news)))
-    empty = binary_structure(m1.chain, (), {}, name="empty")
+    empty = GradedStructure(m1.chain, SIG_LT, (), ((),), name="empty")
     return amalgamator(VFormation(empty, m1, m2))
 
 
@@ -484,24 +507,16 @@ def check_extension_property(m: GradedStructure, spec, k: int,
     ``within`` restricts the embeddings' images to a subset of m's
     universe; extensions may still use all of m.
     """
-    members = enumerate_class(spec, m.chain, k)
+    _, pairs = _extension_pairs(spec, m.chain, k, None)
     allowed = set(within) if within is not None else None
     defects = []
-    for nprime in members:
-        form_np = canonical_form(nprime)
-        for ssize in range(1, len(nprime.universe)):
-            for subset in itertools.combinations(nprime.universe, ssize):
-                n = restrict(nprime, subset)
-                if not spec.membership(n):
-                    continue
-                form_n = canonical_form(n)
-                for f in find_embeddings(n, m):
-                    if allowed is not None and any(v not in allowed for v in f.mapping.values()):
-                        continue
-                    if not extend_embedding(nprime, m, f.mapping, limit=1):
-                        defects.append(
-                            ExtensionDefect(form_n, form_np, tuple(sorted(f.mapping.items())))
-                        )
+    for n, nprime in pairs:
+        for f in find_embeddings(n, m):
+            if allowed is not None and any(v not in allowed for v in f.mapping.values()):
+                continue
+            if not extend_embedding(nprime, m, f.mapping, limit=1):
+                defects.append(ExtensionDefect(canonical_form(n), canonical_form(nprime),
+                                               tuple(sorted(f.mapping.items()))))
     return defects
 
 
@@ -551,39 +566,28 @@ def back_and_forth_isomorphism(m: GradedStructure, n: GradedStructure) -> Morphi
     """
     if len(m.universe) != len(n.universe):
         return None
+    size = len(m.universe)
 
     def grow(mapping, inverse):
-        if len(mapping) == len(m.universe):
-            mor = Morphism(m, n, dict(mapping))
+        if len(mapping) == size:
+            mor = Morphism(m, n, {m.universe[s]: n.universe[d] for s, d in mapping.items()})
             return mor if is_embedding(mor) else None
         if len(mapping) % 2 == 0:
-            src = next(e for e in m.universe if e not in mapping)
-            for dst in n.universe:
-                if dst in inverse:
-                    continue
-                if not _consistent_extension(m, n, mapping, src, dst):
-                    continue
-                mapping[src] = dst
-                inverse[dst] = src
-                found = grow(mapping, inverse)
-                if found:
-                    return found
-                del mapping[src]
-                del inverse[dst]
+            src = next(s for s in range(size) if s not in mapping)
+            options = [(src, d) for d in range(size) if d not in inverse]
         else:
-            dst = next(e for e in n.universe if e not in inverse)
-            for src in m.universe:
-                if src in mapping:
-                    continue
-                if not _consistent_extension(m, n, mapping, src, dst):
-                    continue
-                mapping[src] = dst
-                inverse[dst] = src
-                found = grow(mapping, inverse)
-                if found:
-                    return found
-                del mapping[src]
-                del inverse[dst]
+            dst = next(d for d in range(size) if d not in inverse)
+            options = [(s, dst) for s in range(size) if s not in mapping]
+        for src, dst in options:
+            if not _consistent_extension(m, n, mapping, src, dst):
+                continue
+            mapping[src] = dst
+            inverse[dst] = src
+            found = grow(mapping, inverse)
+            if found:
+                return found
+            del mapping[src]
+            del inverse[dst]
         return None
 
     return grow({}, {})
@@ -608,33 +612,28 @@ def random_weighted_graph(chain: Chain, rounds: int,
         raise ValueError("filter contains bottom, so no loopless structures exist")
     bot = chain.bot
     vertices = ["v0"]
-    values = {("v0", "v0"): bot}
-
-    def add_vertex(name, profile):
-        for u in vertices:
-            w = profile.get(u, bot)
-            values[(name, u)] = w
-            values[(u, name)] = w
-        values[(name, name)] = bot
-        vertices.append(name)
-
+    # profiles[k]: the values of vertex k against earlier vertices, by position.
+    profiles: list[dict[int, int]] = [{}]
     for r in range(1, rounds + 1):
-        existing = list(vertices)
+        existing = len(vertices)
         total = sum(
-            comb(len(existing), s) * chain.size ** s
-            for s in range(1, min(r, len(existing)) + 1)
+            comb(existing, s) * chain.size ** s
+            for s in range(1, min(r, existing) + 1)
         )
         if total > max_candidates:
             raise BudgetError(
                 f"round {r} would add {total} vertices, over the cap of {max_candidates}"
             )
         counter = 0
-        for s in range(1, min(r, len(existing)) + 1):
-            for X in itertools.combinations(existing, s):
+        for s in range(1, min(r, existing) + 1):
+            for X in itertools.combinations(range(existing), s):
                 for fv in itertools.product(range(chain.size), repeat=s):
-                    add_vertex(f"r{r}w{counter}", dict(zip(X, fv)))
+                    vertices.append(f"r{r}w{counter}")
+                    profiles.append(dict(zip(X, fv)))
                     counter += 1
-    return binary_structure(chain, vertices, values, name="randgraph")
+    n = len(vertices)
+    table = tuple(profiles[max(i, j)].get(min(i, j), bot) for i in range(n) for j in range(n))
+    return GradedStructure(chain, SIG_LT, tuple(vertices), (table,), name="randgraph")
 
 
 @dataclass(frozen=True)
@@ -667,16 +666,16 @@ def check_random_graph_property(m: GradedStructure, max_x: int, within=None,
     total = sum(comb(len(pool), s) * chain.size ** s for s in range(max_x + 1))
     if total > max_candidates:
         raise BudgetError(f"{total} demands exceed the cap of {max_candidates}")
-    lt = m.pred_interp["<"]
+    # A member is symmetric, so row w of the table gives w's values both ways.
+    lt = m.pred_tables[0]
+    n = len(m.universe)
+    rows = [lt[w * n:(w + 1) * n] for w in range(n)]
     defects = []
     for s in range(max_x + 1):
         for X in itertools.combinations(pool, s):
-            excluded = set(X)
+            xs = [m.positions[a] for a in X]
+            met = {tuple(row[a] for a in xs) for w, row in enumerate(rows) if w not in xs}
             for fv in itertools.product(range(chain.size), repeat=s):
-                if not any(
-                    w not in excluded
-                    and all(lt[(w, a)] == fv[i] and lt[(a, w)] == fv[i] for i, a in enumerate(X))
-                    for w in m.universe
-                ):
+                if fv not in met:
                     defects.append(WitnessDefect(X, fv))
     return defects

@@ -358,35 +358,35 @@ def format_formula(formula) -> str:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _term_value(structure, term, assignment):
-    if isinstance(term, Var):
-        try:
-            return assignment[term.name]
-        except KeyError:
-            raise ValueError(f"unbound variable {term.name!r}") from None
-    interp = structure.func_interp.get(term.func)
-    if interp is None:
-        raise ValueError(f"function {term.func!r} not interpreted in structure")
-    args = tuple(_term_value(structure, a, assignment) for a in term.args)
-    return interp[args]
-
-
 def evaluate(structure, formula, assignment=None) -> int:
     """Compute the rank of a formula in a structure under an assignment.
 
-    Quantifiers range eagerly over the whole universe; on an empty
-    universe ``forall`` yields top and ``exists`` yields bot.
+    The assignment maps variables to element ids, all of which must be
+    in the universe.  Quantifiers range eagerly over the whole universe;
+    on an empty universe ``forall`` yields top and ``exists`` yields bot.
     """
     chain = structure.chain
-    env = dict(assignment) if assignment else {}
+    n = len(structure.universe)
+    preds = dict(zip((p for p, _ in structure.signature.predicates), structure.pred_tables))
+    funcs = dict(zip((f for f, _ in structure.signature.functions), structure.func_tables))
+    env = {}
+    for var, eid in (assignment or {}).items():
+        if eid not in structure.positions:
+            raise ValueError(f"unknown element {eid!r} assigned to {var!r}")
+        env[var] = structure.positions[eid]
+
+    def read(tables, symbol, args, env):
+        """The entry of a symbol's table at the positions its argument terms denote."""
+        if symbol not in tables:
+            raise ValueError(f"symbol {symbol!r} not interpreted in structure")
+        f = 0
+        for a in args:
+            f = f * n + (env[a.name] if isinstance(a, Var) else read(funcs, a.func, a.args, env))
+        return tables[symbol][f]
 
     def ev(f, env):
         if isinstance(f, Atom):
-            interp = structure.pred_interp.get(f.pred)
-            if interp is None:
-                raise ValueError(f"predicate {f.pred!r} not interpreted in structure")
-            args = tuple(_term_value(structure, a, env) for a in f.args)
-            return interp[args]
+            return read(preds, f.pred, f.args, env)
         if isinstance(f, Const):
             if f.kind == "0":
                 return chain.zero
@@ -399,17 +399,17 @@ def evaluate(structure, formula, assignment=None) -> int:
             a = ev(f.left, env)
             b = ev(f.right, env)
             if f.op == "&":
-                return chain.meet(a, b)
+                return min(a, b)
             if f.op == "|":
-                return chain.join(a, b)
+                return max(a, b)
             if f.op == "*":
-                return chain.conj(a, b)
-            return chain.res(a, b)
+                return chain.conj_table[a][b]
+            return chain.res_table[a][b]
         if isinstance(f, Quant):
             values = []
-            for m in structure.universe:
+            for p in range(n):
                 inner = dict(env)
-                inner[f.var] = m
+                inner[f.var] = p
                 values.append(ev(f.body, inner))
             if f.kind == "forall":
                 return min(values, default=chain.top)

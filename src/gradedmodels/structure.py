@@ -1,15 +1,22 @@
 """Finite graded structures over a fixed chain.
 
-Universes are ordered tuples of opaque string ids; predicate
-interpretations are total maps from element tuples to ranks, function
-interpretations are total maps to elements.  Structures are immutable
-values; renaming is explicit.  All operations here are pure.
+A universe is an ordered tuple of opaque string ids; inside the library
+an element is known by its position in that tuple.  Each symbol is
+interpreted by one row-major table over positions: for a k-ary symbol
+on n elements, entry ``i_1 * n**(k-1) + ... + i_(k-1) * n + i_k`` belongs
+to the elements at positions (i_1, ..., i_k).  A predicate's table
+holds ranks and a function symbol's table holds the positions of the
+results.  String ids matter only at the boundary: ``make_structure``,
+the file format, ``value`` and morphism mappings.  Structures are
+immutable, hashable values; renaming is explicit.  All operations here
+are pure.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .algebra import Chain
 from .errors import FileFormatError, NotAChainError
@@ -38,55 +45,85 @@ __all__ = [
 
 
 def _check_element_id(eid: str) -> str:
-    if not eid or any(ch.isspace() for ch in eid) or "=" in eid:
+    # split() drops every whitespace character, so this also rejects "".
+    if not isinstance(eid, str) or eid.split() != [eid] or "=" in eid:
         raise ValueError(f"bad element id {eid!r}")
     return eid
 
 
+def _check_table(table, length: int, bound: int, what: str) -> None:
+    """A table is a tuple of ``length`` ints, each in 0..bound-1."""
+    if type(table) is not tuple or len(table) != length:
+        raise ValueError(f"interpretation of {what} is not a total table of {length} entries")
+    if table and not (all(map(isinstance, table, itertools.repeat(int)))
+                      and min(table) >= 0 and max(table) < bound):
+        raise ValueError(f"interpretation of {what} has an entry outside 0..{bound - 1}")
+
+
+def _flat(coords, n: int) -> list[int]:
+    """Row-major indices, in a table over n elements, of every tuple in
+    the product of the position lists ``coords``, in product order."""
+    flat = [0]
+    for pos in coords:
+        flat = [f * n + p for f in flat for p in pos]
+    return flat
+
+
+def _pull(table, pos, n: int, arity: int) -> tuple:
+    """The table over the elements at ``pos`` (in that order) of a table over n elements."""
+    return tuple(map(table.__getitem__, _flat([pos] * arity, n)))
+
+
 @dataclass(frozen=True)
 class GradedStructure:
+    """A universe of element ids and one row-major table per symbol.
+
+    ``pred_tables`` follows ``signature.predicates`` and holds ranks of
+    ``chain``; ``func_tables`` follows ``signature.functions`` and holds
+    positions in ``universe``.  The constructor is the one place that
+    validates, so code reading the tables checks nothing again.
+    Equality and hashing ignore ``name``.
+    """
+
     chain: Chain
     signature: Signature
     universe: tuple[str, ...]
-    pred_interp: dict
-    func_interp: dict
+    pred_tables: tuple[tuple[int, ...], ...]
+    func_tables: tuple[tuple[int, ...], ...] = ()
     name: str = field(default="s", compare=False)
 
     def __post_init__(self):
+        if not (type(self.universe) is type(self.pred_tables) is type(self.func_tables) is tuple):
+            raise ValueError("the universe and the tables must be tuples")
         seen = set()
         for eid in self.universe:
             _check_element_id(eid)
             if eid in seen:
                 raise ValueError(f"duplicate element id {eid!r}")
             seen.add(eid)
-        for pname, arity in self.signature.predicates:
-            interp = self.pred_interp.get(pname)
-            if interp is None:
-                raise ValueError(f"missing interpretation for predicate {pname!r}")
-            if len(interp) != len(self.universe) ** arity:
-                raise ValueError(f"interpretation of {pname!r} is not total")
-            for t, v in interp.items():
-                if len(t) != arity or any(e not in seen for e in t):
-                    raise ValueError(f"bad tuple {t!r} for predicate {pname!r}")
-                self.chain.check_rank(v)
-        for fname, arity in self.signature.functions:
-            interp = self.func_interp.get(fname)
-            if interp is None:
-                raise ValueError(f"missing interpretation for function {fname!r}")
-            if len(interp) != len(self.universe) ** arity:
-                raise ValueError(f"interpretation of {fname!r} is not total")
-            for t, v in interp.items():
-                if len(t) != arity or any(e not in seen for e in t) or v not in seen:
-                    raise ValueError(f"bad entry {t!r} -> {v!r} for function {fname!r}")
+        n = len(self.universe)
+        preds, funcs = self.signature.predicates, self.signature.functions
+        if len(self.pred_tables) != len(preds) or len(self.func_tables) != len(funcs):
+            raise ValueError("expected one table per predicate and per function symbol")
+        for (pname, arity), table in zip(preds, self.pred_tables):
+            _check_table(table, n ** arity, self.chain.size, f"predicate {pname!r}")
+        for (fname, arity), table in zip(funcs, self.func_tables):
+            _check_table(table, n ** arity, n, f"function {fname!r}")
 
     def __len__(self) -> int:
         return len(self.universe)
 
-    def value(self, pred: str, *elems: str) -> int:
-        return self.pred_interp[pred][elems]
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Element id -> position in the universe."""
+        return {e: i for i, e in enumerate(self.universe)}
 
-    def index(self, eid: str) -> int:
-        return self.universe.index(eid)
+    def value(self, pred: str, *elems: str) -> int:
+        """The rank of ``pred`` at the elements with the given ids."""
+        for (name, arity), table in zip(self.signature.predicates, self.pred_tables):
+            if name == pred and arity == len(elems):
+                return table[_flat([[self.positions[e]] for e in elems], len(self.universe))[0]]
+        raise KeyError((pred, elems))
 
     def __repr__(self) -> str:
         return f"GradedStructure({self.name!r}, |M|={len(self.universe)})"
@@ -106,34 +143,41 @@ class Morphism:
 
 def make_structure(chain, universe, values=None, *, signature=SIG_LT, default=None,
                    functions=None, name="s") -> GradedStructure:
-    """Build a structure from sparse values.
+    """Build a structure from sparse, id-keyed values.
 
     ``values`` maps (pred_name, element_tuple) to ranks; tuples not
     listed get ``default`` (required when anything is left out).
+    ``functions`` maps each function symbol to a dict from element
+    tuples to elements.
     """
     universe = tuple(universe)
     values = dict(values or {})
-    pred_interp = {}
+    pred_tables = []
     for pname, arity in signature.predicates:
-        interp = {}
+        table = []
         for t in itertools.product(universe, repeat=arity):
-            key = (pname, t)
-            if key in values:
-                interp[t] = values.pop(key)
-            else:
-                if default is None:
-                    raise ValueError(f"no value for {pname}{t} and no default given")
-                interp[t] = default
-        pred_interp[pname] = interp
+            v = values.pop((pname, t), default)
+            if v is None:
+                raise ValueError(f"no value for {pname}{t} and no default given")
+            table.append(v)
+        pred_tables.append(tuple(table))
     if values:
         raise ValueError(f"values given for unknown tuples: {sorted(values)[:3]}")
-    func_interp = {}
+    where = {e: i for i, e in enumerate(universe)}
+    func_tables = []
     for fname, arity in signature.functions:
-        table = (functions or {}).get(fname)
-        if table is None:
+        given = (functions or {}).get(fname)
+        if given is None:
             raise ValueError(f"missing function table for {fname!r}")
-        func_interp[fname] = {tuple(t): v for t, v in table.items()}
-    return GradedStructure(chain, signature, universe, pred_interp, func_interp, name=name)
+        given = {tuple(t): v for t, v in given.items()}
+        if len(given) != len(universe) ** arity:
+            raise ValueError(f"interpretation of {fname!r} is not total")
+        try:
+            func_tables.append(tuple(where[given[t]] for t in itertools.product(universe, repeat=arity)))
+        except KeyError:
+            raise ValueError(f"function {fname!r} is not a map into the universe") from None
+    return GradedStructure(chain, signature, universe, tuple(pred_tables), tuple(func_tables),
+                           name=name)
 
 
 def binary_structure(chain, elements, values=None, default=None, name="s") -> GradedStructure:
@@ -149,6 +193,18 @@ def _require_compatible(m: GradedStructure, n: GradedStructure):
         raise ValueError("structures have different signatures")
 
 
+def _preserves(m: GradedStructure, n: GradedStructure, pos) -> bool:
+    """Whether sending m's element i to n's element pos[i] keeps every table entry."""
+    size = len(n.universe)
+    for (_, arity), tm, tn in zip(m.signature.predicates, m.pred_tables, n.pred_tables):
+        if tm != _pull(tn, pos, size, arity):
+            return False
+    for (_, arity), fm, fn in zip(m.signature.functions, m.func_tables, n.func_tables):
+        if tuple(pos[v] for v in fm) != _pull(fn, pos, size, arity):
+            return False
+    return True
+
+
 def is_substructure(m: GradedStructure, n: GradedStructure) -> bool:
     """Universe containment with equal function values and atomic values.
 
@@ -156,20 +212,10 @@ def is_substructure(m: GradedStructure, n: GradedStructure) -> bool:
     by compositionality, so checking atoms is sufficient.
     """
     _require_compatible(m, n)
-    big = set(n.universe)
-    if any(e not in big for e in m.universe):
+    where = n.positions
+    if any(e not in where for e in m.universe):
         return False
-    for fname, arity in m.signature.functions:
-        fm, fn = m.func_interp[fname], n.func_interp[fname]
-        for t in itertools.product(m.universe, repeat=arity):
-            if fm[t] != fn[t]:
-                return False
-    for pname, arity in m.signature.predicates:
-        pm, pn = m.pred_interp[pname], n.pred_interp[pname]
-        for t in itertools.product(m.universe, repeat=arity):
-            if pm[t] != pn[t]:
-                return False
-    return True
+    return _preserves(m, n, [where[e] for e in m.universe])
 
 
 def is_embedding(mor: Morphism) -> bool:
@@ -177,51 +223,48 @@ def is_embedding(mor: Morphism) -> bool:
     _require_compatible(m, n)
     if set(f) != set(m.universe):
         return False
-    images = list(f.values())
-    targets = set(n.universe)
-    if len(set(images)) != len(images) or any(v not in targets for v in images):
+    images = [f[e] for e in m.universe]
+    where = n.positions
+    if len(set(images)) != len(images) or any(v not in where for v in images):
         return False
-    for fname, arity in m.signature.functions:
-        fm, fn = m.func_interp[fname], n.func_interp[fname]
-        for t in itertools.product(m.universe, repeat=arity):
-            if f[fm[t]] != fn[tuple(f[e] for e in t)]:
-                return False
-    for pname, arity in m.signature.predicates:
-        pm, pn = m.pred_interp[pname], n.pred_interp[pname]
-        for t in itertools.product(m.universe, repeat=arity):
-            if pm[t] != pn[tuple(f[e] for e in t)]:
-                return False
-    return True
+    return _preserves(m, n, [where[v] for v in images])
 
 
-def _consistent_extension(m, n, partial, new_src, new_dst) -> bool:
-    """Check atomic values on all tuples over dom(partial) + new_src that involve new_src."""
-    assigned = list(partial) + [new_src]
-    trial = dict(partial)
-    trial[new_src] = new_dst
-    for pname, arity in m.signature.predicates:
-        pm, pn = m.pred_interp[pname], n.pred_interp[pname]
-        for t in itertools.product(assigned, repeat=arity):
-            if new_src not in t:
-                continue
-            if pm[t] != pn[tuple(trial[e] for e in t)]:
-                return False
+def _consistent_extension(m, n, seed: dict, src: int, dst: int) -> bool:
+    """Whether seed plus src -> dst keeps the atoms that involve src.
+
+    ``seed`` maps positions of m to positions of n; atoms among its own
+    elements count as checked.  Each tuple over dom(seed) + src that
+    contains src is visited once, keyed by the place of its first src.
+    """
+    old = list(seed.items())
+    new = [(src, dst)]
+    every = old + new
+    nm, nn = len(m.universe), len(n.universe)
+    for (_, arity), tm, tn in zip(m.signature.predicates, m.pred_tables, n.pred_tables):
+        for first in range(arity):
+            for t in itertools.product(*([old] * first + [new] + [every] * (arity - first - 1))):
+                fm = fn = 0
+                for s, d in t:
+                    fm = fm * nm + s
+                    fn = fn * nn + d
+                if tm[fm] != tn[fn]:
+                    return False
     return True
 
 
 def _embedding_search(m, n, seed, order, limit, results):
-    """Backtracking over injective maps in deterministic order."""
-    if len(seed) == len(m.universe):
-        mor = Morphism(m, n, dict(seed))
-        if is_embedding(mor):
-            results.append(mor)
+    """Backtracking over injective position maps in deterministic order."""
+    if len(seed) == len(order):
+        # Each atom was checked when the last of its elements was placed.
+        if not m.signature.functions or _preserves(m, n, [seed[i] for i in range(len(order))]):
+            mapping = {m.universe[s]: n.universe[d] for s, d in seed.items()}
+            results.append(Morphism(m, n, mapping))
         return limit is None or len(results) < limit
     src = order[len(seed)]
     used = set(seed.values())
-    for dst in n.universe:
-        if dst in used:
-            continue
-        if not _consistent_extension(m, n, seed, src, dst):
+    for dst in range(len(n.universe)):
+        if dst in used or not _consistent_extension(m, n, seed, src, dst):
             continue
         seed[src] = dst
         more = _embedding_search(m, n, seed, order, limit, results)
@@ -241,8 +284,7 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, limit: int | None = 
     if len(m.universe) > len(n.universe):
         return []
     results: list[Morphism] = []
-    order = [e for e in m.universe]
-    _embedding_search(m, n, {}, order, limit, results)
+    _embedding_search(m, n, {}, range(len(m.universe)), limit, results)
     return results
 
 
@@ -252,22 +294,13 @@ def extend_embedding(m: GradedStructure, n: GradedStructure, fixed: dict,
     _require_compatible(m, n)
     if len(m.universe) > len(n.universe):
         return []
-    seed = {}
-    targets = set(n.universe)
+    seed: dict[int, int] = {}
     for src, dst in fixed.items():
-        if src not in m.universe or dst not in targets:
+        s, d = m.positions.get(src), n.positions.get(dst)
+        if s is None or d is None or d in seed.values() or not _consistent_extension(m, n, seed, s, d):
             return []
-        seed[src] = dst
-    if len(set(seed.values())) != len(seed):
-        return []
-    # Validate the seed on atoms among already-fixed elements.
-    fixed_elems = list(seed)
-    for pname, arity in m.signature.predicates:
-        pm, pn = m.pred_interp[pname], n.pred_interp[pname]
-        for t in itertools.product(fixed_elems, repeat=arity):
-            if pm[t] != pn[tuple(seed[e] for e in t)]:
-                return []
-    order = list(seed) + [e for e in m.universe if e not in seed]
+        seed[s] = d
+    order = list(seed) + [i for i in range(len(m.universe)) if i not in seed]
     results: list[Morphism] = []
     _embedding_search(m, n, seed, order, limit, results)
     return results
@@ -281,39 +314,31 @@ def is_isomorphic(m: GradedStructure, n: GradedStructure) -> Morphism | None:
     return found[0] if found else None
 
 
-def _element_profile(m: GradedStructure, eid: str):
-    """An isomorphism-invariant fingerprint of one element."""
+def _element_profile(m: GradedStructure, i: int):
+    """An isomorphism-invariant fingerprint of the element at position i."""
+    n = len(m.universe)
+    every = range(n)
     prof = []
-    for pname, arity in m.signature.predicates:
-        interp = m.pred_interp[pname]
-        prof.append(interp[(eid,) * arity])
-        for pos in range(arity):
-            vals = sorted(
-                v for t, v in interp.items() if t[pos] == eid
-            )
-            prof.append(tuple(vals))
-    for fname, arity in m.signature.functions:
-        interp = m.func_interp[fname]
-        prof.append(1 if interp.get((eid,) * arity) == eid else 0)
-        prof.append(sum(1 for v in interp.values() if v == eid))
+    for (_, arity), table in zip(m.signature.predicates, m.pred_tables):
+        prof.append(table[_flat([[i]] * arity, n)[0]])
+        for k in range(arity):
+            at_k = _flat([every] * k + [[i]] + [every] * (arity - k - 1), n)
+            prof.append(tuple(sorted(map(table.__getitem__, at_k))))
+    for (_, arity), table in zip(m.signature.functions, m.func_tables):
+        prof.append(1 if table[_flat([[i]] * arity, n)[0]] == i else 0)
+        prof.append(table.count(i))
     return tuple(prof)
 
 
-def _serialize_under(m: GradedStructure, perm: tuple[str, ...]):
-    index = {e: i for i, e in enumerate(perm)}
+def _serialize_under(m: GradedStructure, perm: tuple[int, ...]):
+    n = len(m.universe)
     parts = [len(perm)]
-    for pname, arity in m.signature.predicates:
-        interp = m.pred_interp[pname]
-        parts.append(tuple(
-            interp[tuple(perm[i] for i in idx)]
-            for idx in itertools.product(range(len(perm)), repeat=arity)
-        ))
-    for fname, arity in m.signature.functions:
-        interp = m.func_interp[fname]
-        parts.append(tuple(
-            index[interp[tuple(perm[i] for i in idx)]]
-            for idx in itertools.product(range(len(perm)), repeat=arity)
-        ))
+    for (_, arity), table in zip(m.signature.predicates, m.pred_tables):
+        parts.append(_pull(table, perm, n, arity))
+    if m.signature.functions:
+        place = {p: j for j, p in enumerate(perm)}
+        for (_, arity), table in zip(m.signature.functions, m.func_tables):
+            parts.append(tuple(place[v] for v in _pull(table, perm, n, arity)))
     return tuple(parts)
 
 
@@ -327,8 +352,8 @@ def canonical_form(m: GradedStructure) -> bytes:
     this restricted set is still a complete invariant.
     """
     groups: dict = {}
-    for e in m.universe:
-        groups.setdefault(_element_profile(m, e), []).append(e)
+    for i in range(len(m.universe)):
+        groups.setdefault(_element_profile(m, i), []).append(i)
     ordered_groups = [groups[k] for k in sorted(groups.keys(), key=repr)]
     best = None
     for perm_parts in itertools.product(*(itertools.permutations(g) for g in ordered_groups)):
@@ -341,66 +366,51 @@ def canonical_form(m: GradedStructure) -> bytes:
 
 def generated_substructure(m: GradedStructure, generators) -> GradedStructure:
     """Smallest substructure containing the generators, closed under functions."""
-    gens = list(generators)
     members = set()
-    for g in gens:
-        if g not in m.universe:
+    for g in generators:
+        if g not in m.positions:
             raise ValueError(f"generator {g!r} not in universe")
-        members.add(g)
+        members.add(m.positions[g])
     changed = True
     while changed:
         changed = False
-        for fname, arity in m.signature.functions:
-            interp = m.func_interp[fname]
-            for t in itertools.product(sorted(members, key=m.index), repeat=arity):
-                v = interp[t]
+        for (_, arity), table in zip(m.signature.functions, m.func_tables):
+            for v in _pull(table, sorted(members), len(m.universe), arity):
                 if v not in members:
                     members.add(v)
                     changed = True
-    return restrict(m, members)
+    return restrict(m, [m.universe[i] for i in members])
 
 
 def restrict(m: GradedStructure, elements) -> GradedStructure:
     """Induced substructure on a subset closed under functions."""
+    where = m.positions
     keep = set(elements)
     for e in keep:
-        if e not in m.universe:
+        if e not in where:
             raise ValueError(f"element {e!r} not in universe")
-    universe = tuple(e for e in m.universe if e in keep)
-    pred_interp = {}
-    for pname, arity in m.signature.predicates:
-        interp = m.pred_interp[pname]
-        pred_interp[pname] = {
-            t: interp[t] for t in itertools.product(universe, repeat=arity)
-        }
-    func_interp = {}
-    for fname, arity in m.signature.functions:
-        interp = m.func_interp[fname]
-        table = {}
-        for t in itertools.product(universe, repeat=arity):
-            v = interp[t]
-            if v not in keep:
-                raise ValueError(f"subset not closed under {fname!r}: {t} -> {v}")
-            table[t] = v
-        func_interp[fname] = table
-    return GradedStructure(m.chain, m.signature, universe, pred_interp, func_interp, name=m.name)
+    pos = sorted(where[e] for e in keep)
+    n = len(m.universe)
+    pred_tables = tuple(_pull(table, pos, n, arity)
+                        for (_, arity), table in zip(m.signature.predicates, m.pred_tables))
+    place = {p: j for j, p in enumerate(pos)}
+    func_tables = []
+    for (fname, arity), table in zip(m.signature.functions, m.func_tables):
+        values = _pull(table, pos, n, arity)
+        outside = [m.universe[v] for v in values if v not in place]
+        if outside:
+            raise ValueError(f"subset not closed under {fname!r}: {outside[0]} is left out")
+        func_tables.append(tuple(place[v] for v in values))
+    return GradedStructure(m.chain, m.signature, tuple(m.universe[i] for i in pos),
+                           pred_tables, tuple(func_tables), name=m.name)
 
 
 def rename(m: GradedStructure, mapping: dict) -> GradedStructure:
-    """Relabel elements; ids not in the mapping are kept."""
+    """Relabel elements; ids not in the mapping are kept.  The tables are shared."""
     full = {e: mapping.get(e, e) for e in m.universe}
     if len(set(full.values())) != len(full):
         raise ValueError("renaming is not injective")
-    universe = tuple(full[e] for e in m.universe)
-    pred_interp = {
-        pname: {tuple(full[e] for e in t): v for t, v in interp.items()}
-        for pname, interp in m.pred_interp.items()
-    }
-    func_interp = {
-        fname: {tuple(full[e] for e in t): full[v] for t, v in interp.items()}
-        for fname, interp in m.func_interp.items()
-    }
-    return GradedStructure(m.chain, m.signature, universe, pred_interp, func_interp, name=m.name)
+    return replace(m, universe=tuple(full.values()))
 
 
 def fresh_names(base: str, count: int, taken) -> list[str]:
@@ -453,24 +463,17 @@ def free_union(m1: GradedStructure, m2: GradedStructure, cross_value: int) -> Gr
     if overlap:
         taken = set(m1.universe) | set(m2.universe)
         news = fresh_names("u", len(overlap), taken)
-        m2 = rename(m2, dict(zip(sorted(overlap, key=m2.index), news)))
+        m2 = rename(m2, dict(zip(sorted(overlap, key=m2.positions.get), news)))
     universe = m1.universe + m2.universe
-    part1 = set(m1.universe)
-    pred_interp = {}
-    for pname, arity in m1.signature.predicates:
-        i1, i2 = m1.pred_interp[pname], m2.pred_interp[pname]
-        interp = {}
-        for t in itertools.product(universe, repeat=arity):
-            inside1 = all(e in part1 for e in t)
-            inside2 = all(e not in part1 for e in t)
-            if inside1:
-                interp[t] = i1[t]
-            elif inside2:
-                interp[t] = i2[t]
-            else:
-                interp[t] = cross_value
-        pred_interp[pname] = interp
-    return GradedStructure(m1.chain, m1.signature, universe, pred_interp, {}, name=m1.name)
+    n1, size = len(m1.universe), len(universe)
+    pred_tables = []
+    for (_, arity), t1, t2 in zip(m1.signature.predicates, m1.pred_tables, m2.pred_tables):
+        table = [cross_value] * size ** arity
+        for part, t in ((range(n1), t1), (range(n1, size), t2)):
+            for f, v in zip(_flat([part] * arity, size), t):
+                table[f] = v
+        pred_tables.append(tuple(table))
+    return GradedStructure(m1.chain, m1.signature, universe, tuple(pred_tables), name=m1.name)
 
 
 # --- file format ---
@@ -494,15 +497,13 @@ def structure_to_text(m: GradedStructure, chain_ref: str | None = None) -> str:
         lines.append(f"predicates {decl}")
     lines.append("elements " + " ".join(m.universe) if m.universe else "elements")
     counts: dict[int, int] = {}
-    for pname, _ in m.signature.predicates:
-        for v in m.pred_interp[pname].values():
+    for table in m.pred_tables:
+        for v in table:
             counts[v] = counts.get(v, 0) + 1
     default = min(sorted(counts, key=lambda v: (-counts[v], v))[:1] or [0])
     lines.append(f"default {default}")
-    for pname, arity in m.signature.predicates:
-        interp = m.pred_interp[pname]
-        for t in itertools.product(m.universe, repeat=arity):
-            v = interp[t]
+    for (pname, arity), table in zip(m.signature.predicates, m.pred_tables):
+        for t, v in zip(itertools.product(m.universe, repeat=arity), table):
             if v != default:
                 lines.append(f"{pname} {' '.join(t)} = {v}")
     return "\n".join(lines) + "\n"

@@ -251,9 +251,9 @@ def test_membership_isomorphism_invariant(name, size, data):
 
 
 @pytest.mark.parametrize("name", ["k0", "k1", "k2"])
-def test_sentence_checks_agree_with_pointwise(name, bool_chain, luk3, godel3):
+def test_sentence_checks_agree_with_pointwise(name, bool_chain, luk3, godel3, u3, luk4):
     member = get_class(name).membership
-    for chain in (bool_chain, luk3, godel3):
+    for chain in (bool_chain, luk3, godel3, u3, luk4):
         for n in (1, 2):
             elems = [f"e{i}" for i in range(n)]
             for vals in itertools.product(range(chain.size), repeat=n * n):

@@ -46,6 +46,16 @@ def test_limit_build_k2_and_replay(tmp_path, capsys):
     assert stage_files(built) == stage_files(replayed)
 
 
+def test_eval_unknown_element_is_an_error(tmp_path, capsys):
+    path = tmp_path / "g.gs"
+    path.write_text("structure g chain=luk:3\nelements a b\ndefault 0\n< a b = 2\n")
+    rc = main(["eval", "--structure", str(path), "--formula", "x < x", "--assign", "x=nosuch"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'nosuch'" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--class", "k0", "--chain", "bool", "--k", "2", "--property", "ap", "--jobs", "2"],
     ["check", "--class", "k0", "--chain", "bool", "--k", "2", "--property", "ap", "--seed", "1"],

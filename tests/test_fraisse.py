@@ -334,7 +334,7 @@ def test_k3_rule_agrees_with_search_or_both_members(luk3):
                         searched = search_amalgam(v, k3_member)
                         assert searched is not None
                         assert k3_member(ruled) and k3_member(searched)
-                        if searched.pred_interp == ruled.pred_interp:
+                        if searched == ruled:
                             agreements += 1
                             assert is_isomorphic(ruled, searched) is not None
     assert agreements > 0
@@ -503,9 +503,8 @@ def test_random_graph_round_counts_and_membership(luk3):
 def test_random_graph_bool_rado_prefix(bool_chain):
     g = random_weighted_graph(bool_chain, 2)
     assert check_random_graph_property(g, 1, within=["v0"]) == []
-    lt = g.pred_interp["<"]
-    assert any(lt[("v0", w)] == 1 for w in g.universe if w != "v0")
-    assert any(lt[("v0", w)] == 0 for w in g.universe if w != "v0")
+    assert any(g.value("<", "v0", w) == 1 for w in g.universe if w != "v0")
+    assert any(g.value("<", "v0", w) == 0 for w in g.universe if w != "v0")
 
 
 def test_random_graph_luk3_no_defects_over_early_rounds(luk3):

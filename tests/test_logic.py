@@ -122,7 +122,7 @@ def fold_oracle(chain, structure, formula, assignment):
     """Independent path: look atoms up directly, fold connectives by hand."""
     if isinstance(formula, Atom):
         args = tuple(assignment[t.name] for t in formula.args)
-        return structure.pred_interp[formula.pred][args]
+        return structure.value(formula.pred, *args)
     if isinstance(formula, Const):
         return {"0": chain.zero, "1": chain.one, "bot": 0, "top": chain.size - 1}[formula.kind]
     a = fold_oracle(chain, structure, formula.left, assignment)

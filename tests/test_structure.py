@@ -158,6 +158,37 @@ def test_canonical_form_sound_on_enumerated_sets(luk3):
             assert same == (is_isomorphic(a, b) is not None)
 
 
+SIG_F = Signature(predicates=(("P", 1),), functions=(("f", 1),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda ch: binary_structure(ch, ["a", "a"], {}, default=0),
+    lambda ch: binary_structure(ch, ["a", ""], {}, default=0),
+    lambda ch: binary_structure(ch, ["a", "b c"], {}, default=0),
+    lambda ch: binary_structure(ch, ["a", "b=c"], {}, default=0),
+    lambda ch: binary_structure(ch, ["a"], {("a", "a"): -1}),
+    lambda ch: binary_structure(ch, ["a"], {("a", "a"): ch.size}),
+    lambda ch: binary_structure(ch, ["a"], {("a", "a"): 1.5}),
+    lambda ch: binary_structure(ch, ["a", "b"], {("a", "a"): 0}),
+    lambda ch: binary_structure(ch, ["a"], {("a", "b"): 0}, default=0),
+    lambda ch: make_structure(ch, ["a"], {}, signature=SIG_F, default=0),
+    lambda ch: make_structure(ch, ["a"], {}, signature=SIG_F, default=0,
+                              functions={"f": {("a",): "z"}}),
+], ids=["duplicate-id", "empty-id", "space-in-id", "equals-in-id", "rank-minus-one",
+        "rank-chain-size", "rank-not-int", "missing-value", "unknown-tuple",
+        "missing-function-table", "function-value-outside"])
+def test_constructor_rejects_bad_input(build, luk3):
+    with pytest.raises(ValueError):
+        build(luk3)
+
+
+def test_structures_hash_by_value(luk3):
+    a = binary_structure(luk3, ["a", "b"], {("a", "b"): 2}, default=0, name="first")
+    b = binary_structure(luk3, ["a", "b"], {("a", "b"): 2}, default=0, name="second")
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, rename(a, {"a": "c"})}) == 2
+
+
 def test_generated_substructure_relational_is_induced(luk3):
     m = binary_structure(luk3, ["a", "b"], {}, default=1)
     g = generated_substructure(m, ["a"])
@@ -227,7 +258,7 @@ def test_free_union_with_empty_part(luk3):
     empty = binary_structure(luk3, [], {})
     u = free_union(m1, empty, 0)
     assert u.universe == ("a",)
-    assert u.pred_interp == m1.pred_interp
+    assert u == m1
 
 
 def test_free_union_cross_top_and_renaming(luk3):
