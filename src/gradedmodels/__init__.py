@@ -42,7 +42,6 @@ from .fraisse import (
     amalgamate_k1,
     amalgamate_k2,
     amalgamate_k3,
-    back_and_forth_isomorphism,
     build_limit,
     check_extension_property,
     check_homogeneity,

@@ -11,7 +11,7 @@ and max of ranks.  Chains are immutable and safe to share.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ChainTableError, FileFormatError
 
@@ -185,8 +185,6 @@ def make_from_table(size: int, conj_table, one: int, zero: int, name: str = "cha
 
 def make_lukasiewicz(n: int) -> Chain:
     """Lukasiewicz chain on n ranks: a*b = max(0, a+b-(n-1)), one = top."""
-    if n < 2:
-        raise ValueError(f"chain size must be at least 2, got {n}")
     table = [[max(0, a + b - (n - 1)) for b in range(n)] for a in range(n)]
     name = "bool" if n == 2 else f"luk:{n}"
     return make_from_table(n, table, one=n - 1, zero=0, name=name)
@@ -194,8 +192,6 @@ def make_lukasiewicz(n: int) -> Chain:
 
 def make_godel(n: int) -> Chain:
     """Godel chain on n ranks: a*b = min(a, b), one = top."""
-    if n < 2:
-        raise ValueError(f"chain size must be at least 2, got {n}")
     table = [[min(a, b) for b in range(n)] for a in range(n)]
     return make_from_table(n, table, one=n - 1, zero=0, name=f"godel:{n}")
 
@@ -269,11 +265,4 @@ def resolve_chain(ref: str) -> Chain:
         raise FileFormatError(f"unknown chain reference and no such file: {ref!r}")
     with open(ref, "r", encoding="utf-8") as fh:
         chain = chain_from_text(fh.read())
-    return Chain(
-        size=chain.size,
-        conj_table=chain.conj_table,
-        one=chain.one,
-        zero=chain.zero,
-        name=ref,
-        res_table=chain.res_table,
-    )
+    return replace(chain, name=ref)

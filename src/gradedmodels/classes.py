@@ -55,8 +55,7 @@ class ClassSpec:
     raising ``AmalgamationError`` when it cannot; over the empty base it
     also gives joint extensions.  When it is None the JEP and AP
     checkers search exhaustively for witnesses, and the limit builder
-    refuses the class.  Specs compare by value, and the enumeration
-    cache is keyed by the spec.
+    refuses the class.  Specs compare by value.
     """
 
     name: str
@@ -183,8 +182,6 @@ def sentence_member(class_name: str, m: GradedStructure) -> bool:
 
 # --- enumeration ---
 
-_ENUM_CACHE: dict = {}
-
 
 def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
                     budget: int = 10**8) -> list[GradedStructure]:
@@ -197,10 +194,6 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
     """
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
-    # Chains compare and hash by their tables, not their names.
-    key = (spec, chain, max_size)
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
     total = 0
     for s in range(1, max_size + 1):
         slots = sum(s ** ar for _, ar in spec.signature.predicates)
@@ -225,9 +218,7 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
             seen.add(form)
             found.append((s, form, m))
     found.sort(key=lambda item: (item[0], item[1]))
-    result = [m for _, _, m in found]
-    _ENUM_CACHE[key] = result
-    return result
+    return [m for _, _, m in found]
 
 
 # --- property reports ---
@@ -287,27 +278,36 @@ def check_hp(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     return PropertyReport("hp", spec.name, chain.name, k, checked, bad)
 
 
-def _search_common_extension(spec, chain, m1, m2, budget) -> bool:
-    limit = len(m1.universe) + len(m2.universe)
-    for candidate in enumerate_class(spec, chain, limit, budget=budget):
-        if find_embeddings(m1, candidate, limit=1) and find_embeddings(m2, candidate, limit=1):
-            return True
-    return False
+def _amalgam_problem(spec: ClassSpec, v, what: str) -> str | None:
+    """None when the class amalgamator's witness for v is verified, else why not.
+
+    ``what`` names the witness in the failure text: "an amalgam" or "a
+    common extension".
+    """
+    from . import fraisse
+
+    try:
+        witness = spec.amalgamate(v)
+    except AmalgamationError as exc:
+        return str(exc)
+    return None if fraisse.verify_amalgam(spec, v, witness) else f"result is not {what} in the class"
 
 
-def check_jep(spec: ClassSpec, chain: Chain, k: int,
-              search_budget: int = 10**8) -> PropertyReport:
+def check_jep(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     """Every pair of members has a common extension in the class.
 
     With an amalgamator, its amalgam over the empty base is the witness,
-    verified to be a member into which both inputs embed; a failure is a
-    counterexample.  Without one, members of size up to the two sizes
-    combined are searched.  The stats count constructed and searched
-    pairs.
+    verified to be a member containing both inputs; a failure is a
+    counterexample.  Without one, the members of size up to twice the
+    largest input are enumerated once, and each pair is searched among
+    those no larger than the two combined.  The stats count constructed
+    and searched pairs.
     """
     from . import fraisse
 
     members = enumerate_class(spec, chain, k)
+    candidates = [] if spec.amalgamate is not None else \
+        enumerate_class(spec, chain, 2 * max(map(len, members), default=0))
     checked = 0
     constructed = 0
     searched = 0
@@ -318,18 +318,12 @@ def check_jep(spec: ClassSpec, chain: Chain, k: int,
             checked += 1
             if spec.amalgamate is None:
                 searched += 1
-                if not _search_common_extension(spec, chain, m1, m2, search_budget):
+                limit = len(m1) + len(m2)
+                if not any(find_embeddings(m1, c, limit=1) and find_embeddings(m2, c, limit=1)
+                           for c in candidates if len(c) <= limit):
                     bad.append(Counterexample("jep", f"type[{i}] and type[{j}] have no common extension"))
                 continue
-            try:
-                witness = fraisse._jep_via_amalgam(spec.amalgamate, m1, m2)
-            except AmalgamationError as exc:
-                problem = str(exc)
-            else:
-                verified = spec.membership(witness) \
-                    and find_embeddings(m1, witness, limit=1) \
-                    and find_embeddings(m2, witness, limit=1)
-                problem = None if verified else "result is not a common extension in the class"
+            problem = _amalgam_problem(spec, fraisse._joint_v_formation(m1, m2), "a common extension")
             if problem is None:
                 constructed += 1
             else:
@@ -340,8 +334,7 @@ def check_jep(spec: ClassSpec, chain: Chain, k: int,
     return PropertyReport("jep", spec.name, chain.name, k, checked, bad, stats)
 
 
-def check_ap(spec: ClassSpec, chain: Chain, k: int,
-             search_cap: int = 10**6) -> PropertyReport:
+def check_ap(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     """Every v-formation of enumerated members has an amalgam.
 
     For each member pair and each way of sharing a common substructure,
@@ -370,16 +363,10 @@ def check_ap(spec: ClassSpec, chain: Chain, k: int,
                                  f"into type[{j}] via {sorted(g.mapping.items())}")
                         if spec.amalgamate is None:
                             searched += 1
-                            if fraisse.search_amalgam(v, spec.membership, cap=search_cap) is None:
+                            if fraisse.search_amalgam(v, spec.membership) is None:
                                 bad.append(Counterexample("ap", f"no amalgam for {where}"))
                             continue
-                        try:
-                            witness = spec.amalgamate(v)
-                        except AmalgamationError as exc:
-                            problem = str(exc)
-                        else:
-                            verified = fraisse.verify_amalgam(spec, v, witness)
-                            problem = None if verified else "result is not an amalgam in the class"
+                        problem = _amalgam_problem(spec, v, "an amalgam")
                         if problem is None:
                             constructed += 1
                         else:

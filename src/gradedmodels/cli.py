@@ -179,6 +179,7 @@ def _cmd_randgraph(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Offered only by the commands that read it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "tsv"), default="text")
 
@@ -186,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="graded structures over finite residuated chains")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_algebra = subs.add_parser("algebra", parents=[common], help="validate or print chains")
+    p_algebra = subs.add_parser("algebra", help="validate or print chains")
     alg_subs = p_algebra.add_subparsers(dest="action", required=True)
-    p_val = alg_subs.add_parser("validate", parents=[common])
+    p_val = alg_subs.add_parser("validate")
     p_val.add_argument("file")
     p_show = alg_subs.add_parser("show", parents=[common])
     p_show.add_argument("ref")
@@ -198,19 +199,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--formula", required=True)
     p_eval.add_argument("--assign", default="")
 
-    p_iso = subs.add_parser("iso", parents=[common], help="isomorphism between two structure files")
+    p_iso = subs.add_parser("iso", help="isomorphism between two structure files")
     p_iso.add_argument("file_a")
     p_iso.add_argument("file_b")
 
-    p_age = subs.add_parser("age", parents=[common], help="isomorphism types generated by small subsets")
+    p_age = subs.add_parser("age", help="isomorphism types generated by small subsets")
     p_age.add_argument("file")
     p_age.add_argument("--k", type=int, required=True)
 
-    p_sub = subs.add_parser("sub", parents=[common], help="substructure test between two files")
+    p_sub = subs.add_parser("sub", help="substructure test between two files")
     p_sub.add_argument("file_a")
     p_sub.add_argument("file_b")
 
-    p_enum = subs.add_parser("enumerate", parents=[common], help="isomorphism types of a class")
+    p_enum = subs.add_parser("enumerate", help="isomorphism types of a class")
     p_enum.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
     p_enum.add_argument("--chain", required=True)
     p_enum.add_argument("--max-size", type=int, required=True)
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--k", type=int, required=True)
     p_check.add_argument("--property", required=True, choices=("hp", "jep", "ap"))
 
-    p_limit = subs.add_parser("limit", parents=[common], help="stage-wise limit construction")
+    p_limit = subs.add_parser("limit", help="stage-wise limit construction")
     limit_subs = p_limit.add_subparsers(dest="action", required=True)
     # No abbreviations, so that ``--seed`` is an error rather than ``--seed-order``.
     p_lb = limit_subs.add_parser("build", parents=[common], allow_abbrev=False)
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--out", required=True)
     p_lb.add_argument("--seed-order", type=int, default=None,
                       help="permute the member enumeration order")
-    p_lc = limit_subs.add_parser("check", parents=[common])
+    p_lc = limit_subs.add_parser("check")
     p_lc.add_argument("--stage", required=True)
     p_lc.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
     p_lc.add_argument("--budget", type=int, required=True)
@@ -241,12 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_lr.add_argument("--transcript", required=True)
     p_lr.add_argument("--out", required=True)
 
-    p_rand = subs.add_parser("randgraph", parents=[common], help="random weighted graph")
+    p_rand = subs.add_parser("randgraph", help="random weighted graph")
     rand_subs = p_rand.add_subparsers(dest="action", required=True)
-    p_rb = rand_subs.add_parser("build", parents=[common])
+    p_rb = rand_subs.add_parser("build")
     p_rb.add_argument("--chain", required=True)
     p_rb.add_argument("--rounds", type=int, required=True)
-    p_rc = rand_subs.add_parser("check", parents=[common])
+    p_rc = rand_subs.add_parser("check")
     p_rc.add_argument("--structure", required=True)
     p_rc.add_argument("--max-x", type=int, required=True)
 

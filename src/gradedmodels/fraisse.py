@@ -23,19 +23,17 @@ from math import comb
 
 from .algebra import Chain, make_from_table
 from .classes import enumerate_class, get_class, k0_member, k1_member, k2_member, k3_member
-from .errors import AmalgamationError, BudgetError
+from .errors import AmalgamationError, BudgetError, FileFormatError
 from .logic import SIG_LT
 from .structure import (
     GradedStructure,
-    Morphism,
-    _consistent_extension,
     _flat,
+    _rename_apart,
     canonical_form,
     extend_embedding,
     find_embeddings,
     fresh_names,
     generated_substructure,
-    is_embedding,
     is_substructure,
     rename,
     restrict,
@@ -59,7 +57,6 @@ __all__ = [
     "check_extension_property",
     "check_homogeneity",
     "defect_classes",
-    "back_and_forth_isomorphism",
     "random_weighted_graph",
     "check_random_graph_property",
 ]
@@ -232,6 +229,33 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
     or the composition through the base when that is larger.  Comparing
     whole key prefixes, not the level's position alone, keeps the cuts
     nested.
+
+    Why the result is a member (proof sketch).  Write R_a for the a-cut
+    {(p, q) : v(p, q) >= a}.  A structure is in k2 exactly when its
+    loops are at least ``one``, every R_a is transitive and R_one is
+    total.  Loops and within-arm values are copied, so:
+
+    1. Inside one arm, p R_a q gives p R_c q for all c <= a, and the
+       base position at level c is monotone along the weak order R_c,
+       so p's key prefix up to a is at most q's componentwise.  Hence a
+       lexicographically smaller prefix forces the strict arm order.
+    2. A strictly smaller prefix stays smaller when extended, so the
+       levels where "prefix of x <= prefix of y" holds form an initial
+       segment: the cross values are well defined and the cuts nest.
+    3. For a <= ``one`` the new R_a sorts the union by key prefix; equal
+       prefixes ending in a block (odd) are all tied to that block, and
+       equal prefixes ending in a gap (even) hold only new elements, the
+       first arm's before the second's, each arm in its own order.  A
+       lexicographic product of weak orders is a weak order, and by 1 it
+       agrees with both arms.  The composition adds nothing at these
+       levels: x R_a b R_a y with b in the base gives prefix(x) <=
+       prefix(b) <= prefix(y), and y R_a b R_a x gives the reverse,
+       where equality puts x in b's block.  So R_one is total and each
+       such R_a is transitive.
+    4. Above ``one`` a cross pair reaches level a only through the
+       composition, and a chain of a-steps that changes arms passes
+       through the base, so, as for ``amalgamate_k0``, the composition
+       closes the union of the arms' cuts transitively.
     """
     chain = v.arm1.chain
     levels = range(1, chain.one + 1)
@@ -300,23 +324,21 @@ def search_amalgam(v: VFormation, membership, cap: int = 10**6) -> GradedStructu
     return None
 
 
-def _jep_via_amalgam(amalgamator, m1: GradedStructure, m2: GradedStructure) -> GradedStructure:
-    """Joint extension: the amalgam over the empty base, m2 renamed apart."""
-    taken = set(m1.universe) | set(m2.universe)
-    overlap = [e for e in m2.universe if e in set(m1.universe)]
-    if overlap:
-        news = fresh_names("u", len(overlap), taken)
-        m2 = rename(m2, dict(zip(overlap, news)))
-    empty = GradedStructure(m1.chain, SIG_LT, (), ((),), name="empty")
-    return amalgamator(VFormation(empty, m1, m2))
+def _joint_v_formation(m1: GradedStructure, m2: GradedStructure) -> VFormation:
+    """The v-formation of m1 and m2 over the empty base, m2 renamed apart.
+
+    Its amalgam is a joint extension of the two.
+    """
+    return VFormation(restrict(m1, ()), m1, _rename_apart(m1, m2))
 
 
-def jep_union(members, spec, verify: bool = True) -> GradedStructure:
+def jep_union(members, spec) -> GradedStructure:
     """Fold a list of members into one structure by iterated joint extension.
 
     Starting from the first member, each next one is renamed apart and
     joined in; every input then embeds into the result, so the result's
-    age at the input sizes covers the inputs.
+    age at the input sizes covers the inputs.  That is verified, and a
+    failure raises ``AmalgamationError``.
     """
     members = list(members)
     if not members:
@@ -325,11 +347,10 @@ def jep_union(members, spec, verify: bool = True) -> GradedStructure:
         raise ValueError(f"class {spec.name} has no amalgamator")
     current = members[0]
     for m in members[1:]:
-        current = _jep_via_amalgam(spec.amalgamate, current, m)
-    if verify:
-        for i, m in enumerate(members):
-            if not find_embeddings(m, current, limit=1):
-                raise AmalgamationError(f"input {i} does not embed into the joint union")
+        current = spec.amalgamate(_joint_v_formation(current, m))
+    for i, m in enumerate(members):
+        if not find_embeddings(m, current, limit=1):
+            raise AmalgamationError(f"input {i} does not embed into the joint union")
     return current
 
 
@@ -341,6 +362,25 @@ class Event:
     stage: int
     base_ids: tuple[str, ...]
     arm_text: str
+
+
+_TRANSCRIPT_FIELDS = {"class": str, "chain": dict, "budget": int, "stages": int,
+                      "shuffle_seed": (int, type(None)), "initial": str, "events": list}
+_CHAIN_FIELDS = {"name": str, "size": int, "one": int, "zero": int, "conj": list}
+_EVENT_FIELDS = {"stage": int, "base": list, "arm": str}
+
+
+def _json_fields(obj, fields: dict, what: str) -> dict:
+    """``obj``, checked to be a JSON object holding every key of ``fields``
+    with a value of the type given there (never a bool)."""
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{what} is not a JSON object")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise FileFormatError(f"{what} has no {key!r} field")
+        if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+            raise FileFormatError(f"{what} field {key!r} has the wrong type")
+    return obj
 
 
 @dataclass
@@ -378,8 +418,16 @@ class Transcript:
 
     @staticmethod
     def from_json(text: str) -> "Transcript":
-        payload = json.loads(text)
-        cdata = payload["chain"]
+        """Parse ``to_json`` output; a missing key or a value of the wrong
+        type raises ``FileFormatError``."""
+        payload = _json_fields(json.loads(text), _TRANSCRIPT_FIELDS, "transcript")
+        cdata = _json_fields(payload["chain"], _CHAIN_FIELDS, "transcript chain")
+        if not all(isinstance(row, list) for row in cdata["conj"]):
+            raise FileFormatError("transcript chain field 'conj' is not a list of rows")
+        for i, e in enumerate(payload["events"]):
+            _json_fields(e, _EVENT_FIELDS, f"transcript event {i}")
+            if not all(isinstance(b, str) for b in e["base"]):
+                raise FileFormatError(f"transcript event {i} field 'base' is not a list of ids")
         chain = make_from_table(cdata["size"], cdata["conj"], one=cdata["one"],
                                 zero=cdata["zero"], name=cdata["name"])
         return Transcript(
@@ -398,7 +446,7 @@ class Transcript:
 
 def _extension_pairs(spec, chain, size_budget, shuffle_seed):
     """Members and the (proper substructure, member) demand pairs, in order."""
-    members = list(enumerate_class(spec, chain, size_budget))
+    members = enumerate_class(spec, chain, size_budget)
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(members)
     pairs = []
@@ -558,46 +606,13 @@ def defect_classes(defects) -> set:
     return {(d.source_form, d.target_form) for d in defects}
 
 
-def back_and_forth_isomorphism(m: GradedStructure, n: GradedStructure) -> Morphism | None:
-    """Isomorphism via alternating extension steps, or None.
-
-    Odd steps pull in the next unmatched element of m, even steps the
-    next unmatched element of n, backtracking over partners.
-    """
-    if len(m.universe) != len(n.universe):
-        return None
-    size = len(m.universe)
-
-    def grow(mapping, inverse):
-        if len(mapping) == size:
-            mor = Morphism(m, n, {m.universe[s]: n.universe[d] for s, d in mapping.items()})
-            return mor if is_embedding(mor) else None
-        if len(mapping) % 2 == 0:
-            src = next(s for s in range(size) if s not in mapping)
-            options = [(src, d) for d in range(size) if d not in inverse]
-        else:
-            dst = next(d for d in range(size) if d not in inverse)
-            options = [(s, dst) for s in range(size) if s not in mapping]
-        for src, dst in options:
-            if not _consistent_extension(m, n, mapping, src, dst):
-                continue
-            mapping[src] = dst
-            inverse[dst] = src
-            found = grow(mapping, inverse)
-            if found:
-                return found
-            del mapping[src]
-            del inverse[dst]
-        return None
-
-    return grow({}, {})
-
-
 # --- the random weighted graph ---
 
 
-def random_weighted_graph(chain: Chain, rounds: int,
-                          max_candidates: int = 10**6) -> GradedStructure:
+_RANDGRAPH_CAP = 10**6
+
+
+def random_weighted_graph(chain: Chain, rounds: int) -> GradedStructure:
     """Deterministic witness construction for the weighted-graph limit.
 
     Starts from one vertex; round r adds, for every nonempty subset X
@@ -620,9 +635,9 @@ def random_weighted_graph(chain: Chain, rounds: int,
             comb(existing, s) * chain.size ** s
             for s in range(1, min(r, existing) + 1)
         )
-        if total > max_candidates:
+        if total > _RANDGRAPH_CAP:
             raise BudgetError(
-                f"round {r} would add {total} vertices, over the cap of {max_candidates}"
+                f"round {r} would add {total} vertices, over the cap of {_RANDGRAPH_CAP}"
             )
         counter = 0
         for s in range(1, min(r, existing) + 1):
@@ -656,6 +671,8 @@ def check_random_graph_property(m: GradedStructure, max_x: int, within=None,
     at most ``max_x`` elements and every map from X to the chain,
     checks that some vertex outside X matches the map symmetrically.
     """
+    if max_x < 0:
+        raise ValueError("max_x must be non-negative")
     if not k1_member(m):
         raise ValueError("structure is not a weighted graph (loopless symmetric)")
     chain = m.chain

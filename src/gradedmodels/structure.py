@@ -427,6 +427,15 @@ def fresh_names(base: str, count: int, taken) -> list[str]:
     return out
 
 
+def _rename_apart(m1: GradedStructure, m2: GradedStructure) -> GradedStructure:
+    """m2 with each id it shares with m1 replaced, in m2's order, by a fresh u0, u1, ..."""
+    overlap = [e for e in m2.universe if e in m1.positions]
+    if not overlap:
+        return m2
+    news = fresh_names("u", len(overlap), set(m1.universe) | set(m2.universe))
+    return rename(m2, dict(zip(overlap, news)))
+
+
 def age(m: GradedStructure, k: int) -> set[bytes]:
     """Canonical forms of all substructures generated by at most k elements."""
     if k < 1:
@@ -459,11 +468,7 @@ def free_union(m1: GradedStructure, m2: GradedStructure, cross_value: int) -> Gr
     if m1.signature.functions:
         raise ValueError("free union is not defined for signatures with functions")
     m1.chain.check_rank(cross_value)
-    overlap = set(m1.universe) & set(m2.universe)
-    if overlap:
-        taken = set(m1.universe) | set(m2.universe)
-        news = fresh_names("u", len(overlap), taken)
-        m2 = rename(m2, dict(zip(sorted(overlap, key=m2.positions.get), news)))
+    m2 = _rename_apart(m1, m2)
     universe = m1.universe + m2.universe
     n1, size = len(m1.universe), len(universe)
     pred_tables = []

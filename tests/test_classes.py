@@ -210,6 +210,13 @@ def test_enumerate_boundaries(bool_chain):
         enumerate_class(get_class("k1"), bool_chain, -1)
 
 
+def test_budget_holds_after_an_unbudgeted_call(bool_chain):
+    spec = get_class("k1")
+    assert len(enumerate_class(spec, bool_chain, 4)) == 18
+    with pytest.raises(BudgetError):
+        enumerate_class(spec, bool_chain, 4, budget=1000)
+
+
 def test_enumeration_cache_keyed_by_spec(bool_chain):
     assert len(enumerate_class(get_class("k1"), bool_chain, 2)) == 3
 

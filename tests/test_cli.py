@@ -1,10 +1,56 @@
 """Command-line output, exit codes, and the limit build/replay round trip."""
 
+import json
 import os
 
 import pytest
 
 from gradedmodels.cli import main
+from gradedmodels.errors import FileFormatError
+from gradedmodels.fraisse import Transcript
+
+# Small inputs for the golden runs, written to the working directory.
+FILES = {
+    "c3.chain": "chain c3 3 one=2 zero=0\n0 0 0\n0 0 1\n0 1 2\n",
+    "g.gs": "structure g chain=luk:3\nelements a b c\ndefault 0\n"
+            "< a b = 2\n< b a = 2\n< b c = 1\n< c b = 1\n",
+    "h.gs": "structure h chain=luk:3\nelements p q r\ndefault 0\n"
+            "< q r = 2\n< r q = 2\n< q p = 1\n< p q = 1\n",
+    "ab.gs": "structure ab chain=luk:3\nelements a b\ndefault 0\n< a b = 2\n< b a = 2\n",
+    "tri.gs": "structure tri chain=luk:3\nelements a b c\ndefault 2\n< a a = 0\n< b b = 0\n< c c = 0\n",
+    "path.gs": "structure path chain=bool\nelements a b c\ndefault 0\n"
+               "< a b = 1\n< b a = 1\n< b c = 1\n< c b = 1\n",
+}
+
+GOLDEN = [
+    (["algebra", "show", "bool"], 0,
+     "chain bool 2 one=1 zero=0\nconj\n0 0\n0 1\nres\n1 1\n0 1\n"),
+    (["algebra", "show", "luk:3", "--format", "tsv"], 0,
+     "chain\tluk:3\t3\tone=2\tzero=0\nconj\n0\t0\t0\n0\t0\t1\n0\t1\t2\n"
+     "res\n2\t2\t2\n1\t2\t2\n0\t1\t2\n"),
+    (["algebra", "validate", "c3.chain"], 0, "valid chain c3 size=3 one=2 zero=0\n"),
+    (["eval", "--structure", "g.gs", "--formula", "x < y", "--assign", "x=b,y=c"], 0,
+     "value 1\nin_filter no\n"),
+    (["eval", "--structure", "g.gs", "--formula", "forall x forall y ((x < y) -> (y < x))",
+      "--format", "tsv"], 0, "value\t2\nin_filter\tyes\n"),
+    (["iso", "g.gs", "h.gs"], 0, "isomorphic a->r b->q c->p\n"),
+    (["iso", "g.gs", "tri.gs"], 1, "not isomorphic\n"),
+    (["sub", "ab.gs", "g.gs"], 0, "substructure\n"),
+    (["sub", "ab.gs", "h.gs"], 1, "not a substructure\n"),
+    (["age", "g.gs", "--k", "2"], 0,
+     "types 4\n345a8bde538e\n65f47a153049\n82983e44b87a\n9126441812ee\n"),
+    (["enumerate", "--class", "k1", "--chain", "bool", "--max-size", "3", "--count-only"], 0, "7\n"),
+    (["enumerate", "--class", "k3", "--chain", "luk:3", "--max-size", "2", "--count-only"], 0, "6\n"),
+    (["randgraph", "build", "--chain", "bool", "--rounds", "1"], 0,
+     "structure randgraph chain=bool\nelements v0 r1w0 r1w1\ndefault 0\n< v0 r1w1 = 1\n< r1w1 v0 = 1\n"),
+    (["randgraph", "check", "--structure", "path.gs", "--max-x", "1"], 1,
+     "defects 1\nwitness defect: no vertex matching b:0\n"),
+    (["randgraph", "check", "--structure", "tri.gs", "--max-x", "0"], 0, "defects 0\n"),
+    (["limit", "check", "--stage", "path.gs", "--class", "k1", "--budget", "2"], 1,
+     "defects 2\nextension defect: 9126441812ee into 65f47a153049 at x0->b\n"
+     "extension defect: 9126441812ee into 65f47a153049 at x1->b\n"),
+    (["limit", "check", "--stage", "g.gs", "--class", "k1", "--budget", "1"], 0, "defects 0\n"),
+]
 
 
 def run(argv, capsys):
@@ -33,6 +79,14 @@ def test_check_k0_ap_golden(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_golden_output(argv, code, stdout, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    assert run(argv, capsys) == (code, stdout)
+
+
 def test_limit_build_k2_and_replay(tmp_path, capsys):
     built, replayed = tmp_path / "built", tmp_path / "replayed"
     rc, out = run(["limit", "build", "--class", "k2", "--chain", "bool", "--stages", "2",
@@ -56,11 +110,43 @@ def test_eval_unknown_element_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "'nosuch'" in captured.err
 
 
+GOOD_TRANSCRIPT = {
+    "class": "k1", "budget": 1, "stages": 1, "shuffle_seed": None,
+    "chain": {"name": "bool", "size": 2, "one": 1, "zero": 0, "conj": [[0, 0], [0, 1]]},
+    "initial": "structure k1_1 chain=bool\nelements x0\ndefault 0\n",
+    "events": [{"stage": 0, "base": [], "arm": "structure a chain=bool\nelements n0\ndefault 0\n"}],
+}
+
+MALFORMED_TRANSCRIPTS = {
+    "class only": {"class": "k1"},
+    "not an object": [1, 2],
+    "event without arm": {**GOOD_TRANSCRIPT, "events": [{"stage": 0, "base": []}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRANSCRIPTS))
+def test_malformed_transcripts_are_file_format_errors(case, tmp_path, capsys):
+    assert Transcript.from_json(json.dumps(GOOD_TRANSCRIPT)).events
+    text = json.dumps(MALFORMED_TRANSCRIPTS[case])
+    with pytest.raises(FileFormatError):
+        Transcript.from_json(text)
+    path = tmp_path / "transcript.json"
+    path.write_text(text)
+    rc = main(["limit", "replay", "--transcript", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--class", "k0", "--chain", "bool", "--k", "2", "--property", "ap", "--jobs", "2"],
     ["check", "--class", "k0", "--chain", "bool", "--k", "2", "--property", "ap", "--seed", "1"],
     ["limit", "build", "--class", "k1", "--chain", "bool", "--stages", "0", "--budget", "1",
      "--out", "unused", "--seed", "1"],
+    # --format only where it is read
+    ["algebra", "--format", "tsv", "show", "bool"],
+    ["enumerate", "--class", "k1", "--chain", "bool", "--max-size", "1", "--format", "tsv"],
 ])
 def test_removed_options_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

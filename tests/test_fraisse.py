@@ -1,7 +1,6 @@
 """Amalgamation recipes, the stage-wise limit builder, and the verifiers."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,13 +21,12 @@ from gradedmodels.errors import AmalgamationError, BudgetError
 from gradedmodels.fraisse import (
     Transcript,
     VFormation,
-    _jep_via_amalgam,
+    _joint_v_formation,
     align_v_formation,
     amalgamate_k0,
     amalgamate_k1,
     amalgamate_k2,
     amalgamate_k3,
-    back_and_forth_isomorphism,
     build_limit,
     check_extension_property,
     check_homogeneity,
@@ -47,7 +45,6 @@ from gradedmodels.structure import (
     find_embeddings,
     is_isomorphic,
     is_substructure,
-    rename,
     restrict,
     structure_to_text,
 )
@@ -72,7 +69,7 @@ def test_v_formation_validation(bool_chain):
 def test_k1_jep_degenerate_two_vertices(bool_chain):
     v1 = binary_structure(bool_chain, ["a"], {("a", "a"): 0})
     v2 = binary_structure(bool_chain, ["b"], {("b", "b"): 0})
-    out = _jep_via_amalgam(amalgamate_k1, v1, v2)
+    out = amalgamate_k1(_joint_v_formation(v1, v2))
     assert len(out.universe) == 2
     assert out.value("<", "a", "b") == 0 and out.value("<", "b", "a") == 0
 
@@ -97,7 +94,7 @@ def test_k1_amalgam_trivial(bool_chain):
 def test_k0_jep_reflexive_singletons(luk3):
     s1 = binary_structure(luk3, ["a"], {("a", "a"): 2})
     s2 = binary_structure(luk3, ["b"], {("b", "b"): 2})
-    out = _jep_via_amalgam(amalgamate_k0, s1, s2)
+    out = amalgamate_k0(_joint_v_formation(s1, s2))
     assert k0_member(out)
     assert out.value("<", "a", "b") == luk3.zero == 0
 
@@ -107,7 +104,7 @@ def test_k0_jep_two_chains(luk3):
         luk3, ["a", "b"],
         {("a", "a"): 2, ("b", "b"): 2, ("a", "b"): 2, ("b", "a"): 0},
     )
-    out = _jep_via_amalgam(amalgamate_k0, chain2, chain2)
+    out = amalgamate_k0(_joint_v_formation(chain2, chain2))
     assert len(out.universe) == 4
     assert k0_member(out)
 
@@ -457,35 +454,6 @@ def test_homogeneity_k_zero(bool_chain):
     assert check_homogeneity(path, 0) == []
 
 
-def test_back_and_forth_relabeling(luk3):
-    rng = random.Random(8)
-    from test_logic import random_structure
-
-    m = random_structure(rng, luk3, 4)
-    n = rename(m, {e: f"q{i}" for i, e in enumerate(m.universe)})
-    mor = back_and_forth_isomorphism(m, n)
-    assert mor is not None
-    from gradedmodels.structure import is_embedding
-
-    assert is_embedding(mor)
-
-
-def test_back_and_forth_path_vs_triangle(bool_chain):
-    path = edge_graph(bool_chain, [("a", "b"), ("b", "c")], ["a", "b", "c"])
-    triangle = edge_graph(bool_chain, [("a", "b"), ("b", "c"), ("a", "c")], ["a", "b", "c"])
-    assert back_and_forth_isomorphism(path, triangle) is None
-
-
-def test_back_and_forth_agrees_with_is_isomorphic(luk3):
-    from test_logic import random_structure
-
-    rng = random.Random(99)
-    for _ in range(30):
-        m = random_structure(rng, luk3, rng.randint(1, 3))
-        n = random_structure(rng, luk3, rng.randint(1, 3))
-        assert (back_and_forth_isomorphism(m, n) is None) == (is_isomorphic(m, n) is None)
-
-
 def test_random_graph_round_one_count(luk3, bool_chain):
     for chain in (bool_chain, luk3):
         g = random_weighted_graph(chain, 1)
@@ -526,6 +494,12 @@ def test_random_graph_checker_rejects_non_members(luk3):
     not_graph = binary_structure(luk3, ["v"], {("v", "v"): 2})
     with pytest.raises(ValueError):
         check_random_graph_property(not_graph, 1)
+
+
+def test_random_graph_checker_rejects_negative_max_x(bool_chain):
+    g = random_weighted_graph(bool_chain, 1)
+    with pytest.raises(ValueError):
+        check_random_graph_property(g, -1)
 
 
 def test_random_graph_budget_guards(luk3):
