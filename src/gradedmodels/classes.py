@@ -183,14 +183,16 @@ def sentence_member(class_name: str, m: GradedStructure) -> bool:
 # --- enumeration ---
 
 
-def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
-                    budget: int = 10**8) -> list[GradedStructure]:
+_ENUM_BUDGET = 10**8
+
+
+def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[GradedStructure]:
     """All isomorphism types of members with at most ``max_size`` elements.
 
     Candidates are every value assignment on a fixed universe, filtered
     by membership and deduplicated by canonical form; the result is
     ordered by size then canonical form.  Rejects runs whose raw
-    candidate count exceeds ``budget``.
+    candidate count exceeds ``_ENUM_BUDGET``.
     """
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
@@ -198,8 +200,8 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int,
     for s in range(1, max_size + 1):
         slots = sum(s ** ar for _, ar in spec.signature.predicates)
         total += chain.size ** slots
-    if total > budget:
-        raise BudgetError(f"{total} candidates exceed the budget of {budget}")
+    if total > _ENUM_BUDGET:
+        raise BudgetError(f"{total} candidates exceed the budget of {_ENUM_BUDGET}")
     found: list[tuple[int, bytes, GradedStructure]] = []
     seen: set[bytes] = set()
     for s in range(1, max_size + 1):

@@ -127,6 +127,14 @@ def _cmd_check(args, out) -> int:
     return 0 if report.ok else 1
 
 
+def _report_defects(defects, out) -> int:
+    """Print the defect count and the sorted renderings; 0 when there are none."""
+    print(f"defects {len(defects)}", file=out)
+    for d in sorted(x.render() for x in defects):
+        print(d, file=out)
+    return 0 if not defects else 1
+
+
 def _write_stages(folder: str, stages) -> None:
     os.makedirs(folder, exist_ok=True)
     for i, stage in enumerate(stages):
@@ -157,11 +165,7 @@ def _cmd_limit(args, out) -> int:
         return 0
     m = _load_structure(args.stage)
     spec = classes.get_class(args.klass)
-    defects = fraisse.check_extension_property(m, spec, args.budget)
-    print(f"defects {len(defects)}", file=out)
-    for d in sorted(x.render() for x in defects):
-        print(d, file=out)
-    return 0 if not defects else 1
+    return _report_defects(fraisse.check_extension_property(m, spec, args.budget), out)
 
 
 def _cmd_randgraph(args, out) -> int:
@@ -171,11 +175,7 @@ def _cmd_randgraph(args, out) -> int:
         print(structure.structure_to_text(graph), end="", file=out)
         return 0
     m = _load_structure(args.structure)
-    defects = fraisse.check_random_graph_property(m, args.max_x)
-    print(f"defects {len(defects)}", file=out)
-    for d in sorted(x.render() for x in defects):
-        print(d, file=out)
-    return 0 if not defects else 1
+    return _report_defects(fraisse.check_random_graph_property(m, args.max_x), out)
 
 
 def build_parser() -> argparse.ArgumentParser:

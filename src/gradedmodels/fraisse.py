@@ -94,7 +94,7 @@ def align_v_formation(base: GradedStructure, arm1: GradedStructure,
     inverse = {embedding[b]: b for b in base.universe}
     taken = set(arm1.universe) | set(arm2.universe) | set(base.universe)
     rest = [e for e in arm2.universe if e not in inverse]
-    news = fresh_names("y", len(rest), taken)
+    news = fresh_names("n", len(rest), taken)
     mapping = dict(inverse)
     mapping.update(zip(rest, news))
     return VFormation(base, arm1, rename(arm2, mapping))
@@ -282,25 +282,26 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
 def amalgamate_k3(v: VFormation) -> GradedStructure:
     """Cross rule for threshold partial orders.
 
-    A mixed pair is pushed into the filter exactly when a base witness
-    sits between its endpoints at the filter level; otherwise it takes
-    the falsum constant.
+    A mixed pair takes ``one`` when its composition through the base is
+    at least ``one``, that is, when some base element sits between its
+    endpoints at the filter level; otherwise it takes the falsum
+    constant.
     """
     chain = v.arm1.chain
-    one = chain.one
-    lt1, lt2 = v.arm1.pred_tables[0], v.arm2.pred_tables[0]
-    n1, n2 = len(v.arm1.universe), len(v.arm2.universe)
-    base = list(zip(*_base_positions(v)))
+    one, zero = chain.one, chain.zero
+    through = _composition(v)
 
     def rule(x, y):
-        forward = any(lt1[x * n1 + b1] >= one and lt2[b2 * n2 + y] >= one for b1, b2 in base)
-        backward = any(lt1[b1 * n1 + x] >= one and lt2[y * n2 + b2] >= one for b1, b2 in base)
-        return (one if forward else chain.zero), (one if backward else chain.zero)
+        cxy, cyx = through(x, y)
+        return (one if cxy >= one else zero), (one if cyx >= one else zero)
 
     return _amalgamate(v, rule, k3_member)
 
 
-def search_amalgam(v: VFormation, membership, cap: int = 10**6) -> GradedStructure | None:
+_SEARCH_CAP = 10**6
+
+
+def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
     """Exhaustive completion search over the cross values, first hit wins.
 
     For classes without a construction, and as the tests' oracle.  All
@@ -313,8 +314,8 @@ def search_amalgam(v: VFormation, membership, cap: int = 10**6) -> GradedStructu
     cells = [f for x, y in cross for f in (x * size + place[y], place[y] * size + x)]
     chain = v.arm1.chain
     count = chain.size ** len(cells)
-    if count > cap:
-        raise BudgetError(f"{count} cross assignments exceed the cap of {cap}")
+    if count > _SEARCH_CAP:
+        raise BudgetError(f"{count} cross assignments exceed the cap of {_SEARCH_CAP}")
     for combo in itertools.product(range(chain.size), repeat=len(cells)):
         for f, val in zip(cells, combo):
             table[f] = val
@@ -418,16 +419,23 @@ class Transcript:
 
     @staticmethod
     def from_json(text: str) -> "Transcript":
-        """Parse ``to_json`` output; a missing key or a value of the wrong
-        type raises ``FileFormatError``."""
+        """Parse ``to_json`` output; a missing key, a value of the wrong
+        type, a negative ``stages`` or ``budget``, or an event outside the
+        recorded stages raises ``FileFormatError``."""
         payload = _json_fields(json.loads(text), _TRANSCRIPT_FIELDS, "transcript")
         cdata = _json_fields(payload["chain"], _CHAIN_FIELDS, "transcript chain")
         if not all(isinstance(row, list) for row in cdata["conj"]):
             raise FileFormatError("transcript chain field 'conj' is not a list of rows")
+        for key in ("stages", "budget"):
+            if payload[key] < 0:
+                raise FileFormatError(f"transcript field {key!r} is negative")
         for i, e in enumerate(payload["events"]):
             _json_fields(e, _EVENT_FIELDS, f"transcript event {i}")
             if not all(isinstance(b, str) for b in e["base"]):
                 raise FileFormatError(f"transcript event {i} field 'base' is not a list of ids")
+            if not 0 <= e["stage"] < payload["stages"]:
+                raise FileFormatError(f"transcript event {i} stage {e['stage']} is outside "
+                                      f"0..{payload['stages'] - 1}")
         chain = make_from_table(cdata["size"], cdata["conj"], one=cdata["one"],
                                 zero=cdata["zero"], name=cdata["name"])
         return Transcript(
@@ -495,22 +503,18 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
             for f in find_embeddings(n, current)
         ]
         for pos, (mapping, n, nprime) in enumerate(tasks):
-            if extend_embedding(nprime, current, mapping, limit=1):
+            if extend_embedding(nprime, current, mapping):
                 continue
-            base = restrict(current, set(mapping.values()))
-            new_elems = [e for e in nprime.universe if e not in n.universe]
-            fresh = fresh_names("n", len(new_elems), set(current.universe) | set(nprime.universe))
-            ren = {e: mapping[e] for e in n.universe}
-            ren.update(zip(new_elems, fresh))
-            arm = rename(nprime, ren)
+            v = align_v_formation(restrict(current, mapping.values()), current, nprime,
+                                  {b: a for a, b in mapping.items()})
             try:
-                current = spec.amalgamate(VFormation(base, current, arm))
+                current = spec.amalgamate(v)
             except AmalgamationError as exc:
                 raise AmalgamationError(
                     f"stage {stage}: {exc} ({len(tasks) - pos - 1} tasks pending)"
                 ) from exc
-            transcript.events.append(Event(stage, tuple(base.universe), structure_to_text(arm)))
-            if not extend_embedding(nprime, current, mapping, limit=1):
+            transcript.events.append(Event(stage, v.base.universe, structure_to_text(v.arm2)))
+            if not extend_embedding(nprime, current, mapping):
                 raise AmalgamationError(f"stage {stage}: amalgam did not satisfy its task")
         stage_list.append(current)
     return stage_list, transcript
@@ -548,21 +552,13 @@ class ExtensionDefect:
         return f"extension defect: {nd} into {pd} at {pairs}"
 
 
-def check_extension_property(m: GradedStructure, spec, k: int,
-                             within=None) -> list[ExtensionDefect]:
-    """Embeddings of members into m that fail to extend to some member extension.
-
-    ``within`` restricts the embeddings' images to a subset of m's
-    universe; extensions may still use all of m.
-    """
+def check_extension_property(m: GradedStructure, spec, k: int) -> list[ExtensionDefect]:
+    """Embeddings of members into m that fail to extend to some member extension."""
     _, pairs = _extension_pairs(spec, m.chain, k, None)
-    allowed = set(within) if within is not None else None
     defects = []
     for n, nprime in pairs:
         for f in find_embeddings(n, m):
-            if allowed is not None and any(v not in allowed for v in f.mapping.values()):
-                continue
-            if not extend_embedding(nprime, m, f.mapping, limit=1):
+            if not extend_embedding(nprime, m, f.mapping):
                 defects.append(ExtensionDefect(canonical_form(n), canonical_form(nprime),
                                                tuple(sorted(f.mapping.items()))))
     return defects
@@ -592,7 +588,7 @@ def check_homogeneity(m: GradedStructure, k: int) -> list[HomogeneityDefect]:
             if len(a.universe) != len(b.universe):
                 continue
             for g in find_embeddings(a, b):
-                if not extend_embedding(m, m, g.mapping, limit=1):
+                if not extend_embedding(m, m, g.mapping):
                     defects.append(HomogeneityDefect(
                         canonical_form(a),
                         canonical_form(b),
@@ -663,33 +659,28 @@ class WitnessDefect:
         return f"witness defect: no vertex matching {pairs}"
 
 
-def check_random_graph_property(m: GradedStructure, max_x: int, within=None,
-                                max_candidates: int = 10**6) -> list[WitnessDefect]:
+def check_random_graph_property(m: GradedStructure, max_x: int) -> list[WitnessDefect]:
     """Subset-map demands with no matching witness vertex.
 
-    For every subset X of ``within`` (default: the whole universe) with
-    at most ``max_x`` elements and every map from X to the chain,
-    checks that some vertex outside X matches the map symmetrically.
+    For every subset X of the universe with at most ``max_x`` elements
+    and every map from X to the chain, checks that some vertex outside X
+    matches the map symmetrically.
     """
     if max_x < 0:
         raise ValueError("max_x must be non-negative")
     if not k1_member(m):
         raise ValueError("structure is not a weighted graph (loopless symmetric)")
     chain = m.chain
-    pool = list(within) if within is not None else list(m.universe)
-    for e in pool:
-        if e not in m.universe:
-            raise ValueError(f"element {e!r} not in universe")
-    total = sum(comb(len(pool), s) * chain.size ** s for s in range(max_x + 1))
-    if total > max_candidates:
-        raise BudgetError(f"{total} demands exceed the cap of {max_candidates}")
+    n = len(m.universe)
+    total = sum(comb(n, s) * chain.size ** s for s in range(max_x + 1))
+    if total > _RANDGRAPH_CAP:
+        raise BudgetError(f"{total} demands exceed the cap of {_RANDGRAPH_CAP}")
     # A member is symmetric, so row w of the table gives w's values both ways.
     lt = m.pred_tables[0]
-    n = len(m.universe)
     rows = [lt[w * n:(w + 1) * n] for w in range(n)]
     defects = []
     for s in range(max_x + 1):
-        for X in itertools.combinations(pool, s):
+        for X in itertools.combinations(m.universe, s):
             xs = [m.positions[a] for a in X]
             met = {tuple(row[a] for a in xs) for w, row in enumerate(rows) if w not in xs}
             for fv in itertools.product(range(chain.size), repeat=s):

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .algebra import Chain
+from .algebra import Chain, resolve_chain
 from .errors import FileFormatError, NotAChainError
 from .logic import SIG_LT, Signature
 
@@ -288,9 +288,9 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, limit: int | None = 
     return results
 
 
-def extend_embedding(m: GradedStructure, n: GradedStructure, fixed: dict,
-                     limit: int | None = 1) -> list[Morphism]:
-    """Embeddings of m into n extending the partial map ``fixed``."""
+def extend_embedding(m: GradedStructure, n: GradedStructure, fixed: dict) -> list[Morphism]:
+    """One embedding of m into n extending the partial map ``fixed``, as a
+    list of at most one element."""
     _require_compatible(m, n)
     if len(m.universe) > len(n.universe):
         return []
@@ -302,7 +302,7 @@ def extend_embedding(m: GradedStructure, n: GradedStructure, fixed: dict,
         seed[s] = d
     order = list(seed) + [i for i in range(len(m.universe)) if i not in seed]
     results: list[Morphism] = []
-    _embedding_search(m, n, seed, order, limit, results)
+    _embedding_search(m, n, seed, order, 1, results)
     return results
 
 
@@ -484,7 +484,7 @@ def free_union(m1: GradedStructure, m2: GradedStructure, cross_value: int) -> Gr
 # --- file format ---
 
 
-def structure_to_text(m: GradedStructure, chain_ref: str | None = None) -> str:
+def structure_to_text(m: GradedStructure) -> str:
     """Serialize to the line format; deterministic byte-for-byte.
 
     The default rank is the most frequent value (ties to the smallest),
@@ -495,8 +495,7 @@ def structure_to_text(m: GradedStructure, chain_ref: str | None = None) -> str:
     """
     if m.signature.functions:
         raise FileFormatError("structure files do not support function symbols")
-    ref = chain_ref if chain_ref is not None else m.chain.name
-    lines = [f"structure {m.name} chain={ref}"]
+    lines = [f"structure {m.name} chain={m.chain.name}"]
     if m.signature != SIG_LT:
         decl = " ".join(f"{p}:{a}" for p, a in m.signature.predicates)
         lines.append(f"predicates {decl}")
@@ -514,13 +513,12 @@ def structure_to_text(m: GradedStructure, chain_ref: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def structure_from_text(text: str, chain: Chain | None = None,
-                        resolver=None) -> GradedStructure:
+def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructure:
     """Parse the structure line format.
 
-    The chain is taken from the header reference via ``resolver``
-    unless one is passed in directly.  Unknown line shapes and values
-    for undeclared elements are rejected.
+    The chain is resolved from the header reference unless one is passed
+    in directly.  Unknown line shapes, values for undeclared elements and
+    a second value for the same tuple are rejected.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -531,9 +529,7 @@ def structure_from_text(text: str, chain: Chain | None = None,
     name = head[1]
     ref = head[2][len("chain="):]
     if chain is None:
-        if resolver is None:
-            from .algebra import resolve_chain as resolver  # noqa: PLC0415
-        chain = resolver(ref)
+        chain = resolve_chain(ref)
     idx = 1
     signature = SIG_LT
     if idx < len(lines) and lines[idx].startswith("predicates"):
@@ -579,6 +575,8 @@ def structure_from_text(text: str, chain: Chain | None = None,
         except ValueError:
             raise FileFormatError(f"bad rank in line {ln!r}") from None
         chain.check_rank(rank)
+        if (pname, elems) in values:
+            raise FileFormatError(f"second value for the same tuple in line {ln!r}")
         values[(pname, elems)] = rank
     return make_structure(chain, elements, values, signature=signature,
                           default=default, name=name)

@@ -205,16 +205,9 @@ def test_k1_luk3_count_pinned(luk3):
 def test_enumerate_boundaries(bool_chain):
     assert enumerate_class(get_class("k1"), bool_chain, 0) == []
     with pytest.raises(BudgetError):
-        enumerate_class(get_class("k1"), bool_chain, 7, budget=10**6)
+        enumerate_class(get_class("k1"), bool_chain, 7)
     with pytest.raises(ValueError):
         enumerate_class(get_class("k1"), bool_chain, -1)
-
-
-def test_budget_holds_after_an_unbudgeted_call(bool_chain):
-    spec = get_class("k1")
-    assert len(enumerate_class(spec, bool_chain, 4)) == 18
-    with pytest.raises(BudgetError):
-        enumerate_class(spec, bool_chain, 4, budget=1000)
 
 
 def test_enumeration_cache_keyed_by_spec(bool_chain):

@@ -121,6 +121,10 @@ MALFORMED_TRANSCRIPTS = {
     "class only": {"class": "k1"},
     "not an object": [1, 2],
     "event without arm": {**GOOD_TRANSCRIPT, "events": [{"stage": 0, "base": []}]},
+    "negative stages": {**GOOD_TRANSCRIPT, "stages": -1, "events": []},
+    "negative budget": {**GOOD_TRANSCRIPT, "budget": -1},
+    "event past the last stage": {**GOOD_TRANSCRIPT, "events": [{**GOOD_TRANSCRIPT["events"][0], "stage": 1}]},
+    "event before the first stage": {**GOOD_TRANSCRIPT, "events": [{**GOOD_TRANSCRIPT["events"][0], "stage": -1}]},
 }
 
 

@@ -339,6 +339,12 @@ def test_structure_file_rejects_bad_input(luk3):
         structure_from_text("structure g chain=luk:3\nelements a\ndefault 0\nQ a a = 1\n")
 
 
+def test_structure_file_rejects_a_second_value_for_a_tuple():
+    text = "structure g chain=luk:3\nelements a b\ndefault 0\n< a b = 2\n< a b = 1\n"
+    with pytest.raises(FileFormatError, match="< a b = 1"):
+        structure_from_text(text)
+
+
 def test_structure_file_nonstandard_signature(luk3):
     sig = Signature(predicates=(("R", 1), ("S", 3)))
     m = make_structure(luk3, ["a", "b"], {("R", ("a",)): 2, ("S", ("a", "b", "a")): 1},
