@@ -34,7 +34,6 @@ from .errors import (
     FileFormatError,
     FormulaParseError,
     GradedModelError,
-    NotAChainError,
 )
 from .fraisse import (
     VFormation,
@@ -44,9 +43,7 @@ from .fraisse import (
     amalgamate_k3,
     build_limit,
     check_extension_property,
-    check_homogeneity,
     check_random_graph_property,
-    jep_union,
     random_weighted_graph,
     replay_transcript,
 )
@@ -58,15 +55,12 @@ from .structure import (
     binary_structure,
     canonical_form,
     find_embeddings,
-    free_union,
-    generated_substructure,
     is_embedding,
     is_isomorphic,
     is_substructure,
     make_structure,
     structure_from_text,
     structure_to_text,
-    union_of_chain,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Chain
 from .errors import AmalgamationError, BudgetError
-from .logic import SIG_LT, evaluate, parse_formula
+from .logic import SIG_LT
 from .structure import (
     GradedStructure,
     canonical_form,
@@ -38,7 +38,6 @@ __all__ = [
     "k1_member",
     "k2_member",
     "k3_member",
-    "sentence_member",
     "enumerate_class",
     "check_hp",
     "check_jep",
@@ -138,46 +137,6 @@ def k3_member(m: GradedStructure) -> bool:
             if cut[b][a] or any(bc and not ac for bc, ac in zip(cut[b], cut[a])):
                 return False
     return True
-
-
-_K0_SENTENCES = (
-    "forall x (x < x)",
-    "forall x forall y forall z (((x < y) & (y < z)) -> (x < z))",
-)
-_K2_SENTENCES = _K0_SENTENCES + ("forall x forall y ((x < y) | (y < x))",)
-_K1_SYMMETRY = "forall x forall y ((x < y) -> (y < x))"
-
-
-def sentence_member(class_name: str, m: GradedStructure) -> bool:
-    """Membership via closed-formula evaluation, for finite chains.
-
-    Defined for k0, k1, and k2.  The loop condition of k1 compares the
-    per-element loop value against the immediate predecessor of the
-    filter threshold, which has no symbol in the plain syntax, so that
-    one conjunct is folded in semantically.
-    """
-    _require_lt(m)
-    if not m.universe:
-        return False
-    ch = m.chain
-    if class_name == "k0":
-        sentences = _K0_SENTENCES
-    elif class_name == "k2":
-        sentences = _K2_SENTENCES
-    elif class_name == "k1":
-        if ch.one == 0:
-            return False
-        loop = parse_formula("x < x")
-        below = all(
-            ch.in_filter(ch.res(evaluate(m, loop, {"x": a}), ch.one - 1))
-            for a in m.universe
-        )
-        if not below:
-            return False
-        sentences = (_K1_SYMMETRY,)
-    else:
-        raise ValueError(f"no sentence axioms for class {class_name!r}")
-    return all(ch.in_filter(evaluate(m, parse_formula(s))) for s in sentences)
 
 
 # --- enumeration ---

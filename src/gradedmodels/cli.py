@@ -273,10 +273,7 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args, sys.stdout)
-    except GradedModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (GradedModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,17 +33,6 @@ class FileFormatError(GradedModelError):
     """A chain or structure file does not match the expected line format."""
 
 
-class NotAChainError(GradedModelError):
-    """A structure sequence is not a substructure chain."""
-
-    def __init__(self, index: int, detail: str = ""):
-        self.index = index
-        msg = f"element {index} is not a substructure of element {index + 1}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
 class BudgetError(GradedModelError):
     """An enumeration or search would exceed its candidate budget."""
 

@@ -8,8 +8,8 @@ extension is the amalgam over the empty base.  The exhaustive
 as an oracle.  The limit builder grows a substructure chain by
 satisfying embedding extension tasks through amalgamation, recording a
 replayable transcript.  The verifiers measure finite stages against the
-extension and homogeneity properties, reporting defects instead of
-failing.
+bounded extension property and the random-graph witness property,
+reporting defects instead of failing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .structure import (
     extend_embedding,
     find_embeddings,
     fresh_names,
-    generated_substructure,
     is_substructure,
     rename,
     restrict,
@@ -50,13 +49,10 @@ __all__ = [
     "amalgamate_k1",
     "amalgamate_k2",
     "amalgamate_k3",
-    "jep_union",
     "Transcript",
     "build_limit",
     "replay_transcript",
     "check_extension_property",
-    "check_homogeneity",
-    "defect_classes",
     "random_weighted_graph",
     "check_random_graph_property",
 ]
@@ -333,28 +329,6 @@ def _joint_v_formation(m1: GradedStructure, m2: GradedStructure) -> VFormation:
     return VFormation(restrict(m1, ()), m1, _rename_apart(m1, m2))
 
 
-def jep_union(members, spec) -> GradedStructure:
-    """Fold a list of members into one structure by iterated joint extension.
-
-    Starting from the first member, each next one is renamed apart and
-    joined in; every input then embeds into the result, so the result's
-    age at the input sizes covers the inputs.  That is verified, and a
-    failure raises ``AmalgamationError``.
-    """
-    members = list(members)
-    if not members:
-        raise ValueError("need at least one member")
-    if spec.amalgamate is None:
-        raise ValueError(f"class {spec.name} has no amalgamator")
-    current = members[0]
-    for m in members[1:]:
-        current = spec.amalgamate(_joint_v_formation(current, m))
-    for i, m in enumerate(members):
-        if not find_embeddings(m, current, limit=1):
-            raise AmalgamationError(f"input {i} does not embed into the joint union")
-    return current
-
-
 # --- stage-wise limit construction ---
 
 
@@ -521,10 +495,16 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
 
 
 def replay_transcript(transcript: Transcript):
-    """Re-run the recorded amalgamation sequence; returns the stages."""
+    """Re-run the recorded amalgamation sequence; returns the stages.
+
+    Every later stage is an amalgam, which the class re-checks, so the
+    initial structure is the one read here that needs its own check.
+    """
     spec = get_class(transcript.class_name)
     chain = transcript.chain
     current = structure_from_text(transcript.initial_text, chain=chain)
+    if not spec.membership(current):
+        raise FileFormatError(f"transcript initial structure is not a member of {spec.name}")
     stage_list = [current]
     events = list(transcript.events)
     for stage in range(transcript.stages):
@@ -562,44 +542,6 @@ def check_extension_property(m: GradedStructure, spec, k: int) -> list[Extension
                 defects.append(ExtensionDefect(canonical_form(n), canonical_form(nprime),
                                                tuple(sorted(f.mapping.items()))))
     return defects
-
-
-@dataclass(frozen=True)
-class HomogeneityDefect:
-    source_form: bytes
-    target_form: bytes
-    mapping: tuple
-
-    def render(self) -> str:
-        pairs = " ".join(f"{a}->{b}" for a, b in self.mapping)
-        return f"homogeneity defect: {pairs} extends to no automorphism"
-
-
-def check_homogeneity(m: GradedStructure, k: int) -> list[HomogeneityDefect]:
-    """Partial isomorphisms between k-generated substructures of m that
-    extend to no automorphism.  Exact for finite m."""
-    defects = []
-    subs = []
-    for size in range(1, min(k, len(m.universe)) + 1):
-        for subset in itertools.combinations(m.universe, size):
-            subs.append(generated_substructure(m, subset))
-    for a in subs:
-        for b in subs:
-            if len(a.universe) != len(b.universe):
-                continue
-            for g in find_embeddings(a, b):
-                if not extend_embedding(m, m, g.mapping):
-                    defects.append(HomogeneityDefect(
-                        canonical_form(a),
-                        canonical_form(b),
-                        tuple(sorted(g.mapping.items())),
-                    ))
-    return defects
-
-
-def defect_classes(defects) -> set:
-    """Group defects by the isomorphism types they relate."""
-    return {(d.source_form, d.target_form) for d in defects}
 
 
 # --- the random weighted graph ---

@@ -16,7 +16,6 @@ __all__ = [
     "Signature",
     "SIG_LT",
     "Var",
-    "App",
     "Atom",
     "Const",
     "BinOp",
@@ -30,30 +29,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Signature:
-    """Predicate and function symbols with arities; names are unique."""
+    """Predicate symbols with arities; names are unique.  Relational only."""
 
     predicates: tuple[tuple[str, int], ...]
-    functions: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        names = [n for n, _ in self.predicates] + [n for n, _ in self.functions]
+        names = [n for n, _ in self.predicates]
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol name in signature")
         for name, ar in self.predicates:
             if ar < 1:
                 raise ValueError(f"predicate {name!r} must have arity >= 1")
-        for name, ar in self.functions:
-            if ar < 0:
-                raise ValueError(f"function {name!r} has negative arity")
 
     def pred_arity(self, name: str) -> int | None:
         for n, ar in self.predicates:
-            if n == name:
-                return ar
-        return None
-
-    def func_arity(self, name: str) -> int | None:
-        for n, ar in self.functions:
             if n == name:
                 return ar
         return None
@@ -63,24 +52,12 @@ class Signature:
 SIG_LT = Signature(predicates=(("<", 2),))
 
 
-# --- terms ---
+# --- formulas ---
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
-
-
-@dataclass(frozen=True)
-class App:
-    func: str
-    args: tuple
-
-
-Term = Var | App
-
-
-# --- formulas ---
 
 
 @dataclass(frozen=True)
@@ -113,15 +90,7 @@ Formula = Atom | Const | BinOp | Quant
 
 def free_vars(formula) -> frozenset[str]:
     if isinstance(formula, Atom):
-        out: set[str] = set()
-        stack = list(formula.args)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Var):
-                out.add(t.name)
-            else:
-                stack.extend(t.args)
-        return frozenset(out)
+        return frozenset(t.name for t in formula.args)
     if isinstance(formula, Const):
         return frozenset()
     if isinstance(formula, BinOp):
@@ -228,7 +197,7 @@ class _Parser:
         if tok.kind == "name" and tok.text in ("forall", "exists"):
             self.take()
             var = self.peek()
-            if var.kind != "name" or self.sig.pred_arity(var.text) is not None or self.sig.func_arity(var.text) is not None:
+            if var.kind != "name" or self.sig.pred_arity(var.text) is not None:
                 raise FormulaParseError("expected a variable after quantifier", var.column)
             self.take()
             return Quant(tok.text, var.text, self.formula())
@@ -310,18 +279,9 @@ class _Parser:
         if tok.text in ("forall", "exists"):
             raise FormulaParseError(f"{tok.text!r} is a keyword, not a term", tok.column)
         self.take()
-        farity = self.sig.func_arity(tok.text)
-        if farity is not None:
-            args = self.arg_list(tok.text, farity, tok.column) if farity > 0 else self.empty_args(tok.text)
-            return App(tok.text, args)
         if self.sig.pred_arity(tok.text) is not None:
             raise FormulaParseError(f"predicate {tok.text!r} used as a term", tok.column)
         return Var(tok.text)
-
-    def empty_args(self, symbol: str) -> tuple:
-        self.expect_sym("(")
-        self.expect_sym(")")
-        return ()
 
 
 def parse_formula(text: str, signature: Signature = SIG_LT):
@@ -329,18 +289,12 @@ def parse_formula(text: str, signature: Signature = SIG_LT):
     return _Parser(_lex(text), signature).parse()
 
 
-def _format_term(t) -> str:
-    if isinstance(t, Var):
-        return t.name
-    return f"{t.func}({', '.join(_format_term(a) for a in t.args)})"
-
-
 def format_formula(formula) -> str:
     """Print a formula so that parsing the result rebuilds it exactly."""
     if isinstance(formula, Atom):
         if formula.pred == "<":
-            return f"({_format_term(formula.args[0])} < {_format_term(formula.args[1])})"
-        return f"{formula.pred}({', '.join(_format_term(a) for a in formula.args)})"
+            return f"({formula.args[0].name} < {formula.args[1].name})"
+        return f"{formula.pred}({', '.join(a.name for a in formula.args)})"
     if isinstance(formula, Const):
         return formula.kind
     if isinstance(formula, BinOp):
@@ -368,25 +322,20 @@ def evaluate(structure, formula, assignment=None) -> int:
     chain = structure.chain
     n = len(structure.universe)
     preds = dict(zip((p for p, _ in structure.signature.predicates), structure.pred_tables))
-    funcs = dict(zip((f for f, _ in structure.signature.functions), structure.func_tables))
     env = {}
     for var, eid in (assignment or {}).items():
         if eid not in structure.positions:
             raise ValueError(f"unknown element {eid!r} assigned to {var!r}")
         env[var] = structure.positions[eid]
 
-    def read(tables, symbol, args, env):
-        """The entry of a symbol's table at the positions its argument terms denote."""
-        if symbol not in tables:
-            raise ValueError(f"symbol {symbol!r} not interpreted in structure")
-        f = 0
-        for a in args:
-            f = f * n + (env[a.name] if isinstance(a, Var) else read(funcs, a.func, a.args, env))
-        return tables[symbol][f]
-
     def ev(f, env):
         if isinstance(f, Atom):
-            return read(preds, f.pred, f.args, env)
+            if f.pred not in preds:
+                raise ValueError(f"symbol {f.pred!r} not interpreted in structure")
+            flat = 0
+            for a in f.args:
+                flat = flat * n + env[a.name]
+            return preds[f.pred][flat]
         if isinstance(f, Const):
             if f.kind == "0":
                 return chain.zero

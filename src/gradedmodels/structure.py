@@ -1,15 +1,14 @@
 """Finite graded structures over a fixed chain.
 
 A universe is an ordered tuple of opaque string ids; inside the library
-an element is known by its position in that tuple.  Each symbol is
-interpreted by one row-major table over positions: for a k-ary symbol
-on n elements, entry ``i_1 * n**(k-1) + ... + i_(k-1) * n + i_k`` belongs
-to the elements at positions (i_1, ..., i_k).  A predicate's table
-holds ranks and a function symbol's table holds the positions of the
-results.  String ids matter only at the boundary: ``make_structure``,
-the file format, ``value`` and morphism mappings.  Structures are
-immutable, hashable values; renaming is explicit.  All operations here
-are pure.
+an element is known by its position in that tuple.  Signatures are
+relational: each predicate is interpreted by one row-major table of
+ranks over positions.  For a k-ary predicate on n elements, entry
+``i_1 * n**(k-1) + ... + i_(k-1) * n + i_k`` belongs to the elements at
+positions (i_1, ..., i_k).  String ids matter only at the boundary:
+``make_structure``, the file format, ``value`` and morphism mappings.
+Structures are immutable, hashable values; renaming is explicit.  All
+operations here are pure.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .algebra import Chain, resolve_chain
-from .errors import FileFormatError, NotAChainError
+from .errors import FileFormatError
 from .logic import SIG_LT, Signature
 
 __all__ = [
@@ -33,12 +32,9 @@ __all__ = [
     "extend_embedding",
     "is_isomorphic",
     "canonical_form",
-    "generated_substructure",
     "restrict",
     "rename",
     "age",
-    "union_of_chain",
-    "free_union",
     "structure_from_text",
     "structure_to_text",
 ]
@@ -76,12 +72,11 @@ def _pull(table, pos, n: int, arity: int) -> tuple:
 
 @dataclass(frozen=True)
 class GradedStructure:
-    """A universe of element ids and one row-major table per symbol.
+    """A universe of element ids and one row-major table per predicate.
 
     ``pred_tables`` follows ``signature.predicates`` and holds ranks of
-    ``chain``; ``func_tables`` follows ``signature.functions`` and holds
-    positions in ``universe``.  The constructor is the one place that
-    validates, so code reading the tables checks nothing again.
+    ``chain``.  The constructor is the one place that validates, so code
+    reading the tables checks nothing again.
     Equality and hashing ignore ``name``.
     """
 
@@ -89,11 +84,10 @@ class GradedStructure:
     signature: Signature
     universe: tuple[str, ...]
     pred_tables: tuple[tuple[int, ...], ...]
-    func_tables: tuple[tuple[int, ...], ...] = ()
     name: str = field(default="s", compare=False)
 
     def __post_init__(self):
-        if not (type(self.universe) is type(self.pred_tables) is type(self.func_tables) is tuple):
+        if not (type(self.universe) is type(self.pred_tables) is tuple):
             raise ValueError("the universe and the tables must be tuples")
         seen = set()
         for eid in self.universe:
@@ -102,13 +96,11 @@ class GradedStructure:
                 raise ValueError(f"duplicate element id {eid!r}")
             seen.add(eid)
         n = len(self.universe)
-        preds, funcs = self.signature.predicates, self.signature.functions
-        if len(self.pred_tables) != len(preds) or len(self.func_tables) != len(funcs):
-            raise ValueError("expected one table per predicate and per function symbol")
+        preds = self.signature.predicates
+        if len(self.pred_tables) != len(preds):
+            raise ValueError("expected one table per predicate")
         for (pname, arity), table in zip(preds, self.pred_tables):
             _check_table(table, n ** arity, self.chain.size, f"predicate {pname!r}")
-        for (fname, arity), table in zip(funcs, self.func_tables):
-            _check_table(table, n ** arity, n, f"function {fname!r}")
 
     def __len__(self) -> int:
         return len(self.universe)
@@ -142,13 +134,11 @@ class Morphism:
 
 
 def make_structure(chain, universe, values=None, *, signature=SIG_LT, default=None,
-                   functions=None, name="s") -> GradedStructure:
+                   name="s") -> GradedStructure:
     """Build a structure from sparse, id-keyed values.
 
     ``values`` maps (pred_name, element_tuple) to ranks; tuples not
     listed get ``default`` (required when anything is left out).
-    ``functions`` maps each function symbol to a dict from element
-    tuples to elements.
     """
     universe = tuple(universe)
     values = dict(values or {})
@@ -163,21 +153,7 @@ def make_structure(chain, universe, values=None, *, signature=SIG_LT, default=No
         pred_tables.append(tuple(table))
     if values:
         raise ValueError(f"values given for unknown tuples: {sorted(values)[:3]}")
-    where = {e: i for i, e in enumerate(universe)}
-    func_tables = []
-    for fname, arity in signature.functions:
-        given = (functions or {}).get(fname)
-        if given is None:
-            raise ValueError(f"missing function table for {fname!r}")
-        given = {tuple(t): v for t, v in given.items()}
-        if len(given) != len(universe) ** arity:
-            raise ValueError(f"interpretation of {fname!r} is not total")
-        try:
-            func_tables.append(tuple(where[given[t]] for t in itertools.product(universe, repeat=arity)))
-        except KeyError:
-            raise ValueError(f"function {fname!r} is not a map into the universe") from None
-    return GradedStructure(chain, signature, universe, tuple(pred_tables), tuple(func_tables),
-                           name=name)
+    return GradedStructure(chain, signature, universe, tuple(pred_tables), name=name)
 
 
 def binary_structure(chain, elements, values=None, default=None, name="s") -> GradedStructure:
@@ -199,14 +175,11 @@ def _preserves(m: GradedStructure, n: GradedStructure, pos) -> bool:
     for (_, arity), tm, tn in zip(m.signature.predicates, m.pred_tables, n.pred_tables):
         if tm != _pull(tn, pos, size, arity):
             return False
-    for (_, arity), fm, fn in zip(m.signature.functions, m.func_tables, n.func_tables):
-        if tuple(pos[v] for v in fm) != _pull(fn, pos, size, arity):
-            return False
     return True
 
 
 def is_substructure(m: GradedStructure, n: GradedStructure) -> bool:
-    """Universe containment with equal function values and atomic values.
+    """Universe containment with equal atomic values.
 
     Equality of atomic values extends to every quantifier-free formula
     by compositionality, so checking atoms is sufficient.
@@ -257,9 +230,8 @@ def _embedding_search(m, n, seed, order, limit, results):
     """Backtracking over injective position maps in deterministic order."""
     if len(seed) == len(order):
         # Each atom was checked when the last of its elements was placed.
-        if not m.signature.functions or _preserves(m, n, [seed[i] for i in range(len(order))]):
-            mapping = {m.universe[s]: n.universe[d] for s, d in seed.items()}
-            results.append(Morphism(m, n, mapping))
+        mapping = {m.universe[s]: n.universe[d] for s, d in seed.items()}
+        results.append(Morphism(m, n, mapping))
         return limit is None or len(results) < limit
     src = order[len(seed)]
     used = set(seed.values())
@@ -324,9 +296,6 @@ def _element_profile(m: GradedStructure, i: int):
         for k in range(arity):
             at_k = _flat([every] * k + [[i]] + [every] * (arity - k - 1), n)
             prof.append(tuple(sorted(map(table.__getitem__, at_k))))
-    for (_, arity), table in zip(m.signature.functions, m.func_tables):
-        prof.append(1 if table[_flat([[i]] * arity, n)[0]] == i else 0)
-        prof.append(table.count(i))
     return tuple(prof)
 
 
@@ -335,10 +304,6 @@ def _serialize_under(m: GradedStructure, perm: tuple[int, ...]):
     parts = [len(perm)]
     for (_, arity), table in zip(m.signature.predicates, m.pred_tables):
         parts.append(_pull(table, perm, n, arity))
-    if m.signature.functions:
-        place = {p: j for j, p in enumerate(perm)}
-        for (_, arity), table in zip(m.signature.functions, m.func_tables):
-            parts.append(tuple(place[v] for v in _pull(table, perm, n, arity)))
     return tuple(parts)
 
 
@@ -364,26 +329,8 @@ def canonical_form(m: GradedStructure) -> bytes:
     return repr(best).encode("utf-8")
 
 
-def generated_substructure(m: GradedStructure, generators) -> GradedStructure:
-    """Smallest substructure containing the generators, closed under functions."""
-    members = set()
-    for g in generators:
-        if g not in m.positions:
-            raise ValueError(f"generator {g!r} not in universe")
-        members.add(m.positions[g])
-    changed = True
-    while changed:
-        changed = False
-        for (_, arity), table in zip(m.signature.functions, m.func_tables):
-            for v in _pull(table, sorted(members), len(m.universe), arity):
-                if v not in members:
-                    members.add(v)
-                    changed = True
-    return restrict(m, [m.universe[i] for i in members])
-
-
 def restrict(m: GradedStructure, elements) -> GradedStructure:
-    """Induced substructure on a subset closed under functions."""
+    """Induced substructure on a subset of the universe, in universe order."""
     where = m.positions
     keep = set(elements)
     for e in keep:
@@ -393,16 +340,8 @@ def restrict(m: GradedStructure, elements) -> GradedStructure:
     n = len(m.universe)
     pred_tables = tuple(_pull(table, pos, n, arity)
                         for (_, arity), table in zip(m.signature.predicates, m.pred_tables))
-    place = {p: j for j, p in enumerate(pos)}
-    func_tables = []
-    for (fname, arity), table in zip(m.signature.functions, m.func_tables):
-        values = _pull(table, pos, n, arity)
-        outside = [m.universe[v] for v in values if v not in place]
-        if outside:
-            raise ValueError(f"subset not closed under {fname!r}: {outside[0]} is left out")
-        func_tables.append(tuple(place[v] for v in values))
     return GradedStructure(m.chain, m.signature, tuple(m.universe[i] for i in pos),
-                           pred_tables, tuple(func_tables), name=m.name)
+                           pred_tables, name=m.name)
 
 
 def rename(m: GradedStructure, mapping: dict) -> GradedStructure:
@@ -437,48 +376,14 @@ def _rename_apart(m1: GradedStructure, m2: GradedStructure) -> GradedStructure:
 
 
 def age(m: GradedStructure, k: int) -> set[bytes]:
-    """Canonical forms of all substructures generated by at most k elements."""
+    """Canonical forms of the induced substructures on at most k elements."""
     if k < 1:
         raise ValueError("k must be at least 1")
     forms = set()
     for size in range(1, min(k, len(m.universe)) + 1):
         for subset in itertools.combinations(m.universe, size):
-            forms.add(canonical_form(generated_substructure(m, subset)))
+            forms.add(canonical_form(restrict(m, subset)))
     return forms
-
-
-def union_of_chain(structures) -> GradedStructure:
-    """Union of a verified substructure chain (its last element)."""
-    structures = list(structures)
-    if not structures:
-        raise ValueError("empty chain of structures")
-    for i in range(len(structures) - 1):
-        if not is_substructure(structures[i], structures[i + 1]):
-            raise NotAChainError(i)
-    return structures[-1]
-
-
-def free_union(m1: GradedStructure, m2: GradedStructure, cross_value: int) -> GradedStructure:
-    """Disjoint union with every mixed tuple valued ``cross_value``.
-
-    Only defined for relational signatures; m2 is renamed away from m1
-    if their universes overlap.
-    """
-    _require_compatible(m1, m2)
-    if m1.signature.functions:
-        raise ValueError("free union is not defined for signatures with functions")
-    m1.chain.check_rank(cross_value)
-    m2 = _rename_apart(m1, m2)
-    universe = m1.universe + m2.universe
-    n1, size = len(m1.universe), len(universe)
-    pred_tables = []
-    for (_, arity), t1, t2 in zip(m1.signature.predicates, m1.pred_tables, m2.pred_tables):
-        table = [cross_value] * size ** arity
-        for part, t in ((range(n1), t1), (range(n1, size), t2)):
-            for f, v in zip(_flat([part] * arity, size), t):
-                table[f] = v
-        pred_tables.append(tuple(table))
-    return GradedStructure(m1.chain, m1.signature, universe, tuple(pred_tables), name=m1.name)
 
 
 # --- file format ---
@@ -490,11 +395,8 @@ def structure_to_text(m: GradedStructure) -> str:
     The default rank is the most frequent value (ties to the smallest),
     and only non-default tuples get explicit lines.  Signatures other
     than the standard one-binary-predicate one are declared on a
-    ``predicates`` line; function symbols are not supported by the
-    format.
+    ``predicates`` line.
     """
-    if m.signature.functions:
-        raise FileFormatError("structure files do not support function symbols")
     lines = [f"structure {m.name} chain={m.chain.name}"]
     if m.signature != SIG_LT:
         decl = " ".join(f"{p}:{a}" for p, a in m.signature.predicates)
@@ -532,7 +434,7 @@ def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructur
         chain = resolve_chain(ref)
     idx = 1
     signature = SIG_LT
-    if idx < len(lines) and lines[idx].startswith("predicates"):
+    if idx < len(lines) and lines[idx].split()[0] == "predicates":
         decls = lines[idx].split()[1:]
         preds = []
         for d in decls:
@@ -549,8 +451,9 @@ def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructur
     if idx >= len(lines) or not lines[idx].startswith("default "):
         raise FileFormatError("missing default line")
     try:
-        default = int(lines[idx].split()[1])
-    except (IndexError, ValueError):
+        _, word = lines[idx].split()
+        default = int(word)
+    except ValueError:
         raise FileFormatError(f"bad default line: {lines[idx]!r}") from None
     chain.check_rank(default)
     idx += 1

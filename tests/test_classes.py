@@ -19,11 +19,10 @@ from gradedmodels.classes import (
     k1_member,
     k2_member,
     k3_member,
-    sentence_member,
 )
 from gradedmodels.errors import BudgetError
 from gradedmodels.fraisse import amalgamate_k1
-from gradedmodels.logic import SIG_LT
+from gradedmodels.logic import SIG_LT, evaluate, parse_formula
 from gradedmodels.structure import binary_structure, canonical_form, rename
 
 LUK3 = make_lukasiewicz(3)
@@ -210,7 +209,7 @@ def test_enumerate_boundaries(bool_chain):
         enumerate_class(get_class("k1"), bool_chain, -1)
 
 
-def test_enumeration_cache_keyed_by_spec(bool_chain):
+def test_user_class_with_builtin_name_enumerates_its_own_members(bool_chain):
     assert len(enumerate_class(get_class("k1"), bool_chain, 2)) == 3
 
     def edgeless(m):
@@ -218,7 +217,6 @@ def test_enumeration_cache_keyed_by_spec(bool_chain):
             m.value("<", a, b) == m.chain.bot for a in m.universe for b in m.universe
         )
 
-    # a user class reusing a built-in name gets its own members
     assert len(enumerate_class(ClassSpec("k1", SIG_LT, edgeless), bool_chain, 2)) == 2
 
 
@@ -248,6 +246,48 @@ def test_membership_isomorphism_invariant(name, size, data):
     perm = data.draw(st.permutations(elems))
     relabeled = rename(m, {e: f"r{p}" for e, p in zip(elems, perm)})
     assert member(m) == member(relabeled)
+
+
+# Membership by evaluating the class axioms as graded sentences: the
+# oracle the rank comparisons of the membership predicates are checked
+# against.
+_K0_SENTENCES = (
+    "forall x (x < x)",
+    "forall x forall y forall z (((x < y) & (y < z)) -> (x < z))",
+)
+_K2_SENTENCES = _K0_SENTENCES + ("forall x forall y ((x < y) | (y < x))",)
+_K1_SYMMETRY = "forall x forall y ((x < y) -> (y < x))"
+
+
+def sentence_member(class_name, m):
+    """Membership via closed-formula evaluation, for finite chains.
+
+    Defined for k0, k1, and k2.  The loop condition of k1 compares the
+    per-element loop value against the immediate predecessor of the
+    filter threshold, which has no symbol in the plain syntax, so that
+    one conjunct is folded in semantically.
+    """
+    if not m.universe:
+        return False
+    ch = m.chain
+    if class_name == "k0":
+        sentences = _K0_SENTENCES
+    elif class_name == "k2":
+        sentences = _K2_SENTENCES
+    elif class_name == "k1":
+        if ch.one == 0:
+            return False
+        loop = parse_formula("x < x")
+        below = all(
+            ch.in_filter(ch.res(evaluate(m, loop, {"x": a}), ch.one - 1))
+            for a in m.universe
+        )
+        if not below:
+            return False
+        sentences = (_K1_SYMMETRY,)
+    else:
+        raise ValueError(f"no sentence axioms for class {class_name!r}")
+    return all(ch.in_filter(evaluate(m, parse_formula(s))) for s in sentences)
 
 
 @pytest.mark.parametrize("name", ["k0", "k1", "k2"])

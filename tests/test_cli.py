@@ -7,7 +7,7 @@ import pytest
 
 from gradedmodels.cli import main
 from gradedmodels.errors import FileFormatError
-from gradedmodels.fraisse import Transcript
+from gradedmodels.fraisse import Transcript, replay_transcript
 
 # Small inputs for the golden runs, written to the working directory.
 FILES = {
@@ -141,6 +141,21 @@ def test_malformed_transcripts_are_file_format_errors(case, tmp_path, capsys):
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_replay_rejects_an_initial_structure_outside_the_class(tmp_path, capsys):
+    # A k0 member needs its loops in the filter; "default 0" puts the loop at 0.
+    payload = {**GOOD_TRANSCRIPT, "class": "k0", "events": []}
+    with pytest.raises(FileFormatError):
+        replay_transcript(Transcript.from_json(json.dumps(payload)))
+    path = tmp_path / "transcript.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["limit", "replay", "--transcript", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

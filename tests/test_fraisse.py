@@ -29,19 +29,14 @@ from gradedmodels.fraisse import (
     amalgamate_k3,
     build_limit,
     check_extension_property,
-    check_homogeneity,
     check_random_graph_property,
-    defect_classes,
-    jep_union,
     random_weighted_graph,
     replay_transcript,
     search_amalgam,
 )
 from gradedmodels.logic import SIG_LT
 from gradedmodels.structure import (
-    age,
     binary_structure,
-    canonical_form,
     find_embeddings,
     is_isomorphic,
     is_substructure,
@@ -337,35 +332,10 @@ def test_k3_rule_agrees_with_search_or_both_members(luk3):
     assert agreements > 0
 
 
-def test_jep_union_single_member(luk3):
-    m = pair(luk3, 2, 0)
-    spec = get_class("k2")
-    assert jep_union([m], spec) is m
-
-
-def test_jep_union_k0_singletons(luk3):
-    spec = get_class("k0")
-    s1 = binary_structure(luk3, ["a"], {("a", "a"): 2})
-    s2 = binary_structure(luk3, ["b"], {("b", "b"): 2})
-    out = jep_union([s1, s2], spec)
-    assert out.value("<", "a", "b") == 0
-    assert k0_member(out)
-
-
-def test_jep_union_realizes_k1_age(bool_chain):
-    spec = get_class("k1")
-    members = enumerate_class(spec, bool_chain, 2)
-    out = jep_union(members, spec)
-    assert age(out, 2) == {canonical_form(m) for m in members}
-
-
-def test_limit_and_jep_union_need_an_amalgamator(bool_chain):
+def test_limit_needs_an_amalgamator(bool_chain):
     capped = ClassSpec("one_edge", SIG_LT, at_most_one_edge)
     with pytest.raises(ValueError):
         build_limit(capped, bool_chain, 1, 2)
-    vertex = binary_structure(bool_chain, ["v"], {("v", "v"): 0})
-    with pytest.raises(ValueError):
-        jep_union([vertex, vertex], capped)
 
 
 def test_build_limit_zero_stages(bool_chain):
@@ -435,24 +405,6 @@ def test_extension_property_defects_on_tiny_structure(bool_chain):
     defects = check_extension_property(single, spec, 2)
     assert defects
     assert all(d.render().startswith("extension defect") for d in defects)
-
-
-def test_homogeneity_complete_graph(bool_chain):
-    complete = edge_graph(bool_chain, [("a", "b"), ("b", "c"), ("a", "c")], ["a", "b", "c"])
-    assert check_homogeneity(complete, 2) == []
-
-
-def test_homogeneity_path_defect_classes(bool_chain):
-    path = edge_graph(bool_chain, [("a", "b"), ("b", "c")], ["a", "b", "c"])
-    defects = check_homogeneity(path, 1)
-    assert len(defects) == 4
-    assert len(defect_classes(defects)) == 1
-    assert any("a->b" in d.render() for d in defects)
-
-
-def test_homogeneity_k_zero(bool_chain):
-    path = edge_graph(bool_chain, [("a", "b")], ["a", "b"])
-    assert check_homogeneity(path, 0) == []
 
 
 def test_random_graph_round_one_count(luk3, bool_chain):

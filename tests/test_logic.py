@@ -20,7 +20,7 @@ from gradedmodels.logic import (
     free_vars,
     parse_formula,
 )
-from gradedmodels.structure import binary_structure, make_structure
+from gradedmodels.structure import binary_structure
 
 
 def test_parse_transitivity_shape():
@@ -85,19 +85,6 @@ def test_evaluate_requires_bound_variables(luk3):
     m = binary_structure(luk3, ["a"], {("a", "a"): 2})
     with pytest.raises(ValueError):
         evaluate(m, parse_formula("x < y"), {"x": "a"})
-
-
-def test_function_terms(luk3):
-    sig = Signature(predicates=(("P", 1),), functions=(("f", 1), ("c", 0)))
-    m = make_structure(
-        luk3,
-        ["a", "b"],
-        {("P", ("a",)): 2, ("P", ("b",)): 1},
-        signature=sig,
-        functions={"f": {("a",): "b", ("b",): "b"}, "c": {(): "a"}},
-    )
-    f = parse_formula("P(f(c()))", sig)
-    assert evaluate(m, f) == 1
 
 
 VARS = ("x", "y", "z")

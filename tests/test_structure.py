@@ -1,11 +1,11 @@
-"""Substructures, embeddings, canonical forms, ages, unions, file format."""
+"""Substructures, embeddings, canonical forms, ages, file format."""
 
 import itertools
 import random
 
 import pytest
 
-from gradedmodels.errors import FileFormatError, NotAChainError
+from gradedmodels.errors import FileFormatError
 from gradedmodels.logic import Signature
 from gradedmodels.structure import (
     Morphism,
@@ -13,8 +13,6 @@ from gradedmodels.structure import (
     binary_structure,
     canonical_form,
     find_embeddings,
-    free_union,
-    generated_substructure,
     is_embedding,
     is_isomorphic,
     is_substructure,
@@ -23,7 +21,6 @@ from gradedmodels.structure import (
     restrict,
     structure_from_text,
     structure_to_text,
-    union_of_chain,
 )
 
 from test_logic import fold_oracle, random_qf_formula, random_structure
@@ -158,9 +155,6 @@ def test_canonical_form_sound_on_enumerated_sets(luk3):
             assert same == (is_isomorphic(a, b) is not None)
 
 
-SIG_F = Signature(predicates=(("P", 1),), functions=(("f", 1),))
-
-
 @pytest.mark.parametrize("build", [
     lambda ch: binary_structure(ch, ["a", "a"], {}, default=0),
     lambda ch: binary_structure(ch, ["a", ""], {}, default=0),
@@ -171,12 +165,8 @@ SIG_F = Signature(predicates=(("P", 1),), functions=(("f", 1),))
     lambda ch: binary_structure(ch, ["a"], {("a", "a"): 1.5}),
     lambda ch: binary_structure(ch, ["a", "b"], {("a", "a"): 0}),
     lambda ch: binary_structure(ch, ["a"], {("a", "b"): 0}, default=0),
-    lambda ch: make_structure(ch, ["a"], {}, signature=SIG_F, default=0),
-    lambda ch: make_structure(ch, ["a"], {}, signature=SIG_F, default=0,
-                              functions={"f": {("a",): "z"}}),
 ], ids=["duplicate-id", "empty-id", "space-in-id", "equals-in-id", "rank-minus-one",
-        "rank-chain-size", "rank-not-int", "missing-value", "unknown-tuple",
-        "missing-function-table", "function-value-outside"])
+        "rank-chain-size", "rank-not-int", "missing-value", "unknown-tuple"])
 def test_constructor_rejects_bad_input(build, luk3):
     with pytest.raises(ValueError):
         build(luk3)
@@ -187,25 +177,6 @@ def test_structures_hash_by_value(luk3):
     b = binary_structure(luk3, ["a", "b"], {("a", "b"): 2}, default=0, name="second")
     assert a == b and hash(a) == hash(b)
     assert len({a, b, rename(a, {"a": "c"})}) == 2
-
-
-def test_generated_substructure_relational_is_induced(luk3):
-    m = binary_structure(luk3, ["a", "b"], {}, default=1)
-    g = generated_substructure(m, ["a"])
-    assert g.universe == ("a",)
-
-
-def test_generated_substructure_function_closure(luk3):
-    sig = Signature(predicates=(("P", 1),), functions=(("f", 1),))
-    m = make_structure(
-        luk3, ["a", "b", "c"],
-        {("P", (e,)): 0 for e in "abc"},
-        signature=sig,
-        functions={"f": {("a",): "b", ("b",): "b", ("c",): "a"}},
-    )
-    g = generated_substructure(m, ["a"])
-    assert set(g.universe) == {"a", "b"}
-    assert generated_substructure(m, ["a", "b", "c"]).universe == m.universe
 
 
 def test_age_triangle(bool_chain):
@@ -229,53 +200,6 @@ def test_age_at_full_size_gives_all_induced_types(bool_chain):
         for subset in itertools.combinations(path.universe, size):
             expected.add(canonical_form(restrict(path, subset)))
     assert forms == expected
-
-
-def test_union_of_chain(bool_chain):
-    one = binary_structure(bool_chain, ["a"], {}, default=0)
-    two = edge_graph(bool_chain, [("a", "b")], ["a", "b"])
-    three = edge_graph(bool_chain, [("a", "b")], ["a", "b", "c"])
-    assert union_of_chain([one]) is one
-    assert union_of_chain([one, two]) is two
-    assert union_of_chain([one, two, three]) is three
-    broken = binary_structure(bool_chain, ["a"], {("a", "a"): 1})
-    with pytest.raises(NotAChainError) as err:
-        union_of_chain([broken, two, three])
-    assert err.value.index == 0
-
-
-def test_free_union_two_loops(luk3):
-    m1 = binary_structure(luk3, ["a"], {("a", "a"): 2})
-    m2 = binary_structure(luk3, ["b"], {("b", "b"): 2})
-    u = free_union(m1, m2, 0)
-    assert u.value("<", "a", "b") == 0
-    assert u.value("<", "b", "a") == 0
-    assert u.value("<", "a", "a") == 2
-
-
-def test_free_union_with_empty_part(luk3):
-    m1 = binary_structure(luk3, ["a"], {("a", "a"): 2})
-    empty = binary_structure(luk3, [], {})
-    u = free_union(m1, empty, 0)
-    assert u.universe == ("a",)
-    assert u == m1
-
-
-def test_free_union_cross_top_and_renaming(luk3):
-    m1 = binary_structure(luk3, ["a"], {("a", "a"): 1})
-    m2 = binary_structure(luk3, ["a"], {("a", "a"): 0})
-    u = free_union(m1, m2, luk3.top)
-    assert len(u.universe) == 2
-    other = [e for e in u.universe if e != "a"][0]
-    assert u.value("<", "a", other) == 2
-
-
-def test_free_union_rejects_functions(luk3):
-    sig = Signature(predicates=(("P", 1),), functions=(("f", 1),))
-    m = make_structure(luk3, ["a"], {("P", ("a",)): 0}, signature=sig,
-                       functions={"f": {("a",): "a"}})
-    with pytest.raises(ValueError):
-        free_union(m, m, 0)
 
 
 def test_qf_reduction_on_random_embeddings(luk3):
@@ -337,6 +261,15 @@ def test_structure_file_rejects_bad_input(luk3):
         structure_from_text("structure g chain=luk:3\nelements a\ndefault 0\nnonsense\n")
     with pytest.raises(FileFormatError):
         structure_from_text("structure g chain=luk:3\nelements a\ndefault 0\nQ a a = 1\n")
+
+
+@pytest.mark.parametrize("header", [
+    "predicatesR:1\nelements a\ndefault 0\n",
+    "elements a\ndefault 0 7 junk\n",
+], ids=["predicates-glued-to-declaration", "default-with-trailing-tokens"])
+def test_structure_file_rejects_malformed_header_lines(header):
+    with pytest.raises(FileFormatError):
+        structure_from_text("structure g chain=luk:3\n" + header)
 
 
 def test_structure_file_rejects_a_second_value_for_a_tuple():
