@@ -52,9 +52,15 @@ class ClassSpec:
 
     ``amalgamate`` maps a v-formation to a member containing both arms,
     raising ``AmalgamationError`` when it cannot; over the empty base it
-    also gives joint extensions.  When it is None the JEP and AP
-    checkers search exhaustively for witnesses, and the limit builder
-    refuses the class.  Specs compare by value.
+    also gives joint extensions.  The built-in amalgamators check the
+    second arm with the full membership predicate but the amalgam only
+    on the conditions that involve a cross cell (a delta check), so the
+    first arm must already be a member.  ``check_ap`` and ``check_jep``
+    pass enumerated members; ``build_limit`` and ``replay_transcript``
+    pass a stage that is a checked initial structure or an amalgam.
+    When ``amalgamate`` is None the JEP and AP checkers search
+    exhaustively for witnesses, and the limit builder refuses the
+    class.  Specs compare by value.
     """
 
     name: str

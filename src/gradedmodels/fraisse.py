@@ -1,9 +1,13 @@
 """Amalgamation constructions, stage-wise limit building, and verifiers.
 
 Every built-in class amalgamates through one core: the union of the arm
-universes, each cross pair set by the class's closed-form rule, and one
-membership check that raises ``AmalgamationError`` on failure.  Joint
-extension is the amalgam over the empty base.  The exhaustive
+universes, built row by row, with each cross pair set by the class's
+closed-form rule.  The core checks the second arm with the full
+membership predicate and the amalgam with the class's delta check, which
+looks only at the conditions that involve a cross cell.  That is exact
+only when the first arm is a member, so every ``amalgamate_k*`` takes a
+member as its first arm.  Either failure raises ``AmalgamationError``.
+Joint extension is the amalgam over the empty base.  The exhaustive
 ``search_amalgam`` serves classes without a construction and the tests
 as an oracle.  The limit builder grows a substructure chain by
 satisfying embedding extension tasks through amalgamation, recording a
@@ -14,6 +18,7 @@ reporting defects instead of failing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -27,7 +32,6 @@ from .errors import AmalgamationError, BudgetError, FileFormatError
 from .logic import SIG_LT
 from .structure import (
     GradedStructure,
-    _flat,
     _rename_apart,
     canonical_form,
     extend_embedding,
@@ -105,49 +109,156 @@ def verify_amalgam(spec, v: VFormation, witness: GradedStructure) -> bool:
 
 
 def _amalgam_frame(v: VFormation):
-    """Union universe, its table with the within-arm values, the cross pairs.
+    """Union universe, the arms' new elements, and a builder of the union table.
 
-    The union lists the first arm, then the second arm's new elements;
-    ``place`` maps second-arm positions to union positions.  A cross
-    pair (x, y) holds the positions of x new in the first arm and y new
-    in the second; its two cells in the table are left as None.
+    The union lists the first arm, then the second arm's new elements.
+    ``new1`` holds the positions of the first arm's new elements, which
+    keep them in the union, and ``ext2`` those of the second arm's, in
+    the second arm; ext2[j] sits at union position len(arm1) + j.  The
+    cross pairs are (x, y) for x in new1 and y in ext2, listed x-major.
+    ``assemble(forward, backward)`` returns the union table given the
+    values of (x, y) and of (y, x) for every cross pair, in that order.
+    It builds the table by rows: a first-arm row is a slice of the first
+    arm's table followed by its cells against the second arm's new
+    elements, which are cross values for a new element and second-arm
+    values for a base element; a row of a new second-arm element has
+    cross values against the first arm's new elements and second-arm
+    values everywhere else.
     """
     arm1, arm2 = v.arm1, v.arm2
     if arm1.signature != SIG_LT:
         raise ValueError("amalgamation recipes are defined over the one-binary-predicate signature")
-    base = v.base.positions
-    n1 = len(arm1.universe)
-    ext2 = [y for y, e in enumerate(arm2.universe) if e not in base]
+    lt1, lt2 = arm1.pred_tables[0], arm2.pred_tables[0]
+    n1, n2 = len(arm1.universe), len(arm2.universe)
+    # A first-arm element's position in the second arm; None when it is new.
+    in2 = [arm2.positions.get(e) for e in arm1.universe]
+    new1 = [x for x, q in enumerate(in2) if q is None]
+    ext2 = [y for y, e in enumerate(arm2.universe) if e not in arm1.positions]
+    m = len(ext2)
     universe = arm1.universe + tuple(arm2.universe[y] for y in ext2)
-    place = [arm1.positions.get(e) for e in arm2.universe]
-    for k, y in enumerate(ext2):
-        place[y] = n1 + k
-    size = len(universe)
-    table = [None] * size * size
-    for arm_place, lt in ((place, arm2.pred_tables[0]), (range(n1), arm1.pred_tables[0])):
-        for f, val in zip(_flat([arm_place] * 2, size), lt):
-            table[f] = val
-    cross = [(x, y) for x, e in enumerate(arm1.universe) if e not in base for y in ext2]
-    return universe, table, cross, place
+
+    def assemble(forward, backward) -> tuple[int, ...]:
+        table = []
+        k = 0
+        for p, q in enumerate(in2):
+            table += lt1[p * n1:(p + 1) * n1]
+            if q is None:
+                table += forward[k:k + m]
+                k += m
+            else:
+                table += [lt2[q * n2 + y] for y in ext2]
+        for j, y in enumerate(ext2):
+            row = lt2[y * n2:(y + 1) * n2]
+            back = iter(backward[j::m])
+            table += [next(back) if q is None else row[q] for q in in2]
+            table += [row[z] for z in ext2]
+        return tuple(table)
+
+    return universe, new1, ext2, assemble
 
 
-def _amalgamate(v: VFormation, cross_rule, member) -> GradedStructure:
+def _amalgamate(v: VFormation, cross_rule, member, cross_ok) -> GradedStructure:
     """The amalgamation core shared by every built-in class.
 
     ``cross_rule(x, y)`` gives the values of (x, y) and (y, x) for x new
     in the first arm and y new in the second, both given by their
-    positions in their own arm; ``member`` is the class's membership
-    predicate, checked once on the result.
+    positions in their own arm.  ``member`` is the class's membership
+    predicate, checked on the second arm.  ``cross_ok(out, xs, ys)`` is
+    the class's delta check: given the amalgam ``out`` and the two arms'
+    new elements as positions in it, it checks only the membership
+    conditions that involve a cross cell, in O(n * (n + |cross|)) steps
+    instead of the full predicate's O(n^3).  It is exact when both arms
+    are members, so the first arm must already be one; the callers
+    guarantee it.  ``check_ap`` and ``check_jep`` pass enumerated
+    members, and ``build_limit`` and ``replay_transcript`` pass the
+    current stage, which is a checked initial stage or an amalgam.
     """
-    universe, table, cross, place = _amalgam_frame(v)
-    size = len(universe)
-    for x, y in cross:
-        j = place[y]
-        table[x * size + j], table[j * size + x] = cross_rule(x, y)
-    out = GradedStructure(v.arm1.chain, SIG_LT, universe, (tuple(table),), name="amalgam")
-    if not member(out):
-        raise AmalgamationError(f"cross rule lost membership ({member.__name__} rejects the amalgam)")
+    if not member(v.arm2):
+        raise AmalgamationError(f"the second arm is not a member ({member.__name__} rejects it)")
+    universe, new1, ext2, assemble = _amalgam_frame(v)
+    forward = backward = ()
+    if new1 and ext2:
+        forward, backward = zip(*[cross_rule(x, y) for x in new1 for y in ext2])
+    out = GradedStructure(v.arm1.chain, SIG_LT, universe, (assemble(forward, backward),),
+                          name="amalgam")
+    if forward and not cross_ok(out, new1, range(len(v.arm1.universe), len(universe))):
+        raise AmalgamationError(f"cross rule lost membership ({member.__name__} fails on a cross cell)")
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _level_code(levels, size: int) -> bytes:
+    """Byte v has bit i set when rank v is at least ``levels[i]``; one
+    entry per rank, padded to 256 entries so that it serves ``bytes.translate``."""
+    return bytes(sum(1 << i for i, t in enumerate(levels) if v >= t)
+                 for v in range(size)).ljust(256, b"\0")
+
+
+def _cuts_transitive(m: GradedStructure, xs, ys, levels, antisymmetric=False) -> bool:
+    """Whether every cut {v >= t} of m, t in ``levels``, is transitive
+    (and antisymmetric, when asked), given that it is on both arms.
+
+    ``xs`` and ``ys`` are the two arms' new elements as positions in m,
+    so the cross pairs are xs x ys.  A triple outside both arms has a
+    cross cell among its three, so it is enough to check, for each cross
+    cell (a, c) in both directions: at the levels where (a, c) is in the
+    cut, row(c) is a subset of row(a) and col(a) of col(c); at the
+    others, row(a) and col(c) are disjoint.  Eight levels at a time
+    share one pass: each cell becomes a byte whose bit i says whether it
+    is in the i-th cut, rows and columns become ints of those bytes, and
+    a cell's byte, repeated across an int, masks the levels that each
+    condition applies to.
+    """
+    lt = m.pred_tables[0]
+    n = len(m.universe)
+    size = m.chain.size
+    # bytes() takes ranks below 256 only; a larger chain's cells are coded one by one.
+    ranks = bytes(lt) if size <= 256 else None
+    starts = range(0, n * n, n)
+    ones = int.from_bytes(b"\1" * n, "little")
+    for g in range(0, len(levels), 8):
+        group = levels[g:g + 8]
+        code = _level_code(group, size)
+        every = (1 << len(group)) - 1
+        cut = bytes(map(code.__getitem__, lt)) if ranks is None else ranks.translate(code)
+        rows = [int.from_bytes(cut[i:i + n], "little") for i in starts]
+        cols = [int.from_bytes(cut[p::n], "little") for p in range(n)]
+        for x in xs:
+            for y in ys:
+                if antisymmetric and cut[x * n + y] & cut[y * n + x]:
+                    return False
+                for a, c in ((x, y), (y, x)):
+                    held = cut[a * n + c]
+                    if ((rows[c] & ~rows[a] | cols[a] & ~cols[c]) & held * ones
+                            or rows[a] & cols[c] & (every ^ held) * ones):
+                        return False
+    return True
+
+
+def _k0_cross_ok(m: GradedStructure, xs, ys) -> bool:
+    """k0 on the cross cells: every cut above bottom stays transitive."""
+    return _cuts_transitive(m, xs, ys, range(1, m.chain.size))
+
+
+def _k1_cross_ok(m: GradedStructure, xs, ys) -> bool:
+    """k1 on the cross cells: symmetric values."""
+    lt = m.pred_tables[0]
+    n = len(m.universe)
+    return all(lt[x * n + y] == lt[y * n + x] for x in xs for y in ys)
+
+
+def _k2_cross_ok(m: GradedStructure, xs, ys) -> bool:
+    """k2 on the cross cells: totality at ``one``, then k0."""
+    lt = m.pred_tables[0]
+    n = len(m.universe)
+    one = m.chain.one
+    return (all(max(lt[x * n + y], lt[y * n + x]) >= one for x in xs for y in ys)
+            and _k0_cross_ok(m, xs, ys))
+
+
+def _k3_cross_ok(m: GradedStructure, xs, ys) -> bool:
+    """k3 on the cross cells: the cut at ``one`` stays a partial order."""
+    return _cuts_transitive(m, xs, ys, (m.chain.one,), antisymmetric=True)
 
 
 def _base_positions(v: VFormation):
@@ -183,7 +294,7 @@ def amalgamate_k0(v: VFormation) -> GradedStructure:
     at or above ``one``; each cross pair takes the composition through
     the base, which is the whole sup-min closure of the union.
     """
-    return _amalgamate(v, _composition(v), k0_member)
+    return _amalgamate(v, _composition(v), k0_member, _k0_cross_ok)
 
 
 def amalgamate_k1(v: VFormation) -> GradedStructure:
@@ -193,7 +304,7 @@ def amalgamate_k1(v: VFormation) -> GradedStructure:
     the result loopless and symmetric.
     """
     bot = v.arm1.chain.bot
-    return _amalgamate(v, lambda x, y: (bot, bot), k1_member)
+    return _amalgamate(v, lambda x, y: (bot, bot), k1_member, _k1_cross_ok)
 
 
 def _k2_key(arm: GradedStructure, base, z: int, levels) -> tuple[int, ...]:
@@ -272,7 +383,7 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
         cxy, cyx = through(x, y)
         return max(cxy, forward), max(cyx, backward)
 
-    return _amalgamate(v, rule, k2_member)
+    return _amalgamate(v, rule, k2_member, _k2_cross_ok)
 
 
 def amalgamate_k3(v: VFormation) -> GradedStructure:
@@ -291,7 +402,7 @@ def amalgamate_k3(v: VFormation) -> GradedStructure:
         cxy, cyx = through(x, y)
         return (one if cxy >= one else zero), (one if cyx >= one else zero)
 
-    return _amalgamate(v, rule, k3_member)
+    return _amalgamate(v, rule, k3_member, _k3_cross_ok)
 
 
 _SEARCH_CAP = 10**6
@@ -305,17 +416,15 @@ def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
     mixed pairs are open; every assignment of chain values to them (both
     directions) is tried in rank order.
     """
-    universe, table, cross, place = _amalgam_frame(v)
-    size = len(universe)
-    cells = [f for x, y in cross for f in (x * size + place[y], place[y] * size + x)]
+    universe, new1, ext2, assemble = _amalgam_frame(v)
     chain = v.arm1.chain
-    count = chain.size ** len(cells)
+    cells = 2 * len(new1) * len(ext2)
+    count = chain.size ** cells
     if count > _SEARCH_CAP:
         raise BudgetError(f"{count} cross assignments exceed the cap of {_SEARCH_CAP}")
-    for combo in itertools.product(range(chain.size), repeat=len(cells)):
-        for f, val in zip(cells, combo):
-            table[f] = val
-        out = GradedStructure(chain, SIG_LT, universe, (tuple(table),), name="amalgam")
+    for combo in itertools.product(range(chain.size), repeat=cells):
+        table = assemble(combo[0::2], combo[1::2])
+        out = GradedStructure(chain, SIG_LT, universe, (table,), name="amalgam")
         if membership(out):
             return out
     return None
@@ -449,7 +558,10 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
     structure together with every member extension of its source, then
     satisfies each unsatisfied task by one amalgamation; every task seen
     at stage i is realized in stage i+1.  Deterministic given the
-    member enumeration order (permutable via ``shuffle_seed``).
+    member enumeration order (permutable via ``shuffle_seed``).  The
+    first stage is an enumerated member and every later one an amalgam,
+    so the current stage, the first arm of each amalgamation, is a
+    member, as the class's delta check needs.
 
     Returns (stage structures, transcript).
     """
@@ -497,8 +609,12 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
 def replay_transcript(transcript: Transcript):
     """Re-run the recorded amalgamation sequence; returns the stages.
 
-    Every later stage is an amalgam, which the class re-checks, so the
-    initial structure is the one read here that needs its own check.
+    The initial structure is checked here with the full membership
+    predicate.  Every later stage is an amalgam of the current stage
+    with an arm read from the transcript: the amalgamator checks that
+    arm with the full predicate, raising ``AmalgamationError`` for a
+    non-member, and the amalgam on its cross cells, so every stage is a
+    member.
     """
     spec = get_class(transcript.class_name)
     chain = transcript.chain

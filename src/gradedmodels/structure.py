@@ -415,12 +415,20 @@ def structure_to_text(m: GradedStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_file_rank(chain: Chain, rank: int, line: str) -> None:
+    if not 0 <= rank < chain.size:
+        raise FileFormatError(f"rank {rank} out of range for chain of size {chain.size} "
+                              f"in line {line!r}")
+
+
 def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructure:
     """Parse the structure line format.
 
     The chain is resolved from the header reference unless one is passed
-    in directly.  Unknown line shapes, values for undeclared elements and
-    a second value for the same tuple are rejected.
+    in directly.  Every malformed input raises ``FileFormatError``:
+    unknown line shapes, a bad predicate declaration, a repeated or
+    malformed element id, a rank outside the chain, values for
+    undeclared elements and a second value for the same tuple.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -442,7 +450,10 @@ def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructur
             if not pname or not ar.isdigit():
                 raise FileFormatError(f"bad predicate declaration: {d!r}")
             preds.append((pname, int(ar)))
-        signature = Signature(predicates=tuple(preds))
+        try:
+            signature = Signature(predicates=tuple(preds))
+        except ValueError as exc:
+            raise FileFormatError(f"bad predicates line: {exc}") from None
         idx += 1
     if idx >= len(lines) or lines[idx].split()[:1] != ["elements"]:
         raise FileFormatError("missing elements line")
@@ -455,7 +466,7 @@ def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructur
         default = int(word)
     except ValueError:
         raise FileFormatError(f"bad default line: {lines[idx]!r}") from None
-    chain.check_rank(default)
+    _check_file_rank(chain, default, lines[idx])
     idx += 1
     values = {}
     known = set(elements)
@@ -477,9 +488,12 @@ def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructur
             rank = int(parts[-1])
         except ValueError:
             raise FileFormatError(f"bad rank in line {ln!r}") from None
-        chain.check_rank(rank)
+        _check_file_rank(chain, rank, ln)
         if (pname, elems) in values:
             raise FileFormatError(f"second value for the same tuple in line {ln!r}")
         values[(pname, elems)] = rank
-    return make_structure(chain, elements, values, signature=signature,
-                          default=default, name=name)
+    try:
+        return make_structure(chain, elements, values, signature=signature,
+                              default=default, name=name)
+    except ValueError as exc:  # a repeated or malformed element id
+        raise FileFormatError(f"bad elements line: {exc}") from None

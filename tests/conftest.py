@@ -4,6 +4,16 @@ from gradedmodels.algebra import boolean_chain, make_from_table, make_godel, mak
 
 U3_ROWS = ((0, 0, 0), (0, 1, 2), (0, 2, 2))
 
+# The chains every construction is checked on: the non-top-unit chain
+# u3 among them.
+FIVE_CHAINS = (
+    boolean_chain(),
+    make_lukasiewicz(3),
+    make_godel(3),
+    make_from_table(3, U3_ROWS, one=1, zero=0, name="u3"),
+    make_lukasiewicz(4),
+)
+
 
 @pytest.fixture(scope="session")
 def bool_chain():

@@ -1,12 +1,13 @@
 """Command-line output, exit codes, and the limit build/replay round trip."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from gradedmodels.cli import main
-from gradedmodels.errors import FileFormatError
+from gradedmodels.errors import AmalgamationError, FileFormatError
 from gradedmodels.fraisse import Transcript, replay_transcript
 
 # Small inputs for the golden runs, written to the working directory.
@@ -100,6 +101,26 @@ def test_limit_build_k2_and_replay(tmp_path, capsys):
     assert stage_files(built) == stage_files(replayed)
 
 
+# sha256 of stage002.gs from ``limit build --chain luk:4 --stages 2 --budget 2``,
+# recorded when every amalgam was still checked with full class membership.
+LUK4_STAGE2_SHA256 = {
+    "k0": "219de15f97c4f46f1ac96e45ecfe8fcfed08e69938d0bb4b4cd4e6f094db97eb",
+    "k1": "9b0fb66f3c330ddba9badb487ab250e0516066e3990cc07e797567a3d9f8fb42",
+    "k2": "11b3ae741ede1ba634f76a62068deef5cb08081fd7782f689c14820cd0ffe26c",
+    "k3": "a65df4d8e22e3903884feef72d8ec0c2a5af1a2acb97522e8df3ea5d9cc7661f",
+}
+
+
+@pytest.mark.parametrize("klass", sorted(LUK4_STAGE2_SHA256))
+def test_limit_build_luk4_stage_digests(klass, tmp_path, capsys):
+    out = tmp_path / "built"
+    rc, _ = run(["limit", "build", "--class", klass, "--chain", "luk:4", "--stages", "2",
+                 "--budget", "2", "--out", str(out)], capsys)
+    assert rc == 0
+    digest = hashlib.sha256((out / "stage002.gs").read_bytes()).hexdigest()
+    assert digest == LUK4_STAGE2_SHA256[klass]
+
+
 def test_eval_unknown_element_is_an_error(tmp_path, capsys):
     path = tmp_path / "g.gs"
     path.write_text("structure g chain=luk:3\nelements a b\ndefault 0\n< a b = 2\n")
@@ -147,6 +168,22 @@ def test_replay_rejects_an_initial_structure_outside_the_class(tmp_path, capsys)
     # A k0 member needs its loops in the filter; "default 0" puts the loop at 0.
     payload = {**GOOD_TRANSCRIPT, "class": "k0", "events": []}
     with pytest.raises(FileFormatError):
+        replay_transcript(Transcript.from_json(json.dumps(payload)))
+    path = tmp_path / "transcript.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["limit", "replay", "--transcript", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_rejects_an_event_arm_outside_the_class(tmp_path, capsys):
+    # A k1 member needs its loops below the filter; "default 1" puts the loop at 1.
+    arm = "structure a chain=bool\nelements n0\ndefault 1\n"
+    payload = {**GOOD_TRANSCRIPT, "events": [{"stage": 0, "base": [], "arm": arm}]}
+    with pytest.raises(AmalgamationError):
         replay_transcript(Transcript.from_json(json.dumps(payload)))
     path = tmp_path / "transcript.json"
     path.write_text(json.dumps(payload))

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradedmodels.algebra import boolean_chain, make_from_table, make_godel, make_lukasiewicz
 from gradedmodels.classes import (
     ClassSpec,
     check_ap,
@@ -44,7 +43,7 @@ from gradedmodels.structure import (
     structure_to_text,
 )
 
-from conftest import U3_ROWS
+from conftest import FIVE_CHAINS
 from test_classes import at_most_one_edge, pair
 from test_structure import edge_graph
 
@@ -194,15 +193,6 @@ def test_k0_amalgam_composes_through_the_base(luk3):
     assert out.value("<", "x", "y") == 1 and out.value("<", "y", "x") == 0
 
 
-RULE_CHAINS = (
-    boolean_chain(),
-    make_lukasiewicz(3),
-    make_godel(3),
-    make_from_table(3, U3_ROWS, one=1, zero=0, name="u3"),
-    make_lukasiewicz(4),
-)
-
-
 def _draw_arm(data, chain, elems, values, order):
     """Random values on the unset pairs (loops at or above ``one``), the
     pairs along ``order`` raised to ``one``, then the sup-min closure."""
@@ -223,7 +213,7 @@ def _draw_arm(data, chain, elems, values, order):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["k0", "k2"]), st.sampled_from(RULE_CHAINS), st.data())
+@given(st.sampled_from(["k0", "k2"]), st.sampled_from(FIVE_CHAINS), st.data())
 def test_k0_k2_rules_on_random_v_formations(name, chain, data):
     """Independently generated arms over a shared base, at most 5 elements
     in all; k2 arms also get a random linear order at level ``one``."""

@@ -272,6 +272,19 @@ def test_structure_file_rejects_malformed_header_lines(header):
         structure_from_text("structure g chain=luk:3\n" + header)
 
 
+@pytest.mark.parametrize("text", [
+    "structure g chain=luk:3\npredicates R:1 R:2\nelements a\ndefault 0\n",
+    "structure g chain=luk:3\npredicates R:0\nelements a\ndefault 0\n",
+    "structure g chain=luk:3\nelements a a\ndefault 0\n",
+    "structure g chain=bool\nelements a\ndefault 5\n",
+    "structure g chain=bool\nelements a\ndefault 0\n< a a = 9\n",
+], ids=["repeated-predicate", "predicate-arity-zero", "repeated-element",
+        "default-outside-chain", "value-outside-chain"])
+def test_structure_file_errors_are_file_format_errors(text):
+    with pytest.raises(FileFormatError):
+        structure_from_text(text)
+
+
 def test_structure_file_rejects_a_second_value_for_a_tuple():
     text = "structure g chain=luk:3\nelements a b\ndefault 0\n< a b = 2\n< a b = 1\n"
     with pytest.raises(FileFormatError, match="< a b = 1"):
