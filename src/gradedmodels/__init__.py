@@ -37,10 +37,6 @@ from .errors import (
 )
 from .fraisse import (
     VFormation,
-    amalgamate_k0,
-    amalgamate_k1,
-    amalgamate_k2,
-    amalgamate_k3,
     build_limit,
     check_extension_property,
     check_random_graph_property,
@@ -50,7 +46,6 @@ from .fraisse import (
 from .logic import SIG_LT, Signature, evaluate, format_formula, parse_formula
 from .structure import (
     GradedStructure,
-    Morphism,
     age,
     binary_structure,
     canonical_form,

@@ -68,11 +68,11 @@ def _cmd_eval(args, out) -> int:
 def _cmd_iso(args, out) -> int:
     a = _load_structure(args.file_a)
     b = _load_structure(args.file_b)
-    mor = structure.is_isomorphic(a, b)
-    if mor is None:
+    iso = structure.is_isomorphic(a, b)
+    if iso is None:
         print("not isomorphic", file=out)
         return 1
-    pairs = " ".join(f"{x}->{mor.mapping[x]}" for x in a.universe)
+    pairs = " ".join(f"{x}->{iso[x]}" for x in a.universe)
     print(f"isomorphic {pairs}", file=out)
     return 0
 

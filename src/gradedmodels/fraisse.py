@@ -1,17 +1,20 @@
 """Amalgamation constructions, stage-wise limit building, and verifiers.
 
-Every built-in class amalgamates through one core: the union of the arm
-universes, built row by row, with each cross pair set by the class's
-closed-form rule.  The core checks the second arm with the full
-membership predicate and the amalgam with the class's delta check, which
-looks only at the conditions that involve a cross cell.  That is exact
-only when the first arm is a member, so every ``amalgamate_k*`` takes a
-member as its first arm.  Either failure raises ``AmalgamationError``.
-Joint extension is the amalgam over the empty base.  The exhaustive
-``search_amalgam`` serves classes without a construction and the tests
-as an oracle.  The limit builder grows a substructure chain by
-satisfying embedding extension tasks through amalgamation, recording a
-replayable transcript.  The verifiers measure finite stages against the
+A v-formation is two structures; its base is the set of ids they share,
+on which they must agree.  Every built-in class amalgamates through one
+core: the union of the arm universes, built row by row, with each cross
+pair set by the class's closed-form rule.  The core checks the second
+arm with the full membership predicate and the amalgam with the class's
+delta check, which looks only at the conditions that involve a cross
+cell.  That is exact only when the first arm is a member, so every
+``amalgamate_k*`` takes a member as its first arm; they are reached
+through ``get_class(name).amalgamate``.  Either failure raises
+``AmalgamationError``.  Joint extension is the amalgam over the empty
+base.  The exhaustive ``search_amalgam`` tries only disjoint amalgams;
+it serves classes without a construction and the tests as an oracle.
+The limit builder grows a substructure chain by satisfying embedding
+extension tasks through amalgamation, recording a replayable
+transcript.  The verifiers measure finite stages against the
 bounded extension property and the random-graph witness property,
 reporting defects instead of failing.
 """
@@ -32,9 +35,10 @@ from .errors import AmalgamationError, BudgetError, FileFormatError
 from .logic import SIG_LT
 from .structure import (
     GradedStructure,
+    _pull,
     _rename_apart,
+    _require_compatible,
     canonical_form,
-    extend_embedding,
     find_embeddings,
     fresh_names,
     is_substructure,
@@ -49,10 +53,6 @@ __all__ = [
     "align_v_formation",
     "verify_amalgam",
     "search_amalgam",
-    "amalgamate_k0",
-    "amalgamate_k1",
-    "amalgamate_k2",
-    "amalgamate_k3",
     "Transcript",
     "build_limit",
     "replay_transcript",
@@ -64,40 +64,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VFormation:
-    """A shared base embedded as a literal substructure of two arms.
+    """Two arms over a shared base: the elements whose ids both arms hold.
 
-    The arms must intersect exactly in the base's elements; use
+    The arms must be on one chain and signature and agree on every tuple
+    of shared elements, or the constructor raises ``ValueError``; use
     ``align_v_formation`` to rename an arbitrary second arm into shape.
+    ``shared`` lists the (position in arm1, position in arm2) pair of
+    each shared element, in arm1's order.
     """
 
-    base: GradedStructure
     arm1: GradedStructure
     arm2: GradedStructure
+    shared: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_substructure(self.base, self.arm1):
-            raise ValueError("base is not a substructure of the first arm")
-        if not is_substructure(self.base, self.arm2):
-            raise ValueError("base is not a substructure of the second arm")
-        shared = set(self.arm1.universe) & set(self.arm2.universe)
-        if shared != set(self.base.universe):
-            raise ValueError("arms must intersect exactly in the base")
+        arm1, arm2 = self.arm1, self.arm2
+        _require_compatible(arm1, arm2)
+        where = arm2.positions
+        shared = tuple((p, where[e]) for p, e in enumerate(arm1.universe) if e in where)
+        pos1, pos2 = [p for p, _ in shared], [q for _, q in shared]
+        n1, n2 = len(arm1.universe), len(arm2.universe)
+        for (_, arity), t1, t2 in zip(arm1.signature.predicates, arm1.pred_tables, arm2.pred_tables):
+            if _pull(t1, pos1, n1, arity) != _pull(t2, pos2, n2, arity):
+                raise ValueError("the arms disagree on their shared elements")
+        object.__setattr__(self, "shared", shared)
 
 
-def align_v_formation(base: GradedStructure, arm1: GradedStructure,
-                      arm2: GradedStructure, embedding: dict) -> VFormation:
-    """Build a v-formation from an embedding of the base into arm2.
+def align_v_formation(arm1: GradedStructure, arm2: GradedStructure, embedding: dict) -> VFormation:
+    """Build a v-formation from an embedding of a base of arm1 into arm2.
 
-    arm2 is renamed so the embedding image carries the base's ids and
-    everything else is fresh relative to arm1.
+    ``embedding`` maps ids of arm1 to ids of arm2.  arm2 is renamed so the
+    embedding image carries the base's ids and everything else is fresh
+    relative to arm1.
     """
-    inverse = {embedding[b]: b for b in base.universe}
-    taken = set(arm1.universe) | set(arm2.universe) | set(base.universe)
+    inverse = {y: b for b, y in embedding.items()}
+    taken = set(arm1.universe) | set(arm2.universe)
     rest = [e for e in arm2.universe if e not in inverse]
     news = fresh_names("n", len(rest), taken)
     mapping = dict(inverse)
     mapping.update(zip(rest, news))
-    return VFormation(base, arm1, rename(arm2, mapping))
+    return VFormation(arm1, rename(arm2, mapping))
 
 
 def verify_amalgam(spec, v: VFormation, witness: GradedStructure) -> bool:
@@ -261,12 +267,6 @@ def _k3_cross_ok(m: GradedStructure, xs, ys) -> bool:
     return _cuts_transitive(m, xs, ys, (m.chain.one,), antisymmetric=True)
 
 
-def _base_positions(v: VFormation):
-    """The base elements' positions in the first and in the second arm."""
-    return ([v.arm1.positions[b] for b in v.base.universe],
-            [v.arm2.positions[b] for b in v.base.universe])
-
-
 def _composition(v: VFormation):
     """C(x, y) = max over base b of min(v1(x, b), v2(b, y)), both ways.
 
@@ -275,7 +275,7 @@ def _composition(v: VFormation):
     """
     lt1, lt2 = v.arm1.pred_tables[0], v.arm2.pred_tables[0]
     n1, n2 = len(v.arm1.universe), len(v.arm2.universe)
-    base = list(zip(*_base_positions(v)))
+    base = v.shared
     bot = v.arm1.chain.bot
 
     def through(x, y):
@@ -292,7 +292,8 @@ def amalgamate_k0(v: VFormation) -> GradedStructure:
 
     Since ``one`` is neutral, membership is min-transitivity plus loops
     at or above ``one``; each cross pair takes the composition through
-    the base, which is the whole sup-min closure of the union.
+    the base, which is the whole sup-min closure of the union.  The
+    first arm must be a member (see ``_amalgamate``).
     """
     return _amalgamate(v, _composition(v), k0_member, _k0_cross_ok)
 
@@ -301,7 +302,8 @@ def amalgamate_k1(v: VFormation) -> GradedStructure:
     """Simple union of two weighted graphs over their shared part.
 
     Mixed pairs get the bottom value in both directions, which keeps
-    the result loopless and symmetric.
+    the result loopless and symmetric.  The first arm must be a member
+    (see ``_amalgamate``).
     """
     bot = v.arm1.chain.bot
     return _amalgamate(v, lambda x, y: (bot, bot), k1_member, _k1_cross_ok)
@@ -335,7 +337,7 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
     same block.  A cross pair takes the largest level at which it holds,
     or the composition through the base when that is larger.  Comparing
     whole key prefixes, not the level's position alone, keeps the cuts
-    nested.
+    nested.  The first arm must be a member (see ``_amalgamate``).
 
     Why the result is a member (proof sketch).  Write R_a for the a-cut
     {(p, q) : v(p, q) >= a}.  A structure is in k2 exactly when its
@@ -366,11 +368,11 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
     """
     chain = v.arm1.chain
     levels = range(1, chain.one + 1)
-    base1, base2 = _base_positions(v)
+    base1, base2 = [p for p, _ in v.shared], [q for _, q in v.shared]
     keys1 = {x: _k2_key(v.arm1, base1, x, levels)
-             for x, e in enumerate(v.arm1.universe) if e not in v.base.positions}
+             for x, e in enumerate(v.arm1.universe) if e not in v.arm2.positions}
     keys2 = {y: _k2_key(v.arm2, base2, y, levels)
-             for y, e in enumerate(v.arm2.universe) if e not in v.base.positions}
+             for y, e in enumerate(v.arm2.universe) if e not in v.arm1.positions}
     through = _composition(v)
 
     def rule(x, y):
@@ -392,7 +394,7 @@ def amalgamate_k3(v: VFormation) -> GradedStructure:
     A mixed pair takes ``one`` when its composition through the base is
     at least ``one``, that is, when some base element sits between its
     endpoints at the filter level; otherwise it takes the falsum
-    constant.
+    constant.  The first arm must be a member (see ``_amalgamate``).
     """
     chain = v.arm1.chain
     one, zero = chain.one, chain.zero
@@ -409,12 +411,15 @@ _SEARCH_CAP = 10**6
 
 
 def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
-    """Exhaustive completion search over the cross values, first hit wins.
+    """Exhaustive search for a disjoint amalgam, first hit wins.
 
-    For classes without a construction, and as the tests' oracle.  All
-    amalgams here live on the union of the arm universes, so only the
-    mixed pairs are open; every assignment of chain values to them (both
-    directions) is tried in rank order.
+    For classes without a construction, and as the tests' oracle.  Only
+    amalgams on the union of the arm universes are tried, in which the
+    arms' new elements stay apart; an amalgam that identifies a new
+    element of one arm with one of the other is never found, so None
+    does not mean that v has no amalgam.  Only the mixed pairs are open;
+    every assignment of chain values to them (both directions) is tried
+    in rank order.
     """
     universe, new1, ext2, assemble = _amalgam_frame(v)
     chain = v.arm1.chain
@@ -435,7 +440,7 @@ def _joint_v_formation(m1: GradedStructure, m2: GradedStructure) -> VFormation:
 
     Its amalgam is a joint extension of the two.
     """
-    return VFormation(restrict(m1, ()), m1, _rename_apart(m1, m2))
+    return VFormation(m1, _rename_apart(m1, m2))
 
 
 # --- stage-wise limit construction ---
@@ -584,23 +589,23 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
     stage_list = [current]
     for stage in range(stages):
         tasks = [
-            (f.mapping, n, nprime)
+            (f, n, nprime)
             for n, nprime in pairs
             for f in find_embeddings(n, current)
         ]
         for pos, (mapping, n, nprime) in enumerate(tasks):
-            if extend_embedding(nprime, current, mapping):
+            if find_embeddings(nprime, current, fixed=mapping, limit=1):
                 continue
-            v = align_v_formation(restrict(current, mapping.values()), current, nprime,
-                                  {b: a for a, b in mapping.items()})
+            v = align_v_formation(current, nprime, {b: a for a, b in mapping.items()})
             try:
                 current = spec.amalgamate(v)
             except AmalgamationError as exc:
                 raise AmalgamationError(
                     f"stage {stage}: {exc} ({len(tasks) - pos - 1} tasks pending)"
                 ) from exc
-            transcript.events.append(Event(stage, v.base.universe, structure_to_text(v.arm2)))
-            if not extend_embedding(nprime, current, mapping):
+            base_ids = tuple(v.arm1.universe[p] for p, _ in v.shared)
+            transcript.events.append(Event(stage, base_ids, structure_to_text(v.arm2)))
+            if not find_embeddings(nprime, current, fixed=mapping, limit=1):
                 raise AmalgamationError(f"stage {stage}: amalgam did not satisfy its task")
         stage_list.append(current)
     return stage_list, transcript
@@ -614,7 +619,8 @@ def replay_transcript(transcript: Transcript):
     with an arm read from the transcript: the amalgamator checks that
     arm with the full predicate, raising ``AmalgamationError`` for a
     non-member, and the amalgam on its cross cells, so every stage is a
-    member.
+    member.  An event whose ``base`` ids are not exactly the ids its arm
+    shares with the current stage raises ``FileFormatError``.
     """
     spec = get_class(transcript.class_name)
     chain = transcript.chain
@@ -625,9 +631,11 @@ def replay_transcript(transcript: Transcript):
     events = list(transcript.events)
     for stage in range(transcript.stages):
         for event in (e for e in events if e.stage == stage):
-            arm = structure_from_text(event.arm_text, chain=chain)
-            base = restrict(current, event.base_ids)
-            current = spec.amalgamate(VFormation(base, current, arm))
+            v = VFormation(current, structure_from_text(event.arm_text, chain=chain))
+            if {current.universe[p] for p, _ in v.shared} != set(event.base_ids):
+                raise FileFormatError(f"transcript event at stage {stage}: its base ids are "
+                                      "not the ids its arm shares with the stage")
+            current = spec.amalgamate(v)
         stage_list.append(current)
     return stage_list
 
@@ -654,9 +662,9 @@ def check_extension_property(m: GradedStructure, spec, k: int) -> list[Extension
     defects = []
     for n, nprime in pairs:
         for f in find_embeddings(n, m):
-            if not extend_embedding(nprime, m, f.mapping):
+            if not find_embeddings(nprime, m, fixed=f, limit=1):
                 defects.append(ExtensionDefect(canonical_form(n), canonical_form(nprime),
-                                               tuple(sorted(f.mapping.items()))))
+                                               tuple(sorted(f.items()))))
     return defects
 
 

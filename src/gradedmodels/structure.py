@@ -23,13 +23,11 @@ from .logic import SIG_LT, Signature
 
 __all__ = [
     "GradedStructure",
-    "Morphism",
     "make_structure",
     "binary_structure",
     "is_substructure",
     "is_embedding",
     "find_embeddings",
-    "extend_embedding",
     "is_isomorphic",
     "canonical_form",
     "restrict",
@@ -121,18 +119,6 @@ class GradedStructure:
         return f"GradedStructure({self.name!r}, |M|={len(self.universe)})"
 
 
-@dataclass
-class Morphism:
-    """A universe map from source into target, claimed to be an embedding."""
-
-    source: GradedStructure
-    target: GradedStructure
-    mapping: dict
-
-    def __call__(self, eid: str) -> str:
-        return self.mapping[eid]
-
-
 def make_structure(chain, universe, values=None, *, signature=SIG_LT, default=None,
                    name="s") -> GradedStructure:
     """Build a structure from sparse, id-keyed values.
@@ -191,8 +177,9 @@ def is_substructure(m: GradedStructure, n: GradedStructure) -> bool:
     return _preserves(m, n, [where[e] for e in m.universe])
 
 
-def is_embedding(mor: Morphism) -> bool:
-    m, n, f = mor.source, mor.target, mor.mapping
+def is_embedding(m: GradedStructure, n: GradedStructure, f: dict) -> bool:
+    """Whether the id map f is an embedding of m into n, checked directly:
+    the reference that ``find_embeddings`` is tested against."""
     _require_compatible(m, n)
     if set(f) != set(m.universe):
         return False
@@ -230,8 +217,7 @@ def _embedding_search(m, n, seed, order, limit, results):
     """Backtracking over injective position maps in deterministic order."""
     if len(seed) == len(order):
         # Each atom was checked when the last of its elements was placed.
-        mapping = {m.universe[s]: n.universe[d] for s, d in seed.items()}
-        results.append(Morphism(m, n, mapping))
+        results.append({m.universe[s]: n.universe[d] for s, d in seed.items()})
         return limit is None or len(results) < limit
     src = order[len(seed)]
     used = set(seed.values())
@@ -246,40 +232,35 @@ def _embedding_search(m, n, seed, order, limit, results):
     return True
 
 
-def find_embeddings(m: GradedStructure, n: GradedStructure, limit: int | None = None) -> list[Morphism]:
-    """All embeddings of m into n, complete up to ``limit`` results.
+def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None = None,
+                    limit: int | None = None) -> list[dict]:
+    """The embeddings of m into n that extend the partial id map ``fixed``,
+    complete up to ``limit`` results.
 
-    Candidates are explored in universe order on both sides, so the
-    result order is stable.
+    Each embedding is a dict from m's ids to n's.  The search places the
+    elements of ``fixed`` first, in its order, and then the rest of m's
+    universe in order, trying n's elements in universe order, so the
+    result order is stable.  A ``fixed`` map with an id outside m or n,
+    two elements sent to one, or a value it does not keep has no
+    extension.
     """
     _require_compatible(m, n)
     if len(m.universe) > len(n.universe):
         return []
-    results: list[Morphism] = []
-    _embedding_search(m, n, {}, range(len(m.universe)), limit, results)
-    return results
-
-
-def extend_embedding(m: GradedStructure, n: GradedStructure, fixed: dict) -> list[Morphism]:
-    """One embedding of m into n extending the partial map ``fixed``, as a
-    list of at most one element."""
-    _require_compatible(m, n)
-    if len(m.universe) > len(n.universe):
-        return []
     seed: dict[int, int] = {}
-    for src, dst in fixed.items():
+    for src, dst in (fixed or {}).items():
         s, d = m.positions.get(src), n.positions.get(dst)
         if s is None or d is None or d in seed.values() or not _consistent_extension(m, n, seed, s, d):
             return []
         seed[s] = d
     order = list(seed) + [i for i in range(len(m.universe)) if i not in seed]
-    results: list[Morphism] = []
-    _embedding_search(m, n, seed, order, 1, results)
+    results: list[dict] = []
+    _embedding_search(m, n, seed, order, limit, results)
     return results
 
 
-def is_isomorphic(m: GradedStructure, n: GradedStructure) -> Morphism | None:
-    """An onto embedding between m and n, or None."""
+def is_isomorphic(m: GradedStructure, n: GradedStructure) -> dict | None:
+    """An onto embedding of m into n as an id map, or None."""
     if len(m.universe) != len(n.universe):
         return None
     found = find_embeddings(m, n, limit=1)

@@ -22,8 +22,8 @@ from gradedmodels.classes import (
 )
 from gradedmodels.errors import BudgetError
 from gradedmodels.fraisse import amalgamate_k1
-from gradedmodels.logic import SIG_LT, evaluate, parse_formula
-from gradedmodels.structure import binary_structure, canonical_form, rename
+from gradedmodels.logic import evaluate, parse_formula
+from gradedmodels.structure import binary_structure, canonical_form, find_embeddings, rename
 
 LUK3 = make_lukasiewicz(3)
 
@@ -201,6 +201,17 @@ def test_k1_luk3_count_pinned(luk3):
     assert len(enumerate_class(get_class("k1"), luk3, 2)) == 11
 
 
+def test_enumeration_budget_fails_before_any_work(luk3):
+    # 3 + 3**4 + 3**9 + 3**16 candidates, over the budget of 10**7.
+    def untouched(m):
+        raise AssertionError("a candidate was built")
+
+    with pytest.raises(BudgetError):
+        enumerate_class(ClassSpec("k1", untouched), luk3, 4)
+    with pytest.raises(BudgetError, match="^43066488 candidates"):
+        enumerate_class(get_class("k1"), luk3, 4)
+
+
 def test_enumerate_boundaries(bool_chain):
     assert enumerate_class(get_class("k1"), bool_chain, 0) == []
     with pytest.raises(BudgetError):
@@ -217,7 +228,7 @@ def test_user_class_with_builtin_name_enumerates_its_own_members(bool_chain):
             m.value("<", a, b) == m.chain.bot for a in m.universe for b in m.universe
         )
 
-    assert len(enumerate_class(ClassSpec("k1", SIG_LT, edgeless), bool_chain, 2)) == 2
+    assert len(enumerate_class(ClassSpec("k1", edgeless), bool_chain, 2)) == 2
 
 
 def test_enumeration_is_deduplicated_and_member_closed(luk3):
@@ -327,7 +338,7 @@ def test_broken_class_hp_counterexample(bool_chain):
     def membership(m):
         return k1_member(m) and canonical_form(m) != vertex_form
 
-    broken = ClassSpec("k1drop", SIG_LT, membership)
+    broken = ClassSpec("k1drop", membership)
     report = check_hp(broken, bool_chain, 2)
     assert not report.ok
     assert any("loses membership" in c.detail for c in report.counterexamples)
@@ -337,7 +348,7 @@ def test_jep_counterexample_without_constructor(luk3):
     def membership(m):
         return k1_member(m) and len(m.universe) == 1
 
-    singles = ClassSpec("singletons", SIG_LT, membership)
+    singles = ClassSpec("singletons", membership)
     report = check_jep(singles, luk3, 1)
     assert not report.ok
     assert report.stats["searched"] == report.checked
@@ -354,15 +365,35 @@ def at_most_one_edge(m):
 
 
 def test_ap_counterexample_for_capped_class(bool_chain):
-    capped = ClassSpec("one_edge", SIG_LT, at_most_one_edge)
+    capped = ClassSpec("one_edge", at_most_one_edge)
     assert check_hp(capped, bool_chain, 2).ok
     report = check_ap(capped, bool_chain, 2)
     assert not report.ok
     assert report.stats["searched"] == report.checked
 
 
+def test_ap_search_reports_only_missing_disjoint_amalgams(bool_chain):
+    """Edgeless graphs of at most two vertices: two 2-vertex arms over one
+    shared vertex have no amalgam on three vertices, but both embed into
+    the 2-vertex member, so the search's counterexamples are not
+    failures of the amalgamation property."""
+    def small_edgeless(m):
+        return len(m) <= 2 and k1_member(m) and set(m.pred_tables[0]) == {m.chain.bot}
+
+    spec = ClassSpec("small_edgeless", small_edgeless)
+    report = check_ap(spec, bool_chain, 2)
+    assert len(report.counterexamples) == 4
+    assert all(c.render().startswith("ap: no disjoint amalgam for base of type[1]")
+               for c in report.counterexamples)
+    # Each arm is the 2-vertex member; it embeds into that member with
+    # either vertex, as the base, kept in place.
+    two = enumerate_class(spec, bool_chain, 2)[1]
+    for b in two.universe:
+        assert find_embeddings(two, two, fixed={b: b})
+
+
 def test_amalgamator_failures_are_counterexamples(bool_chain, luk3):
-    capped = ClassSpec("one_edge", SIG_LT, at_most_one_edge, amalgamate_k1)
+    capped = ClassSpec("one_edge", at_most_one_edge, amalgamate_k1)
     report = check_ap(capped, bool_chain, 2)
     assert not report.ok
     assert report.stats["searched"] == 0
@@ -372,7 +403,7 @@ def test_amalgamator_failures_are_counterexamples(bool_chain, luk3):
     def single_vertex(m):
         return k1_member(m) and len(m.universe) == 1
 
-    singles = ClassSpec("singletons", SIG_LT, single_vertex, amalgamate_k1)
+    singles = ClassSpec("singletons", single_vertex, amalgamate_k1)
     report = check_jep(singles, luk3, 1)
     assert report.stats == {"constructed": 0, "searched": 0}
     assert len(report.counterexamples) == report.checked

@@ -195,6 +195,22 @@ def test_replay_rejects_an_event_arm_outside_the_class(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_replay_rejects_an_event_base_other_than_the_shared_ids(tmp_path, capsys):
+    # The arm shares x0 with the initial stage, but the event names no base.
+    arm = "structure a chain=bool\nelements x0 n0\ndefault 0\n"
+    payload = {**GOOD_TRANSCRIPT, "events": [{"stage": 0, "base": [], "arm": arm}]}
+    with pytest.raises(FileFormatError):
+        replay_transcript(Transcript.from_json(json.dumps(payload)))
+    path = tmp_path / "transcript.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["limit", "replay", "--transcript", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--class", "k0", "--chain", "bool", "--k", "2", "--property", "ap", "--jobs", "2"],
     ["check", "--class", "k0", "--chain", "bool", "--k", "2", "--property", "ap", "--seed", "1"],

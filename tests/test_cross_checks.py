@@ -44,7 +44,7 @@ def test_delta_check_agrees_with_membership_on_small_v_formations(name, chain):
             for subset in itertools.combinations(m1.universe, size):
                 base = restrict(m1, subset)
                 for g in find_embeddings(base, m2):
-                    v = fraisse.align_v_formation(base, m1, m2, g.mapping)
+                    v = fraisse.align_v_formation(m1, m2, g)
                     universe, new1, ext2, assemble = fraisse._amalgam_frame(v)
                     if len(universe) > 3:
                         continue
@@ -131,7 +131,7 @@ def test_delta_check_past_eight_levels(make_chain):
         return GradedStructure(chain, SIG_LT, elems, (table,))
 
     arm1, arm2 = three("a", "m", "b"), three("c", "m", "d")
-    v = fraisse.VFormation(restrict(arm1, ["m"]), arm1, arm2)
+    v = fraisse.VFormation(arm1, arm2)
     universe, new1, _, _ = fraisse._amalgam_frame(v)
     ys = range(len(arm1), len(universe))
     for name in ("k0", "k3"):

@@ -33,7 +33,6 @@ from gradedmodels.fraisse import (
     replay_transcript,
     search_amalgam,
 )
-from gradedmodels.logic import SIG_LT
 from gradedmodels.structure import (
     binary_structure,
     find_embeddings,
@@ -48,16 +47,18 @@ from test_classes import at_most_one_edge, pair
 from test_structure import edge_graph
 
 
-def test_v_formation_validation(bool_chain):
-    base = binary_structure(bool_chain, ["c"], {("c", "c"): 0})
+def test_v_formation_validation(bool_chain, luk3):
     arm1 = edge_graph(bool_chain, [("a", "c")], ["a", "c"])
     arm2 = edge_graph(bool_chain, [("c", "b")], ["c", "b"])
-    VFormation(base, arm1, arm2)
+    assert VFormation(arm1, arm2).shared == ((1, 0),)
+    assert VFormation(arm1, edge_graph(bool_chain, [], ["b"])).shared == ()
+    # The arms disagree on the loop at c, and then on the edge a-c.
     with pytest.raises(ValueError):
-        VFormation(base, arm1, edge_graph(bool_chain, [("a", "b")], ["a", "b"]))
-    bad_base = binary_structure(bool_chain, ["c"], {("c", "c"): 1})
+        VFormation(arm1, binary_structure(bool_chain, ["c", "b"], {("c", "c"): 1}, default=0))
     with pytest.raises(ValueError):
-        VFormation(bad_base, arm1, arm2)
+        VFormation(arm1, edge_graph(bool_chain, [], ["c", "a"]))
+    with pytest.raises(ValueError):
+        VFormation(arm1, edge_graph(luk3, [("c", "b")], ["c", "b"]))
 
 
 def test_k1_jep_degenerate_two_vertices(bool_chain):
@@ -69,10 +70,9 @@ def test_k1_jep_degenerate_two_vertices(bool_chain):
 
 
 def test_k1_amalgam_path(bool_chain):
-    base = binary_structure(bool_chain, ["c"], {("c", "c"): 0})
     arm1 = edge_graph(bool_chain, [("a", "c")], ["a", "c"])
     arm2 = edge_graph(bool_chain, [("c", "b")], ["c", "b"])
-    out = amalgamate_k1(VFormation(base, arm1, arm2))
+    out = amalgamate_k1(VFormation(arm1, arm2))
     assert set(out.universe) == {"a", "b", "c"}
     assert out.value("<", "a", "c") == 1 and out.value("<", "c", "b") == 1
     assert out.value("<", "a", "b") == 0 and out.value("<", "b", "a") == 0
@@ -81,7 +81,7 @@ def test_k1_amalgam_path(bool_chain):
 
 def test_k1_amalgam_trivial(bool_chain):
     m = edge_graph(bool_chain, [("a", "b")], ["a", "b"])
-    out = amalgamate_k1(VFormation(m, m, m))
+    out = amalgamate_k1(VFormation(m, m))
     assert out == m
 
 
@@ -105,12 +105,11 @@ def test_k0_jep_two_chains(luk3):
 
 def test_k2_amalgam_trivial(luk3):
     m = pair(luk3, 2, 0)
-    out = amalgamate_k2(VFormation(m, m, m))
+    out = amalgamate_k2(VFormation(m, m))
     assert out == m
 
 
 def test_k2_amalgam_around_point(bool_chain):
-    base = binary_structure(bool_chain, ["a"], {("a", "a"): 1})
     arm1 = binary_structure(
         bool_chain, ["x", "a"],
         {("x", "x"): 1, ("a", "a"): 1, ("x", "a"): 1, ("a", "x"): 0},
@@ -119,7 +118,7 @@ def test_k2_amalgam_around_point(bool_chain):
         bool_chain, ["a", "y"],
         {("y", "y"): 1, ("a", "a"): 1, ("a", "y"): 1, ("y", "a"): 0},
     )
-    out = amalgamate_k2(VFormation(base, arm1, arm2))
+    out = amalgamate_k2(VFormation(arm1, arm2))
     assert k2_member(out)
     assert out.value("<", "x", "a") == 1 and out.value("<", "a", "y") == 1
     assert out.value("<", "x", "y") == 1 and out.value("<", "y", "x") == 0
@@ -137,15 +136,13 @@ def test_k2_amalgam_midpoints_first_arm_first(luk3):
             },
         )
 
-    base = pair(luk3, 2, 0)
-    out = amalgamate_k2(VFormation(base, two_chain_with("x"), two_chain_with("y")))
+    out = amalgamate_k2(VFormation(two_chain_with("x"), two_chain_with("y")))
     assert len(out.universe) == 4
     assert k2_member(out)
     assert out.value("<", "x", "y") == 2 and out.value("<", "y", "x") == 0
 
 
 def test_k2_amalgam_tied_elements(bool_chain):
-    base = binary_structure(bool_chain, ["a"], {("a", "a"): 1})
     arm1 = binary_structure(
         bool_chain, ["a", "x"],
         {("a", "a"): 1, ("x", "x"): 1, ("a", "x"): 1, ("x", "a"): 1},
@@ -154,7 +151,7 @@ def test_k2_amalgam_tied_elements(bool_chain):
         bool_chain, ["a", "y"],
         {("a", "a"): 1, ("y", "y"): 1, ("a", "y"): 1, ("y", "a"): 1},
     )
-    out = amalgamate_k2(VFormation(base, arm1, arm2))
+    out = amalgamate_k2(VFormation(arm1, arm2))
     assert k2_member(out)
     # x and y are both tied with a, so they must end up tied with each other
     assert out.value("<", "x", "y") == 1 and out.value("<", "y", "x") == 1
@@ -164,7 +161,6 @@ def test_k2_amalgam_needs_lexicographic_keys(luk3):
     # y is tied with b at level 1 but strictly above it at level 2, x is
     # strictly above b at both: the level-2 positions agree, the level-1
     # ones put y below x, and y must stay below x at level 2 too.
-    base = binary_structure(luk3, ["b"], {("b", "b"): 2})
     arm1 = binary_structure(
         luk3, ["b", "x"],
         {("b", "b"): 2, ("x", "x"): 2, ("b", "x"): 2, ("x", "b"): 0},
@@ -173,13 +169,12 @@ def test_k2_amalgam_needs_lexicographic_keys(luk3):
         luk3, ["b", "y"],
         {("b", "b"): 2, ("y", "y"): 2, ("b", "y"): 2, ("y", "b"): 1},
     )
-    out = amalgamate_k2(VFormation(base, arm1, arm2))
+    out = amalgamate_k2(VFormation(arm1, arm2))
     assert k2_member(out)
     assert out.value("<", "y", "x") == 2 and out.value("<", "x", "y") == 0
 
 
 def test_k0_amalgam_composes_through_the_base(luk3):
-    base = binary_structure(luk3, ["b"], {("b", "b"): 2})
     arm1 = binary_structure(
         luk3, ["x", "b"],
         {("x", "x"): 2, ("b", "b"): 2, ("x", "b"): 1, ("b", "x"): 0},
@@ -188,7 +183,7 @@ def test_k0_amalgam_composes_through_the_base(luk3):
         luk3, ["b", "y"],
         {("y", "y"): 2, ("b", "b"): 2, ("b", "y"): 2, ("y", "b"): 0},
     )
-    out = amalgamate_k0(VFormation(base, arm1, arm2))
+    out = amalgamate_k0(VFormation(arm1, arm2))
     assert k0_member(out)
     assert out.value("<", "x", "y") == 1 and out.value("<", "y", "x") == 0
 
@@ -238,14 +233,13 @@ def test_k0_k2_rules_on_random_v_formations(name, chain, data):
     arm2 = binary_structure(chain, elems2, values2)
     spec = get_class(name)
     assert spec.membership(arm1) and spec.membership(arm2)
-    v = VFormation(restrict(arm1, base), arm1, arm2)
+    v = VFormation(arm1, arm2)
     out = spec.amalgamate(v)
     assert spec.membership(out)
     assert is_substructure(arm1, out) and is_substructure(arm2, out)
 
 
 def test_k3_amalgam_witness_rule(bool_chain):
-    base = binary_structure(bool_chain, ["x"], {("x", "x"): 1})
     arm1 = binary_structure(
         bool_chain, ["a", "x"],
         {("a", "a"): 1, ("x", "x"): 1, ("a", "x"): 1, ("x", "a"): 0},
@@ -254,13 +248,12 @@ def test_k3_amalgam_witness_rule(bool_chain):
         bool_chain, ["x", "b"],
         {("b", "b"): 1, ("x", "x"): 1, ("x", "b"): 1, ("b", "x"): 0},
     )
-    out = amalgamate_k3(VFormation(base, arm1, arm2))
+    out = amalgamate_k3(VFormation(arm1, arm2))
     assert out.value("<", "a", "b") == 1 and out.value("<", "b", "a") == 0
     assert k3_member(out)
 
 
 def test_k3_amalgam_no_witness(bool_chain):
-    base = binary_structure(bool_chain, ["x"], {("x", "x"): 1})
     arm1 = binary_structure(
         bool_chain, ["a", "x"],
         {("a", "a"): 1, ("x", "x"): 1, ("a", "x"): 0, ("x", "a"): 0},
@@ -269,7 +262,7 @@ def test_k3_amalgam_no_witness(bool_chain):
         bool_chain, ["x", "b"],
         {("b", "b"): 1, ("x", "x"): 1, ("x", "b"): 0, ("b", "x"): 0},
     )
-    out = amalgamate_k3(VFormation(base, arm1, arm2))
+    out = amalgamate_k3(VFormation(arm1, arm2))
     assert out.value("<", "a", "b") == 0 and out.value("<", "b", "a") == 0
 
 
@@ -284,7 +277,7 @@ def test_k3_amalgam_degenerate_arm(luk3):
         },
     )
     assert k3_member(arm2)
-    out = amalgamate_k3(VFormation(base, base, arm2))
+    out = amalgamate_k3(VFormation(base, arm2))
     assert is_isomorphic(out, arm2) is not None
 
 
@@ -311,7 +304,7 @@ def test_k3_rule_agrees_with_search_or_both_members(luk3):
                 base = restrict(m1, subset)
                 for m2 in members:
                     for g in find_embeddings(base, m2):
-                        v = align_v_formation(base, m1, m2, g.mapping)
+                        v = align_v_formation(m1, m2, g)
                         ruled = amalgamate_k3(v)
                         searched = search_amalgam(v, k3_member)
                         assert searched is not None
@@ -323,7 +316,7 @@ def test_k3_rule_agrees_with_search_or_both_members(luk3):
 
 
 def test_limit_needs_an_amalgamator(bool_chain):
-    capped = ClassSpec("one_edge", SIG_LT, at_most_one_edge)
+    capped = ClassSpec("one_edge", at_most_one_edge)
     with pytest.raises(ValueError):
         build_limit(capped, bool_chain, 1, 2)
 
@@ -380,7 +373,7 @@ def edgeless_class():
             m.value("<", a, b) == m.chain.bot for a in m.universe for b in m.universe
         )
 
-    return ClassSpec("edgeless", SIG_LT, membership)
+    return ClassSpec("edgeless", membership)
 
 
 def test_extension_property_zero_defects_on_saturated_structure(bool_chain):
@@ -456,17 +449,16 @@ def test_random_graph_budget_guards(luk3):
 def test_amalgamate_k1_rejects_arms_outside_the_class(bool_chain):
     loop = binary_structure(bool_chain, ["a"], {("a", "a"): 1})
     with pytest.raises(AmalgamationError):
-        amalgamate_k1(VFormation(loop, loop, loop))
+        amalgamate_k1(VFormation(loop, loop))
 
 
 def test_search_amalgam_exhausts_capped_class(bool_chain):
-    base = binary_structure(bool_chain, ["c"], {("c", "c"): 0})
     arm1 = edge_graph(bool_chain, [("a", "c")], ["a", "c"])
     arm2 = edge_graph(bool_chain, [("c", "b")], ["c", "b"])
-    v = VFormation(base, arm1, arm2)
+    v = VFormation(arm1, arm2)
     assert search_amalgam(v, at_most_one_edge) is None
     # 2 x 5 new elements: 2**20 cross assignments, over the cap
     arm1 = edge_graph(bool_chain, [], ["c", "a0", "a1"])
     arm2 = edge_graph(bool_chain, [], ["c"] + [f"b{i}" for i in range(5)])
     with pytest.raises(BudgetError):
-        search_amalgam(VFormation(base, arm1, arm2), at_most_one_edge)
+        search_amalgam(VFormation(arm1, arm2), at_most_one_edge)

@@ -8,7 +8,6 @@ import pytest
 from gradedmodels.errors import FileFormatError
 from gradedmodels.logic import Signature
 from gradedmodels.structure import (
-    Morphism,
     age,
     binary_structure,
     canonical_form,
@@ -63,18 +62,18 @@ def test_substructure_requires_same_chain(luk3, godel3):
 
 def test_identity_is_embedding(luk3):
     m = binary_structure(luk3, ["a", "b"], {}, default=1)
-    assert is_embedding(Morphism(m, m, {"a": "a", "b": "b"}))
+    assert is_embedding(m, m, {"a": "a", "b": "b"})
 
 
 def test_constant_map_is_not_embedding(luk3):
     m = binary_structure(luk3, ["a", "b"], {}, default=1)
-    assert not is_embedding(Morphism(m, m, {"a": "a", "b": "a"}))
+    assert not is_embedding(m, m, {"a": "a", "b": "a"})
 
 
 def test_atomic_mismatch_is_not_embedding(luk3):
     m = binary_structure(luk3, ["a"], {("a", "a"): 2})
     n = binary_structure(luk3, ["b"], {("b", "b"): 1})
-    assert not is_embedding(Morphism(m, n, {"a": "b"}))
+    assert not is_embedding(m, n, {"a": "b"})
 
 
 def test_vertex_into_edge_pair_two_embeddings(bool_chain):
@@ -82,7 +81,7 @@ def test_vertex_into_edge_pair_two_embeddings(bool_chain):
     pair = edge_graph(bool_chain, [("a", "b")], ["a", "b"])
     found = find_embeddings(vertex, pair)
     assert len(found) == 2
-    assert [m.mapping["v"] for m in found] == ["a", "b"]
+    assert [f["v"] for f in found] == ["a", "b"]
 
 
 def test_rigid_structure_has_only_identity(luk3):
@@ -92,7 +91,7 @@ def test_rigid_structure_has_only_identity(luk3):
     )
     found = find_embeddings(m, m)
     assert len(found) == 1
-    assert found[0].mapping == {"a": "a", "b": "b"}
+    assert found[0] == {"a": "a", "b": "b"}
 
 
 def test_source_larger_than_target_no_embeddings(bool_chain):
@@ -105,7 +104,7 @@ def brute_force_embeddings(m, n):
     out = []
     for subset in itertools.permutations(n.universe, len(m.universe)):
         mapping = dict(zip(m.universe, subset))
-        if is_embedding(Morphism(m, n, mapping)):
+        if is_embedding(m, n, mapping):
             out.append(mapping)
     return out
 
@@ -115,17 +114,46 @@ def test_find_embeddings_complete_vs_brute_force(luk3):
     for _ in range(40):
         m = random_structure(rng, luk3, rng.randint(1, 3))
         n = random_structure(rng, luk3, rng.randint(1, 3))
-        got = sorted(tuple(sorted(e.mapping.items())) for e in find_embeddings(m, n))
+        got = sorted(tuple(sorted(e.items())) for e in find_embeddings(m, n))
         want = sorted(tuple(sorted(e.items())) for e in brute_force_embeddings(m, n))
         assert got == want
+
+
+def test_find_embeddings_fixed_vs_brute_force(luk3):
+    """Every map of at most two elements as the seed, with an unknown id
+    ``zz`` on either side and maps that are not injective among them:
+    the result is the brute-force embeddings that extend the seed, and
+    with ``limit=1`` the first of them.  Each m is a relabelled induced
+    substructure of n, so most seeds extend; on the constant tables
+    every map keeps every value, so only injectivity rules seeds out."""
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(30):
+        n = random_structure(rng, luk3, rng.randint(1, 4))
+        sub = restrict(n, rng.sample(n.universe, rng.randint(1, len(n.universe))))
+        cases.append((rename(sub, {e: f"m{i}" for i, e in enumerate(sub.universe)}), n))
+    cases.append((binary_structure(luk3, ["a", "b"], {}, default=1),
+                  binary_structure(luk3, ["p", "q", "r"], {}, default=1)))
+    for m, n in cases:
+        every = brute_force_embeddings(m, n)
+        assert every
+        for size in range(3):
+            for sources in itertools.permutations(m.universe + ("zz",), size):
+                for targets in itertools.product(n.universe + ("zz",), repeat=size):
+                    fixed = dict(zip(sources, targets))
+                    want = [f for f in every if fixed.items() <= f.items()]
+                    got = find_embeddings(m, n, fixed=fixed)
+                    assert sorted(sorted(f.items()) for f in got) == \
+                        sorted(sorted(f.items()) for f in want)
+                    assert find_embeddings(m, n, fixed=fixed, limit=1) == got[:1]
 
 
 def test_isomorphic_relabeling(luk3):
     rng = random.Random(31)
     m = random_structure(rng, luk3, 3)
     relabeled = rename(m, {"e0": "p", "e1": "q", "e2": "r"})
-    mor = is_isomorphic(m, relabeled)
-    assert mor is not None and is_embedding(mor)
+    iso = is_isomorphic(m, relabeled)
+    assert iso is not None and is_embedding(m, relabeled, iso)
     assert canonical_form(m) == canonical_form(relabeled)
 
 
@@ -213,7 +241,7 @@ def test_qf_reduction_on_random_embeddings(luk3):
         fresh = {e: f"m{i}" for i, e in enumerate(sub.universe)}
         m = rename(sub, fresh)
         mapping = {fresh[e]: e for e in sub.universe}
-        assert is_embedding(Morphism(m, n, mapping))
+        assert is_embedding(m, n, mapping)
         for _ in range(10):
             f = random_qf_formula(rng)
             assignment = {v: rng.choice(m.universe) for v in ("x", "y", "z")}
