@@ -10,7 +10,6 @@ deterministic random weighted graph with its witness verifier.
 from .algebra import (
     Chain,
     boolean_chain,
-    make_from_table,
     make_godel,
     make_lukasiewicz,
     resolve_chain,

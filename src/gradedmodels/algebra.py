@@ -11,7 +11,7 @@ and max of ranks.  Chains are immutable and safe to share.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ChainTableError, FileFormatError
 
@@ -19,7 +19,6 @@ __all__ = [
     "Chain",
     "make_lukasiewicz",
     "make_godel",
-    "make_from_table",
     "boolean_chain",
     "resolve_chain",
     "chain_from_text",
@@ -42,7 +41,11 @@ class Chain:
 
     ``conj_table[a][b]`` is the monoid operation; ``res_table[a][c]`` is
     the largest b with conj(a, b) <= c, which exists for every a, c once
-    the table passes validation.
+    the table passes validation.  The constructor checks the shape and
+    ranks of the table, raising ``ValueError``, and then neutrality of
+    ``one``, monotonicity, commutativity, associativity and existence of
+    residua, raising ``ChainTableError`` naming the first failed axiom
+    with a witness.
     """
 
     size: int
@@ -50,7 +53,28 @@ class Chain:
     one: int
     zero: int
     name: str = field(default="chain", compare=False)
-    res_table: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    res_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size, one, zero = self.size, self.one, self.zero
+        if size < 2:
+            raise ValueError(f"chain size must be at least 2, got {size}")
+        table = tuple(tuple(row) for row in self.conj_table)
+        if len(table) != size or any(len(row) != size for row in table):
+            raise ValueError(f"conjunction table must be {size}x{size}")
+        for row in table:
+            for v in row:
+                if not isinstance(v, int) or not 0 <= v < size:
+                    raise ValueError(f"table entry {v!r} is not a rank below {size}")
+        if not 0 <= one < size:
+            raise ValueError(f"one={one} is not a rank below {size}")
+        if not 0 <= zero < size:
+            raise ValueError(f"zero={zero} is not a rank below {size}")
+        failure = _find_axiom_failure(size, table, one)
+        if failure is not None:
+            raise ChainTableError(*failure)
+        object.__setattr__(self, "conj_table", table)
+        object.__setattr__(self, "res_table", _build_res_table(size, table))
 
     @property
     def bot(self) -> int:
@@ -150,50 +174,17 @@ def _build_res_table(size: int, table) -> tuple[tuple[int, ...], ...]:
     return tuple(res)
 
 
-def make_from_table(size: int, conj_table, one: int, zero: int, name: str = "chain") -> Chain:
-    """Validate a conjunction table and build a chain from it.
-
-    Validation exhaustively checks neutrality of ``one``, monotonicity,
-    commutativity, associativity, and existence of residua, raising
-    ChainTableError naming the first failed axiom with a witness.
-    """
-    if size < 2:
-        raise ValueError(f"chain size must be at least 2, got {size}")
-    table = tuple(tuple(row) for row in conj_table)
-    if len(table) != size or any(len(row) != size for row in table):
-        raise ValueError(f"conjunction table must be {size}x{size}")
-    for row in table:
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < size:
-                raise ValueError(f"table entry {v!r} is not a rank below {size}")
-    if not 0 <= one < size:
-        raise ValueError(f"one={one} is not a rank below {size}")
-    if not 0 <= zero < size:
-        raise ValueError(f"zero={zero} is not a rank below {size}")
-    failure = _find_axiom_failure(size, table, one)
-    if failure is not None:
-        raise ChainTableError(*failure)
-    return Chain(
-        size=size,
-        conj_table=table,
-        one=one,
-        zero=zero,
-        name=name,
-        res_table=_build_res_table(size, table),
-    )
-
-
 def make_lukasiewicz(n: int) -> Chain:
     """Lukasiewicz chain on n ranks: a*b = max(0, a+b-(n-1)), one = top."""
     table = [[max(0, a + b - (n - 1)) for b in range(n)] for a in range(n)]
     name = "bool" if n == 2 else f"luk:{n}"
-    return make_from_table(n, table, one=n - 1, zero=0, name=name)
+    return Chain(n, table, one=n - 1, zero=0, name=name)
 
 
 def make_godel(n: int) -> Chain:
     """Godel chain on n ranks: a*b = min(a, b), one = top."""
     table = [[min(a, b) for b in range(n)] for a in range(n)]
-    return make_from_table(n, table, one=n - 1, zero=0, name=f"godel:{n}")
+    return Chain(n, table, one=n - 1, zero=0, name=f"godel:{n}")
 
 
 def boolean_chain() -> Chain:
@@ -214,6 +205,11 @@ def chain_from_text(text: str) -> Chain:
     Header ``chain <name> <n> one=<r> zero=<r>`` followed by n rows of n
     space-separated ranks.  Trailing garbage is rejected.
     """
+    return Chain(**_chain_fields(text))
+
+
+def _chain_fields(text: str) -> dict:
+    """The ``Chain`` arguments read from the chain format, unvalidated."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise FileFormatError("empty chain file")
@@ -247,7 +243,8 @@ def chain_from_text(text: str) -> Chain:
             table.append([int(p) for p in parts])
         except ValueError:
             raise FileFormatError(f"non-integer entry in table row {i}: {ln!r}") from None
-    return make_from_table(size, table, one=params["one"], zero=params["zero"], name=name)
+    return {"size": size, "conj_table": table, "one": params["one"], "zero": params["zero"],
+            "name": name}
 
 
 def resolve_chain(ref: str) -> Chain:
@@ -260,9 +257,11 @@ def resolve_chain(ref: str) -> Chain:
                 n = int(ref[len(prefix):])
             except ValueError:
                 raise FileFormatError(f"bad chain reference: {ref!r}") from None
-            return maker(n)
+            try:
+                return maker(n)
+            except ValueError as exc:  # fewer than two ranks
+                raise FileFormatError(str(exc)) from None
     if not os.path.exists(ref):
         raise FileFormatError(f"unknown chain reference and no such file: {ref!r}")
     with open(ref, "r", encoding="utf-8") as fh:
-        chain = chain_from_text(fh.read())
-    return replace(chain, name=ref)
+        return Chain(**{**_chain_fields(fh.read()), "name": ref})

@@ -8,7 +8,11 @@ Four classes over the one-binary-predicate signature are built in:
 * ``k3`` threshold partial orders: the filter cut of the relation is a
   partial order; values below the filter are unconstrained.
 
-Membership predicates compare ranks in the ``<`` table.  The hereditary,
+Each class is stated once: a condition on the loops plus a cell check,
+the conditions on the values of (x, y) and (y, x) for pairs of
+positions, as rank comparisons in the ``<`` table.  Membership runs the
+cell check over every position; the amalgamators in ``fraisse`` run the
+same check over the cross cells of an amalgam only.  The hereditary,
 joint-embedding, and amalgamation property checkers run over bounded
 exhaustive enumerations of isomorphism types and report counterexamples.
 Each built-in class comes with a closed-form amalgamator; the checkers
@@ -18,6 +22,7 @@ amalgamation property that search covers disjoint amalgams only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -55,11 +60,11 @@ class ClassSpec:
     ``amalgamate`` maps a v-formation to a member containing both arms,
     raising ``AmalgamationError`` when it cannot; over the empty base it
     also gives joint extensions.  The built-in amalgamators check the
-    second arm with the full membership predicate but the amalgam only
-    on the conditions that involve a cross cell (a delta check), so the
-    first arm must already be a member.  ``check_ap`` and ``check_jep``
-    pass enumerated members; ``build_limit`` and ``replay_transcript``
-    pass a stage that is a checked initial structure or an amalgam.
+    second arm with the membership predicate but the amalgam only on its
+    cross cells, so the first arm must already be a member.
+    ``check_ap`` and ``check_jep`` pass enumerated members;
+    ``build_limit`` and ``replay_transcript`` pass a stage that is a
+    checked initial structure or an amalgam.
     When ``amalgamate`` is None the JEP and AP checkers search
     exhaustively for witnesses, the AP checker among disjoint amalgams
     only, and the limit builder refuses the class.  Specs compare by
@@ -71,35 +76,123 @@ class ClassSpec:
     amalgamate: object = None
 
 
-def _require_lt(m: GradedStructure) -> tuple[int, ...]:
-    """The table of ``<``; membership is defined over that one predicate."""
+# Ranks are read from validated tables and compared as plain ints.
+# Since ``one`` is neutral, res(x, y) >= one exactly when x <= y, so
+# "res(x, y) is in the filter" is the comparison x <= y.  A cell check
+# ``cells_ok(m, xs, ys)`` checks the conditions that involve a cell
+# (x, y) or (y, x) with x in xs and y in ys.
+
+
+def _member(m: GradedStructure, loops_in_filter: bool, cells_ok) -> bool:
+    """A nonempty structure over ``<`` whose loops are all in the filter
+    (or all below it) and whose every cell passes ``cells_ok``."""
     if m.signature != SIG_LT:
         raise ValueError("class membership is defined over the one-binary-predicate signature")
-    return m.pred_tables[0]
+    lt = m.pred_tables[0]
+    n = len(m.universe)
+    if not n:
+        return False
+    loops = lt[::n + 1]
+    one = m.chain.one
+    if min(loops) < one if loops_in_filter else max(loops) >= one:
+        return False
+    return cells_ok(m, range(n), range(n))
 
 
-# Membership reads ranks from validated tables and compares them as
-# plain ints.  Since ``one`` is neutral, res(x, y) >= one exactly when
-# x <= y, so "res(x, y) is in the filter" is the comparison x <= y.
+@functools.lru_cache(maxsize=64)
+def _level_code(levels, size: int) -> bytes:
+    """Byte v has bit i set when rank v is at least ``levels[i]``; one
+    entry per rank, padded to 256 entries so that it serves ``bytes.translate``."""
+    return bytes(sum(1 << i for i, t in enumerate(levels) if v >= t)
+                 for v in range(size)).ljust(256, b"\0")
+
+
+def _cuts_transitive(m: GradedStructure, xs, ys, levels, antisymmetric=False) -> bool:
+    """Whether every cut {v >= t} of m, t in ``levels``, is transitive
+    (and antisymmetric, when asked) on the cells (x, y) and (y, x), x in
+    ``xs`` and y in ``ys``.
+
+    A cut is transitive exactly when row(a) and col(c) are disjoint for
+    every cell (a, c) outside it, so over every position this is the
+    full check.  Over the cross cells of an amalgam, xs and ys are the
+    two arms' new elements and the cuts are known to be transitive on
+    both arms; a triple outside both arms has a cross cell among its
+    three, so it is enough to check, for each cross cell (a, c) in both
+    directions: at the levels where (a, c) is in the cut, row(c) is a
+    subset of row(a) and col(a) of col(c); at the others, row(a) and
+    col(c) are disjoint.  The cells are visited as xs x ys and then as
+    ys x xs, or once when xs equals ys, and no loop is asked to be
+    antisymmetric.  Eight levels at a time share one pass: each cell
+    becomes a byte whose bit i says whether it is in the i-th cut, rows
+    and columns become ints of those bytes, and a cell's byte, repeated
+    across an int, masks the levels that each condition applies to.
+    """
+    lt = m.pred_tables[0]
+    n = len(m.universe)
+    size = m.chain.size
+    sides = ((xs, ys),) if xs == ys else ((xs, ys), (ys, xs))
+    # bytes() takes ranks below 256 only; a larger chain's cells are coded one by one.
+    ranks = bytes(lt) if size <= 256 else None
+    starts = range(0, n * n, n)
+    ones = int.from_bytes(b"\1" * n, "little")
+    for g in range(0, len(levels), 8):
+        group = levels[g:g + 8]
+        code = _level_code(group, size)
+        every = (1 << len(group)) - 1
+        cut = bytes(map(code.__getitem__, lt)) if ranks is None else ranks.translate(code)
+        rows = [int.from_bytes(cut[i:i + n], "little") for i in starts]
+        cols = [int.from_bytes(cut[p::n], "little") for p in range(n)]
+        for heads, tails in sides:
+            for a in heads:
+                row, col, start = rows[a], cols[a], a * n
+                for c in tails:
+                    held = cut[start + c]
+                    if held:
+                        if antisymmetric and a != c and held & cut[c * n + a]:
+                            return False
+                        if (rows[c] & ~row | col & ~cols[c]) & held * ones:
+                            return False
+                        if held == every:
+                            continue
+                    if row & cols[c] & (every ^ held) * ones:
+                        return False
+    return True
+
+
+def _k0_cells_ok(m: GradedStructure, xs, ys) -> bool:
+    """k0 on the cells: every cut above bottom is transitive."""
+    return _cuts_transitive(m, xs, ys, range(1, m.chain.size))
+
+
+def _k1_cells_ok(m: GradedStructure, xs, ys) -> bool:
+    """k1 on the cells: symmetric values."""
+    lt = m.pred_tables[0]
+    n = len(m.universe)
+    return all(lt[x * n + y] == lt[y * n + x] for x in xs for y in ys)
+
+
+def _k2_cells_ok(m: GradedStructure, xs, ys) -> bool:
+    """k2 on the cells: totality at ``one``, then k0."""
+    lt = m.pred_tables[0]
+    n = len(m.universe)
+    one = m.chain.one
+    return (all(max(lt[x * n + y], lt[y * n + x]) >= one for x in xs for y in ys)
+            and _k0_cells_ok(m, xs, ys))
+
+
+def _k3_cells_ok(m: GradedStructure, xs, ys) -> bool:
+    """k3 on the cells: the cut at ``one`` is transitive and antisymmetric."""
+    return _cuts_transitive(m, xs, ys, (m.chain.one,), antisymmetric=True)
 
 
 def k0_member(m: GradedStructure) -> bool:
     """Graded preorder: loops and all transitivity instances in the filter.
 
     A transitivity instance res(min(v(a,b), v(b,c)), v(a,c)) is in the
-    filter exactly when min(v(a,b), v(b,c)) <= v(a,c).
+    filter exactly when min(v(a,b), v(b,c)) <= v(a,c), that is, when
+    every cut above bottom is transitive.
     """
-    lt = _require_lt(m)
-    n = len(m.universe)
-    if not n or min(lt[::n + 1]) < m.chain.one:
-        return False
-    rows = [lt[a * n:(a + 1) * n] for a in range(n)]
-    for row_a in rows:
-        for vab, row_b in zip(row_a, rows):
-            for vbc, vac in zip(row_b, row_a):
-                if min(vab, vbc) > vac:
-                    return False
-    return True
+    return _member(m, True, _k0_cells_ok)
 
 
 def k1_member(m: GradedStructure) -> bool:
@@ -108,43 +201,19 @@ def k1_member(m: GradedStructure) -> bool:
     res(v(a,b), v(b,a)) is in the filter for all a, b exactly when
     v(a,b) <= v(b,a) for all a, b, that is, when v is symmetric.
     """
-    lt = _require_lt(m)
-    n = len(m.universe)
-    if not n or max(lt[::n + 1]) >= m.chain.one:
-        return False
-    return all(lt[a * n:(a + 1) * n] == lt[a::n] for a in range(n))
+    return _member(m, False, _k1_cells_ok)
 
 
 def k2_member(m: GradedStructure) -> bool:
     """Graded total preorder: preorder conditions plus totality."""
-    if not k0_member(m):
-        return False
-    lt = m.pred_tables[0]
-    n = len(m.universe)
-    one = m.chain.one
-    return all(max(vab, vba) >= one
-               for a in range(n) for vab, vba in zip(lt[a * n:(a + 1) * n], lt[a::n]))
+    return _member(m, True, _k2_cells_ok)
 
 
 def k3_member(m: GradedStructure) -> bool:
     """Threshold partial order: the filter cut is reflexive, transitive,
     and antisymmetric; these are conditionals on filter membership, not
     graded formulas."""
-    lt = _require_lt(m)
-    n = len(m.universe)
-    if not n:
-        return False
-    one = m.chain.one
-    cut = [[v >= one for v in lt[a * n:(a + 1) * n]] for a in range(n)]
-    if not all(cut[a][a] for a in range(n)):
-        return False
-    for a in range(n):
-        for b in range(n):
-            if a == b or not cut[a][b]:
-                continue
-            if cut[b][a] or any(bc and not ac for bc, ac in zip(cut[b], cut[a])):
-                return False
-    return True
+    return _member(m, True, _k3_cells_ok)
 
 
 # --- enumeration ---
@@ -285,7 +354,7 @@ def check_jep(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
                            for c in candidates if len(c) <= limit):
                     bad.append(Counterexample("jep", f"type[{i}] and type[{j}] have no common extension"))
                 continue
-            problem = _amalgam_problem(spec, fraisse._joint_v_formation(m1, m2), "a common extension")
+            problem = _amalgam_problem(spec, fraisse.align_v_formation(m1, m2, {}), "a common extension")
             if problem is None:
                 constructed += 1
             else:

@@ -4,9 +4,9 @@ A v-formation is two structures; its base is the set of ids they share,
 on which they must agree.  Every built-in class amalgamates through one
 core: the union of the arm universes, built row by row, with each cross
 pair set by the class's closed-form rule.  The core checks the second
-arm with the full membership predicate and the amalgam with the class's
-delta check, which looks only at the conditions that involve a cross
-cell.  That is exact only when the first arm is a member, so every
+arm with the class's membership predicate and the amalgam with the
+class's cell check from ``classes``, run over the cross cells only.
+That is exact only when the first arm is a member, so every
 ``amalgamate_k*`` takes a member as its first arm; they are reached
 through ``get_class(name).amalgamate``.  Either failure raises
 ``AmalgamationError``.  Joint extension is the amalgam over the empty
@@ -21,7 +21,6 @@ reporting defects instead of failing.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -29,14 +28,24 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .algebra import Chain, make_from_table
-from .classes import enumerate_class, get_class, k0_member, k1_member, k2_member, k3_member
-from .errors import AmalgamationError, BudgetError, FileFormatError
+from .algebra import Chain
+from .classes import (
+    _k0_cells_ok,
+    _k1_cells_ok,
+    _k2_cells_ok,
+    _k3_cells_ok,
+    enumerate_class,
+    get_class,
+    k0_member,
+    k1_member,
+    k2_member,
+    k3_member,
+)
+from .errors import AmalgamationError, BudgetError, ChainTableError, FileFormatError
 from .logic import SIG_LT
 from .structure import (
     GradedStructure,
     _pull,
-    _rename_apart,
     _require_compatible,
     canonical_form,
     find_embeddings,
@@ -163,18 +172,18 @@ def _amalgam_frame(v: VFormation):
     return universe, new1, ext2, assemble
 
 
-def _amalgamate(v: VFormation, cross_rule, member, cross_ok) -> GradedStructure:
+def _amalgamate(v: VFormation, cross_rule, member, cells_ok) -> GradedStructure:
     """The amalgamation core shared by every built-in class.
 
     ``cross_rule(x, y)`` gives the values of (x, y) and (y, x) for x new
     in the first arm and y new in the second, both given by their
     positions in their own arm.  ``member`` is the class's membership
-    predicate, checked on the second arm.  ``cross_ok(out, xs, ys)`` is
-    the class's delta check: given the amalgam ``out`` and the two arms'
-    new elements as positions in it, it checks only the membership
-    conditions that involve a cross cell, in O(n * (n + |cross|)) steps
-    instead of the full predicate's O(n^3).  It is exact when both arms
-    are members, so the first arm must already be one; the callers
+    predicate, checked on the second arm.  ``cells_ok(out, xs, ys)`` is
+    the class's cell check, the one that ``member`` runs over every
+    position; here it runs over the cross cells only, with xs and ys the
+    two arms' new elements as positions in the amalgam ``out``, in
+    O(n * (n + |cross|)) steps.  That is exact when both arms are
+    members, so the first arm must already be one; the callers
     guarantee it.  ``check_ap`` and ``check_jep`` pass enumerated
     members, and ``build_limit`` and ``replay_transcript`` pass the
     current stage, which is a checked initial stage or an amalgam.
@@ -187,84 +196,9 @@ def _amalgamate(v: VFormation, cross_rule, member, cross_ok) -> GradedStructure:
         forward, backward = zip(*[cross_rule(x, y) for x in new1 for y in ext2])
     out = GradedStructure(v.arm1.chain, SIG_LT, universe, (assemble(forward, backward),),
                           name="amalgam")
-    if forward and not cross_ok(out, new1, range(len(v.arm1.universe), len(universe))):
+    if forward and not cells_ok(out, new1, range(len(v.arm1.universe), len(universe))):
         raise AmalgamationError(f"cross rule lost membership ({member.__name__} fails on a cross cell)")
     return out
-
-
-@functools.lru_cache(maxsize=64)
-def _level_code(levels, size: int) -> bytes:
-    """Byte v has bit i set when rank v is at least ``levels[i]``; one
-    entry per rank, padded to 256 entries so that it serves ``bytes.translate``."""
-    return bytes(sum(1 << i for i, t in enumerate(levels) if v >= t)
-                 for v in range(size)).ljust(256, b"\0")
-
-
-def _cuts_transitive(m: GradedStructure, xs, ys, levels, antisymmetric=False) -> bool:
-    """Whether every cut {v >= t} of m, t in ``levels``, is transitive
-    (and antisymmetric, when asked), given that it is on both arms.
-
-    ``xs`` and ``ys`` are the two arms' new elements as positions in m,
-    so the cross pairs are xs x ys.  A triple outside both arms has a
-    cross cell among its three, so it is enough to check, for each cross
-    cell (a, c) in both directions: at the levels where (a, c) is in the
-    cut, row(c) is a subset of row(a) and col(a) of col(c); at the
-    others, row(a) and col(c) are disjoint.  Eight levels at a time
-    share one pass: each cell becomes a byte whose bit i says whether it
-    is in the i-th cut, rows and columns become ints of those bytes, and
-    a cell's byte, repeated across an int, masks the levels that each
-    condition applies to.
-    """
-    lt = m.pred_tables[0]
-    n = len(m.universe)
-    size = m.chain.size
-    # bytes() takes ranks below 256 only; a larger chain's cells are coded one by one.
-    ranks = bytes(lt) if size <= 256 else None
-    starts = range(0, n * n, n)
-    ones = int.from_bytes(b"\1" * n, "little")
-    for g in range(0, len(levels), 8):
-        group = levels[g:g + 8]
-        code = _level_code(group, size)
-        every = (1 << len(group)) - 1
-        cut = bytes(map(code.__getitem__, lt)) if ranks is None else ranks.translate(code)
-        rows = [int.from_bytes(cut[i:i + n], "little") for i in starts]
-        cols = [int.from_bytes(cut[p::n], "little") for p in range(n)]
-        for x in xs:
-            for y in ys:
-                if antisymmetric and cut[x * n + y] & cut[y * n + x]:
-                    return False
-                for a, c in ((x, y), (y, x)):
-                    held = cut[a * n + c]
-                    if ((rows[c] & ~rows[a] | cols[a] & ~cols[c]) & held * ones
-                            or rows[a] & cols[c] & (every ^ held) * ones):
-                        return False
-    return True
-
-
-def _k0_cross_ok(m: GradedStructure, xs, ys) -> bool:
-    """k0 on the cross cells: every cut above bottom stays transitive."""
-    return _cuts_transitive(m, xs, ys, range(1, m.chain.size))
-
-
-def _k1_cross_ok(m: GradedStructure, xs, ys) -> bool:
-    """k1 on the cross cells: symmetric values."""
-    lt = m.pred_tables[0]
-    n = len(m.universe)
-    return all(lt[x * n + y] == lt[y * n + x] for x in xs for y in ys)
-
-
-def _k2_cross_ok(m: GradedStructure, xs, ys) -> bool:
-    """k2 on the cross cells: totality at ``one``, then k0."""
-    lt = m.pred_tables[0]
-    n = len(m.universe)
-    one = m.chain.one
-    return (all(max(lt[x * n + y], lt[y * n + x]) >= one for x in xs for y in ys)
-            and _k0_cross_ok(m, xs, ys))
-
-
-def _k3_cross_ok(m: GradedStructure, xs, ys) -> bool:
-    """k3 on the cross cells: the cut at ``one`` stays a partial order."""
-    return _cuts_transitive(m, xs, ys, (m.chain.one,), antisymmetric=True)
 
 
 def _composition(v: VFormation):
@@ -295,7 +229,7 @@ def amalgamate_k0(v: VFormation) -> GradedStructure:
     the base, which is the whole sup-min closure of the union.  The
     first arm must be a member (see ``_amalgamate``).
     """
-    return _amalgamate(v, _composition(v), k0_member, _k0_cross_ok)
+    return _amalgamate(v, _composition(v), k0_member, _k0_cells_ok)
 
 
 def amalgamate_k1(v: VFormation) -> GradedStructure:
@@ -306,7 +240,7 @@ def amalgamate_k1(v: VFormation) -> GradedStructure:
     (see ``_amalgamate``).
     """
     bot = v.arm1.chain.bot
-    return _amalgamate(v, lambda x, y: (bot, bot), k1_member, _k1_cross_ok)
+    return _amalgamate(v, lambda x, y: (bot, bot), k1_member, _k1_cells_ok)
 
 
 def _k2_key(arm: GradedStructure, base, z: int, levels) -> tuple[int, ...]:
@@ -385,7 +319,7 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
         cxy, cyx = through(x, y)
         return max(cxy, forward), max(cyx, backward)
 
-    return _amalgamate(v, rule, k2_member, _k2_cross_ok)
+    return _amalgamate(v, rule, k2_member, _k2_cells_ok)
 
 
 def amalgamate_k3(v: VFormation) -> GradedStructure:
@@ -404,7 +338,7 @@ def amalgamate_k3(v: VFormation) -> GradedStructure:
         cxy, cyx = through(x, y)
         return (one if cxy >= one else zero), (one if cyx >= one else zero)
 
-    return _amalgamate(v, rule, k3_member, _k3_cross_ok)
+    return _amalgamate(v, rule, k3_member, _k3_cells_ok)
 
 
 _SEARCH_CAP = 10**6
@@ -433,14 +367,6 @@ def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
         if membership(out):
             return out
     return None
-
-
-def _joint_v_formation(m1: GradedStructure, m2: GradedStructure) -> VFormation:
-    """The v-formation of m1 and m2 over the empty base, m2 renamed apart.
-
-    Its amalgam is a joint extension of the two.
-    """
-    return VFormation(m1, _rename_apart(m1, m2))
 
 
 # --- stage-wise limit construction ---
@@ -510,7 +436,11 @@ class Transcript:
         """Parse ``to_json`` output; a missing key, a value of the wrong
         type, a negative ``stages`` or ``budget``, or an event outside the
         recorded stages raises ``FileFormatError``."""
-        payload = _json_fields(json.loads(text), _TRANSCRIPT_FIELDS, "transcript")
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(str(exc)) from None
+        payload = _json_fields(payload, _TRANSCRIPT_FIELDS, "transcript")
         cdata = _json_fields(payload["chain"], _CHAIN_FIELDS, "transcript chain")
         if not all(isinstance(row, list) for row in cdata["conj"]):
             raise FileFormatError("transcript chain field 'conj' is not a list of rows")
@@ -524,8 +454,11 @@ class Transcript:
             if not 0 <= e["stage"] < payload["stages"]:
                 raise FileFormatError(f"transcript event {i} stage {e['stage']} is outside "
                                       f"0..{payload['stages'] - 1}")
-        chain = make_from_table(cdata["size"], cdata["conj"], one=cdata["one"],
-                                zero=cdata["zero"], name=cdata["name"])
+        try:
+            chain = Chain(cdata["size"], cdata["conj"], one=cdata["one"], zero=cdata["zero"],
+                          name=cdata["name"])
+        except (ValueError, ChainTableError) as exc:
+            raise FileFormatError(str(exc)) from None
         return Transcript(
             class_name=payload["class"],
             chain=chain,
@@ -566,7 +499,7 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
     member enumeration order (permutable via ``shuffle_seed``).  The
     first stage is an enumerated member and every later one an amalgam,
     so the current stage, the first arm of each amalgamation, is a
-    member, as the class's delta check needs.
+    member, as the check of an amalgam's cross cells needs.
 
     Returns (stage structures, transcript).
     """

@@ -347,15 +347,6 @@ def fresh_names(base: str, count: int, taken) -> list[str]:
     return out
 
 
-def _rename_apart(m1: GradedStructure, m2: GradedStructure) -> GradedStructure:
-    """m2 with each id it shares with m1 replaced, in m2's order, by a fresh u0, u1, ..."""
-    overlap = [e for e in m2.universe if e in m1.positions]
-    if not overlap:
-        return m2
-    news = fresh_names("u", len(overlap), set(m1.universe) | set(m2.universe))
-    return rename(m2, dict(zip(overlap, news)))
-
-
 def age(m: GradedStructure, k: int) -> set[bytes]:
     """Canonical forms of the induced substructures on at most k elements."""
     if k < 1:

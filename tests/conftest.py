@@ -1,6 +1,6 @@
 import pytest
 
-from gradedmodels.algebra import boolean_chain, make_from_table, make_godel, make_lukasiewicz
+from gradedmodels.algebra import Chain, boolean_chain, make_godel, make_lukasiewicz
 
 U3_ROWS = ((0, 0, 0), (0, 1, 2), (0, 2, 2))
 
@@ -10,7 +10,7 @@ FIVE_CHAINS = (
     boolean_chain(),
     make_lukasiewicz(3),
     make_godel(3),
-    make_from_table(3, U3_ROWS, one=1, zero=0, name="u3"),
+    Chain(3, U3_ROWS, one=1, zero=0, name="u3"),
     make_lukasiewicz(4),
 )
 
@@ -42,4 +42,4 @@ def godel4():
 
 @pytest.fixture(scope="session")
 def u3():
-    return make_from_table(3, U3_ROWS, one=1, zero=0, name="u3")
+    return Chain(3, U3_ROWS, one=1, zero=0, name="u3")

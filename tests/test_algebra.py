@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from gradedmodels import algebra
 from gradedmodels.algebra import (
+    Chain,
     chain_from_text,
     chain_to_text,
-    make_from_table,
     make_godel,
     make_lukasiewicz,
     resolve_chain,
@@ -79,7 +80,7 @@ def test_u3_table_is_valid(u3):
 
 def test_u3_wrong_one_reports_neutrality():
     with pytest.raises(ChainTableError) as err:
-        make_from_table(3, U3_ROWS, one=2, zero=0)
+        Chain(3, U3_ROWS, one=2, zero=0)
     assert err.value.axiom == "neutrality"
     # the witness really does violate neutrality of the claimed unit
     a, x = err.value.witness
@@ -90,8 +91,18 @@ def test_u3_row_swap_reports_monotonicity():
     rows = [list(r) for r in U3_ROWS]
     rows[2][0], rows[2][1] = rows[2][1], rows[2][0]
     with pytest.raises(ChainTableError) as err:
-        make_from_table(3, rows, one=1, zero=0)
+        Chain(3, rows, one=1, zero=0)
     assert err.value.axiom == "monotonicity"
+
+
+def test_direct_construction_validates():
+    # 1 is not neutral here: 1*0 = 1.
+    with pytest.raises(ChainTableError) as err:
+        Chain(2, ((1, 1), (1, 1)), 1, 0)
+    assert err.value.axiom == "neutrality"
+    built = Chain(2, ((0, 0), (0, 1)), 1, 0)
+    assert built.res_table == ((1, 1), (0, 1))
+    assert built.res(1, 0) == 0
 
 
 def test_too_small_chain_rejected():
@@ -100,7 +111,7 @@ def test_too_small_chain_rejected():
     with pytest.raises(ValueError):
         make_godel(0)
     with pytest.raises(ValueError):
-        make_from_table(1, [[0]], one=0, zero=0)
+        Chain(1, [[0]], one=0, zero=0)
 
 
 def test_out_of_range_rank_rejected(luk3):
@@ -152,7 +163,7 @@ def test_twenty_mutated_tables_rejected_with_correct_axiom(luk4, u3):
         if not actually_failed:
             continue
         with pytest.raises(ChainTableError) as err:
-            make_from_table(base.size, rows, one=base.one, zero=base.zero)
+            Chain(base.size, rows, one=base.one, zero=base.zero)
         assert err.value.axiom in actually_failed
         rejected += 1
     assert rejected == 20
@@ -166,7 +177,7 @@ def test_twenty_mutated_tables_rejected_with_correct_axiom(luk4, u3):
     lambda: make_godel(3),
     lambda: make_godel(4),
     lambda: make_godel(6),
-    lambda: make_from_table(3, U3_ROWS, one=1, zero=0),
+    lambda: Chain(3, U3_ROWS, one=1, zero=0),
 ])
 def test_adjunction_all_triples(maker):
     ch = maker()
@@ -179,7 +190,7 @@ def test_adjunction_all_triples(maker):
 @pytest.mark.parametrize("maker", [
     lambda: make_lukasiewicz(4),
     lambda: make_godel(4),
-    lambda: make_from_table(3, U3_ROWS, one=1, zero=0),
+    lambda: Chain(3, U3_ROWS, one=1, zero=0),
 ])
 def test_res_reflexivity_and_order_law(maker):
     ch = maker()
@@ -201,9 +212,20 @@ def test_linearity_sanity(u3, luk4):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_builtin_chains_roundtrip_through_validator(n):
     for built in (make_lukasiewicz(n), make_godel(n)):
-        again = make_from_table(built.size, built.conj_table, one=built.one, zero=built.zero)
+        again = Chain(built.size, built.conj_table, one=built.one, zero=built.zero)
         assert again.conj_table == built.conj_table
         assert again.res_table == built.res_table
+
+
+def test_chain_file_is_validated_once(tmp_path, u3, monkeypatch):
+    path = tmp_path / "u3.chain"
+    path.write_text(chain_to_text(u3), encoding="utf-8")
+    calls = []
+    check = algebra._find_axiom_failure
+    monkeypatch.setattr(algebra, "_find_axiom_failure", lambda *a: calls.append(a) or check(*a))
+    assert resolve_chain(str(path)) == u3
+    assert chain_from_text(chain_to_text(u3)) == u3
+    assert len(calls) == 2
 
 
 def test_chain_file_roundtrip(tmp_path, u3):
@@ -234,3 +256,6 @@ def test_resolve_chain_refs():
         resolve_chain("luk:x")
     with pytest.raises(FileFormatError):
         resolve_chain("no-such-chain")
+    for ref in ("luk:1", "godel:0"):
+        with pytest.raises(FileFormatError, match="^chain size must be at least 2, got"):
+            resolve_chain(ref)

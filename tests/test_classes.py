@@ -22,8 +22,17 @@ from gradedmodels.classes import (
 )
 from gradedmodels.errors import BudgetError
 from gradedmodels.fraisse import amalgamate_k1
-from gradedmodels.logic import evaluate, parse_formula
-from gradedmodels.structure import binary_structure, canonical_form, find_embeddings, rename
+from gradedmodels.logic import SIG_LT, evaluate, parse_formula
+from gradedmodels.structure import (
+    GradedStructure,
+    binary_structure,
+    canonical_form,
+    find_embeddings,
+    rename,
+)
+
+from conftest import FIVE_CHAINS
+from membership_reference import REFERENCE
 
 LUK3 = make_lukasiewicz(3)
 
@@ -81,6 +90,24 @@ def test_membership_rejects_empty_and_wrong_signature(luk3):
                            signature=Signature(predicates=(("P", 1),)))
     with pytest.raises(ValueError):
         k0_member(other)
+
+
+@pytest.mark.parametrize("chain, max_size", [(c, 4 if c.name == "bool" else 3) for c in FIVE_CHAINS[:4]],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_membership_agrees_with_reference_on_every_small_table(chain, max_size):
+    """Every table of at most ``max_size`` elements, the empty one included,
+    against the rank loops of ``membership_reference``."""
+    specs = [get_class(name) for name in sorted(REFERENCE)]
+    verdicts = set()
+    for n in range(max_size + 1):
+        elems = tuple(f"e{i}" for i in range(n))
+        for table in itertools.product(chain.ranks(), repeat=n * n):
+            m = GradedStructure(chain, SIG_LT, elems, (table,))
+            for spec in specs:
+                verdict = spec.membership(m)
+                assert verdict == REFERENCE[spec.name](m), (spec.name, table)
+                verdicts.add((spec.name, n, verdict))
+    assert len(verdicts) == 4 + 4 * 2 * max_size
 
 
 # --- classical oracles on the Boolean chain ---
@@ -305,7 +332,8 @@ def sentence_member(class_name, m):
 def test_sentence_checks_agree_with_pointwise(name, bool_chain, luk3, godel3, u3, luk4):
     member = get_class(name).membership
     for chain in (bool_chain, luk3, godel3, u3, luk4):
-        for n in (1, 2):
+        # Three elements give the first transitivity triples of distinct elements.
+        for n in (1, 2, 3) if chain in (bool_chain, u3) else (1, 2):
             elems = [f"e{i}" for i in range(n)]
             for vals in itertools.product(range(chain.size), repeat=n * n):
                 values = {

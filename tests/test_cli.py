@@ -121,6 +121,45 @@ def test_limit_build_luk4_stage_digests(klass, tmp_path, capsys):
     assert digest == LUK4_STAGE2_SHA256[klass]
 
 
+# sha256 of ``check --format tsv`` standard output, statistics lines included,
+# keyed by (property, class, chain, k).  Every run exits 0.
+CHECK_TSV_SHA256 = {
+    ("hp", "k0", "bool", 3): "6845f48a91109f01bc987d1161392563e4f43a9df301500a8d5d908d10826e0a",
+    ("hp", "k1", "bool", 3): "a47c3a596f26014c96b873400cb6c802051c1925dc60dc9b16829dd33cf67720",
+    ("hp", "k2", "bool", 3): "28aecc831ce8bec6a421e43060100b86de59a46dd7c3a7634160aae8c7f5197d",
+    ("hp", "k3", "bool", 3): "f991655e2619aeffc166bfcd9e44d5e42551cfecc97532f9658c4a621f37a7d9",
+    ("jep", "k0", "bool", 3): "01225987e4f04186d75982fd9794698cb5bc1d87710b8664d5e73ab5125fb142",
+    ("jep", "k1", "bool", 3): "7ffe67b6b003a63809577e2732f5250fac4adb31ae55e6ec7c888f0dff3aa8ac",
+    ("jep", "k2", "bool", 3): "e15ac9e4bace965a366ee251352ce0a628b1225d00a10b147575ae9cc548f3ea",
+    ("jep", "k3", "bool", 3): "ccc5a62754025b197147104ca874d52f2a6d0f3176ba0c525bac47b78d061383",
+    ("ap", "k0", "bool", 3): "e49179289b4fe36d7ff3858fe9bb68bd1f87ab0a5cbaf5f9189428636924af1a",
+    ("ap", "k1", "bool", 3): "3a7fd8c1511400c43f6d98813befca7f6186797e9032a66b6024217761ec8afc",
+    ("ap", "k2", "bool", 3): "55ad9c052dee304c3679bce6d459f7689e8ca381a92b09abece434d4b4f2f6b7",
+    ("ap", "k3", "bool", 3): "2456999b5539615a48a144d15ac6293cc2f4c60d5dce2aa06d6cfb964de2d3e3",
+    ("hp", "k0", "luk:4", 2): "b540b79a1683f492f42373562db7c122e2258e963b6d1738dee65746737f75f9",
+    ("hp", "k1", "luk:4", 2): "32eef1b8c15a27472554d9645f791843a027b884e100c9338957c8d470a2957f",
+    ("hp", "k2", "luk:4", 2): "b5e82f95150743fd76eef8ab56b46edfac2f291f7787611c6ccb14358f3a32bb",
+    ("hp", "k3", "luk:4", 2): "6323c9d194e9d11848426c8c8daf72ee43fb58b118eb776585fe7d078bc8c3f1",
+    ("jep", "k0", "luk:4", 2): "5a361e35ef24927bae4ef590c9d02f0cf09c52ca75e063ae808e2fce814496bf",
+    ("jep", "k1", "luk:4", 2): "899d04ff6f231cd70d696c197d850c576e67b0efb88a827cd142af6cc6e6bc75",
+    ("jep", "k2", "luk:4", 2): "43a24826705b991dde79e0f4020cd042aae4a68c6fcf789d5ff7d5a568d7d12a",
+    ("jep", "k3", "luk:4", 2): "0366df8b315c7fa4bd3625c97b87920517da020f26d9980b3cc3e86d7d80bd40",
+    ("ap", "k0", "luk:4", 2): "24bc0a39e3f6a901a0f18ed863d6ed95e5f81dce2a64fd66a537d08cd160da3b",
+    ("ap", "k1", "luk:4", 2): "2a1010e3999f8b62e52c88247bbe1bd0dc3c7a4012bc011ad10a15ce483c04c4",
+    ("ap", "k2", "luk:4", 2): "b178d9b3bde4186694dacb87e9b87b248d152d20c23ca60f79397f4568304fa5",
+    ("ap", "k3", "luk:4", 2): "5b62cd23b4050fb07dc10ffdd09ff6f215557e69a2b9b622ff5acfbc6cdaf2bf",
+}
+
+
+@pytest.mark.parametrize("prop, klass, chain, k", sorted(CHECK_TSV_SHA256),
+                         ids=lambda v: str(v))
+def test_check_tsv_digests(prop, klass, chain, k, capsys):
+    rc, out = run(["check", "--class", klass, "--chain", chain, "--k", str(k),
+                   "--property", prop, "--format", "tsv"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_TSV_SHA256[(prop, klass, chain, k)]
+
+
 def test_eval_unknown_element_is_an_error(tmp_path, capsys):
     path = tmp_path / "g.gs"
     path.write_text("structure g chain=luk:3\nelements a b\ndefault 0\n< a b = 2\n")
@@ -146,13 +185,20 @@ MALFORMED_TRANSCRIPTS = {
     "negative budget": {**GOOD_TRANSCRIPT, "budget": -1},
     "event past the last stage": {**GOOD_TRANSCRIPT, "events": [{**GOOD_TRANSCRIPT["events"][0], "stage": 1}]},
     "event before the first stage": {**GOOD_TRANSCRIPT, "events": [{**GOOD_TRANSCRIPT["events"][0], "stage": -1}]},
+    "chain off the axioms": {**GOOD_TRANSCRIPT, "chain": {**GOOD_TRANSCRIPT["chain"], "conj": [[1, 1], [1, 1]]}},
+    "chain of one rank": {**GOOD_TRANSCRIPT,
+                          "chain": {"name": "c", "size": 1, "one": 0, "zero": 0, "conj": [[0]]}},
+    "ragged chain table": {**GOOD_TRANSCRIPT, "chain": {**GOOD_TRANSCRIPT["chain"], "conj": [[0, 0], [0]]}},
+    # Text that is not JSON; every other case is an object to serialize.
+    "not JSON": '{"class": "k1",',
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_TRANSCRIPTS))
 def test_malformed_transcripts_are_file_format_errors(case, tmp_path, capsys):
     assert Transcript.from_json(json.dumps(GOOD_TRANSCRIPT)).events
-    text = json.dumps(MALFORMED_TRANSCRIPTS[case])
+    payload = MALFORMED_TRANSCRIPTS[case]
+    text = payload if isinstance(payload, str) else json.dumps(payload)
     with pytest.raises(FileFormatError):
         Transcript.from_json(text)
     path = tmp_path / "transcript.json"

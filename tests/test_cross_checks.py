@@ -1,9 +1,10 @@
-"""The amalgamation delta checks against full class membership.
+"""The amalgamation cross-cell checks against reference membership.
 
-``fraisse._amalgamate`` checks an amalgam only on the membership
-conditions that involve a cross cell, which is exact when both arms are
-members.  These tests compare each class's delta check with its full
-membership predicate on tables whose arms are members.
+``fraisse._amalgamate`` runs a class's cell check over the cross cells
+of an amalgam only, which is exact when both arms are members.  The
+library's membership runs the same cell check over every cell, so these
+tests compare the cross-cell checks with the rank loops of
+``membership_reference`` instead, on tables whose arms are members.
 """
 
 import itertools
@@ -12,20 +13,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradedmodels import fraisse
+from gradedmodels import classes, fraisse
 from gradedmodels.algebra import make_godel, make_lukasiewicz
 from gradedmodels.classes import enumerate_class, get_class
 from gradedmodels.logic import SIG_LT
 from gradedmodels.structure import GradedStructure, find_embeddings, restrict
 
 from conftest import FIVE_CHAINS
+from membership_reference import REFERENCE
 from test_fraisse import _draw_arm
 
 CROSS_OK = {
-    "k0": fraisse._k0_cross_ok,
-    "k1": fraisse._k1_cross_ok,
-    "k2": fraisse._k2_cross_ok,
-    "k3": fraisse._k3_cross_ok,
+    "k0": classes._k0_cells_ok,
+    "k1": classes._k1_cells_ok,
+    "k2": classes._k2_cells_ok,
+    "k3": classes._k3_cells_ok,
 }
 
 
@@ -53,7 +55,7 @@ def test_delta_check_agrees_with_membership_on_small_v_formations(name, chain):
                     for combo in itertools.product(chain.ranks(), repeat=cells):
                         out = GradedStructure(chain, SIG_LT, universe,
                                               (assemble(combo[0::2], combo[1::2]),))
-                        verdict = spec.membership(out)
+                        verdict = REFERENCE[name](out)
                         assert CROSS_OK[name](out, new1, ys) == verdict, out.pred_tables
                         verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -95,10 +97,10 @@ def _random_member(data, name, chain, n) -> GradedStructure:
 def test_delta_check_agrees_with_membership_one_cross_cell_from_a_member(name, chain, data):
     """A random member of up to 7 elements, split into a base and two
     arms' new parts, with one cross cell set to a random value."""
-    spec = get_class(name)
+    member = REFERENCE[name]
     n = data.draw(st.integers(2, 7))
     m = _random_member(data, name, chain, n)
-    assert spec.membership(m)
+    assert member(m)
     sides = data.draw(st.lists(st.sampled_from("b12"), min_size=n, max_size=n))
     xs = [p for p, side in enumerate(sides) if side == "1"]
     ys = [q for q, side in enumerate(sides) if side == "2"]
@@ -110,8 +112,8 @@ def test_delta_check_agrees_with_membership_one_cross_cell_from_a_member(name, c
     table[p * n + q] = data.draw(st.integers(0, chain.size - 1))
     out = GradedStructure(chain, SIG_LT, m.universe, (tuple(table),))
     for arm in ("b1", "b2"):
-        assert spec.membership(restrict(out, [e for e, s in zip(m.universe, sides) if s in arm]))
-    assert CROSS_OK[name](out, xs, ys) == spec.membership(out)
+        assert member(restrict(out, [e for e, s in zip(m.universe, sides) if s in arm]))
+    assert CROSS_OK[name](out, xs, ys) == member(out)
 
 
 @pytest.mark.parametrize("make_chain", [lambda: make_lukasiewicz(12), lambda: make_godel(257)],
@@ -137,10 +139,10 @@ def test_delta_check_past_eight_levels(make_chain):
     for name in ("k0", "k3"):
         spec = get_class(name)
         out = spec.amalgamate(v)
-        assert spec.membership(out)
+        assert REFERENCE[name](out) and spec.membership(out)
         assert out.value("<", "a", "d") == top and out.value("<", "d", "a") == 0
         bad = list(out.pred_tables[0])
         bad[out.positions["a"] * len(universe) + out.positions["d"]] = top - 1
         broken = GradedStructure(chain, SIG_LT, out.universe, (tuple(bad),))
-        assert not spec.membership(broken)
+        assert not REFERENCE[name](broken) and not spec.membership(broken)
         assert not CROSS_OK[name](broken, new1, ys)

@@ -20,7 +20,6 @@ from gradedmodels.errors import AmalgamationError, BudgetError
 from gradedmodels.fraisse import (
     Transcript,
     VFormation,
-    _joint_v_formation,
     align_v_formation,
     amalgamate_k0,
     amalgamate_k1,
@@ -64,9 +63,9 @@ def test_v_formation_validation(bool_chain, luk3):
 def test_k1_jep_degenerate_two_vertices(bool_chain):
     v1 = binary_structure(bool_chain, ["a"], {("a", "a"): 0})
     v2 = binary_structure(bool_chain, ["b"], {("b", "b"): 0})
-    out = amalgamate_k1(_joint_v_formation(v1, v2))
-    assert len(out.universe) == 2
-    assert out.value("<", "a", "b") == 0 and out.value("<", "b", "a") == 0
+    out = amalgamate_k1(align_v_formation(v1, v2, {}))
+    assert out.universe == ("a", "n0")
+    assert out.value("<", "a", "n0") == 0 and out.value("<", "n0", "a") == 0
 
 
 def test_k1_amalgam_path(bool_chain):
@@ -88,9 +87,9 @@ def test_k1_amalgam_trivial(bool_chain):
 def test_k0_jep_reflexive_singletons(luk3):
     s1 = binary_structure(luk3, ["a"], {("a", "a"): 2})
     s2 = binary_structure(luk3, ["b"], {("b", "b"): 2})
-    out = amalgamate_k0(_joint_v_formation(s1, s2))
+    out = amalgamate_k0(align_v_formation(s1, s2, {}))
     assert k0_member(out)
-    assert out.value("<", "a", "b") == luk3.zero == 0
+    assert out.value("<", "a", "n0") == luk3.zero == 0
 
 
 def test_k0_jep_two_chains(luk3):
@@ -98,7 +97,7 @@ def test_k0_jep_two_chains(luk3):
         luk3, ["a", "b"],
         {("a", "a"): 2, ("b", "b"): 2, ("a", "b"): 2, ("b", "a"): 0},
     )
-    out = amalgamate_k0(_joint_v_formation(chain2, chain2))
+    out = amalgamate_k0(align_v_formation(chain2, chain2, {}))
     assert len(out.universe) == 4
     assert k0_member(out)
 

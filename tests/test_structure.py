@@ -306,8 +306,10 @@ def test_structure_file_rejects_malformed_header_lines(header):
     "structure g chain=luk:3\nelements a a\ndefault 0\n",
     "structure g chain=bool\nelements a\ndefault 5\n",
     "structure g chain=bool\nelements a\ndefault 0\n< a a = 9\n",
+    "structure g chain=luk:1\nelements a\ndefault 0\n",
+    "structure g chain=godel:0\nelements a\ndefault 0\n",
 ], ids=["repeated-predicate", "predicate-arity-zero", "repeated-element",
-        "default-outside-chain", "value-outside-chain"])
+        "default-outside-chain", "value-outside-chain", "one-rank-chain", "no-rank-chain"])
 def test_structure_file_errors_are_file_format_errors(text):
     with pytest.raises(FileFormatError):
         structure_from_text(text)
