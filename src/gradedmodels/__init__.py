@@ -1,10 +1,13 @@
 """Graded relational structures over finite residuated chains.
 
-Provides the truth-value chains, a graded first-order evaluator, finite
-structures with embedding and isomorphism machinery, four built-in
-structure classes with hereditary/joint-embedding/amalgamation checks,
-amalgamation constructions with a stage-wise limit builder, and the
-deterministic random weighted graph with its witness verifier.
+``algebra`` holds the truth-value chains, ``logic`` the graded
+first-order evaluator, and ``structure`` finite structures with their
+embedding and isomorphism machinery.  ``classes`` owns the Fraisse
+classes: the four built-in classes, their amalgamation constructions,
+and the hereditary/joint-embedding/amalgamation checks.  ``fraisse``
+owns the Fraisse limits: the stage-wise limit builder with its
+transcripts, the extension-property verifier, and the deterministic
+random weighted graph with its witness verifier.
 """
 
 from .algebra import (
@@ -16,6 +19,7 @@ from .algebra import (
 )
 from .classes import (
     ClassSpec,
+    VFormation,
     check_ap,
     check_hp,
     check_jep,
@@ -35,7 +39,6 @@ from .errors import (
     GradedModelError,
 )
 from .fraisse import (
-    VFormation,
     build_limit,
     check_extension_property,
     check_random_graph_property,

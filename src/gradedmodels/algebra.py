@@ -25,16 +25,6 @@ __all__ = [
     "chain_to_text",
 ]
 
-# Axioms are checked in this fixed order; the first failure is reported.
-AXIOM_ORDER = (
-    "neutrality",
-    "monotonicity",
-    "commutativity",
-    "associativity",
-    "residuation",
-)
-
-
 @dataclass(frozen=True)
 class Chain:
     """A validated finite residuated chain.
@@ -107,9 +97,6 @@ class Chain:
     def in_filter(self, a: int) -> bool:
         return self.check_rank(a) >= self.one
 
-    def leq(self, a: int, b: int) -> bool:
-        return self.check_rank(a) <= self.check_rank(b)
-
     def __repr__(self) -> str:
         return f"Chain({self.name!r}, size={self.size}, one={self.one}, zero={self.zero})"
 
@@ -117,7 +104,9 @@ class Chain:
 def _find_axiom_failure(size: int, table, one: int) -> tuple[str, tuple, str] | None:
     """Return (axiom, witness, detail) for the first failed axiom, or None.
 
-    The scan follows AXIOM_ORDER so that reported failures are stable.
+    The axioms are scanned in a fixed order, neutrality, monotonicity,
+    commutativity, associativity, residuation, so that reported failures
+    are stable.
     """
     rng = range(size)
     for x in rng:
@@ -264,4 +253,8 @@ def resolve_chain(ref: str) -> Chain:
     if not os.path.exists(ref):
         raise FileFormatError(f"unknown chain reference and no such file: {ref!r}")
     with open(ref, "r", encoding="utf-8") as fh:
-        return Chain(**{**_chain_fields(fh.read()), "name": ref})
+        fields = _chain_fields(fh.read())
+    try:
+        return Chain(**{**fields, "name": ref})
+    except (ValueError, ChainTableError) as exc:
+        raise FileFormatError(str(exc)) from None

@@ -85,9 +85,6 @@ class Quant:
     body: object
 
 
-Formula = Atom | Const | BinOp | Quant
-
-
 def free_vars(formula) -> frozenset[str]:
     if isinstance(formula, Atom):
         return frozenset(t.name for t in formula.args)
@@ -101,10 +98,6 @@ def free_vars(formula) -> frozenset[str]:
 
 
 # --- lexer ---
-
-_SYMBOLS = ("->", "(", ")", ",", "<", "&", "|", "*")
-_KEYWORDS = ("forall", "exists", "bot", "top")
-
 
 @dataclass(frozen=True)
 class _Token:

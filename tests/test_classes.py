@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gradedmodels.algebra import make_lukasiewicz
 from gradedmodels.classes import (
     ClassSpec,
+    amalgamate_k1,
     check_ap,
     check_hp,
     check_jep,
@@ -21,7 +22,6 @@ from gradedmodels.classes import (
     k3_member,
 )
 from gradedmodels.errors import BudgetError
-from gradedmodels.fraisse import amalgamate_k1
 from gradedmodels.logic import SIG_LT, evaluate, parse_formula
 from gradedmodels.structure import (
     GradedStructure,

@@ -110,6 +110,15 @@ LUK4_STAGE2_SHA256 = {
     "k3": "a65df4d8e22e3903884feef72d8ec0c2a5af1a2acb97522e8df3ea5d9cc7661f",
 }
 
+# sha256 of transcript.json from the same builds, recorded before the
+# amalgamators moved from ``fraisse`` to ``classes``.
+LUK4_TRANSCRIPT_SHA256 = {
+    "k0": "5cc926ed0f3be612a0bf301d9717ddbb523a447de9a4042213cf4ffc0109e4fc",
+    "k1": "6a167250b816b75c29b90aac1ccbb2fe379064c8946467d60badd1e4070e5cc6",
+    "k2": "2c01c292ecfd4d8656d9ac62e6dea468525deb15fadf13c46f23be5efde25132",
+    "k3": "31f15df72733bdc99d8f8fd9a58e0bb3eafec4e363ba38f94e1828caa69ad447",
+}
+
 
 @pytest.mark.parametrize("klass", sorted(LUK4_STAGE2_SHA256))
 def test_limit_build_luk4_stage_digests(klass, tmp_path, capsys):
@@ -119,6 +128,8 @@ def test_limit_build_luk4_stage_digests(klass, tmp_path, capsys):
     assert rc == 0
     digest = hashlib.sha256((out / "stage002.gs").read_bytes()).hexdigest()
     assert digest == LUK4_STAGE2_SHA256[klass]
+    digest = hashlib.sha256((out / "transcript.json").read_bytes()).hexdigest()
+    assert digest == LUK4_TRANSCRIPT_SHA256[klass]
 
 
 # sha256 of ``check --format tsv`` standard output, statistics lines included,

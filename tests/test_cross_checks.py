@@ -1,6 +1,6 @@
 """The amalgamation cross-cell checks against reference membership.
 
-``fraisse._amalgamate`` runs a class's cell check over the cross cells
+``classes._amalgamate`` runs a class's cell check over the cross cells
 of an amalgam only, which is exact when both arms are members.  The
 library's membership runs the same cell check over every cell, so these
 tests compare the cross-cell checks with the rank loops of
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradedmodels import classes, fraisse
+from gradedmodels import classes
 from gradedmodels.algebra import make_godel, make_lukasiewicz
 from gradedmodels.classes import enumerate_class, get_class
 from gradedmodels.logic import SIG_LT
@@ -46,8 +46,8 @@ def test_delta_check_agrees_with_membership_on_small_v_formations(name, chain):
             for subset in itertools.combinations(m1.universe, size):
                 base = restrict(m1, subset)
                 for g in find_embeddings(base, m2):
-                    v = fraisse.align_v_formation(m1, m2, g)
-                    universe, new1, ext2, assemble = fraisse._amalgam_frame(v)
+                    v = classes.align_v_formation(m1, m2, g)
+                    universe, new1, ext2, assemble = classes._amalgam_frame(v)
                     if len(universe) > 3:
                         continue
                     ys = range(len(m1), len(universe))
@@ -133,8 +133,8 @@ def test_delta_check_past_eight_levels(make_chain):
         return GradedStructure(chain, SIG_LT, elems, (table,))
 
     arm1, arm2 = three("a", "m", "b"), three("c", "m", "d")
-    v = fraisse.VFormation(arm1, arm2)
-    universe, new1, _, _ = fraisse._amalgam_frame(v)
+    v = classes.VFormation(arm1, arm2)
+    universe, new1, _, _ = classes._amalgam_frame(v)
     ys = range(len(arm1), len(universe))
     for name in ("k0", "k3"):
         spec = get_class(name)

@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 
 from gradedmodels.classes import (
     ClassSpec,
+    VFormation,
+    align_v_formation,
+    amalgamate_k0,
+    amalgamate_k1,
+    amalgamate_k2,
+    amalgamate_k3,
     check_ap,
     enumerate_class,
     get_class,
@@ -15,22 +21,16 @@ from gradedmodels.classes import (
     k1_member,
     k2_member,
     k3_member,
+    search_amalgam,
 )
 from gradedmodels.errors import AmalgamationError, BudgetError
 from gradedmodels.fraisse import (
     Transcript,
-    VFormation,
-    align_v_formation,
-    amalgamate_k0,
-    amalgamate_k1,
-    amalgamate_k2,
-    amalgamate_k3,
     build_limit,
     check_extension_property,
     check_random_graph_property,
     random_weighted_graph,
     replay_transcript,
-    search_amalgam,
 )
 from gradedmodels.structure import (
     binary_structure,

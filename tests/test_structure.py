@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
-from gradedmodels.errors import FileFormatError
+from gradedmodels.algebra import chain_from_text
+from gradedmodels.errors import ChainTableError, FileFormatError
 from gradedmodels.logic import Signature
 from gradedmodels.structure import (
     age,
@@ -313,6 +315,29 @@ def test_structure_file_rejects_malformed_header_lines(header):
 def test_structure_file_errors_are_file_format_errors(text):
     with pytest.raises(FileFormatError):
         structure_from_text(text)
+
+
+# A chain file named in a structure header whose table the ``Chain``
+# constructor rejects: (file text, message, what ``chain_from_text`` raises).
+BAD_CHAIN_FILES = {
+    "chain-file-off-the-axioms": ("chain c 2 one=1 zero=0\n1 1\n1 1\n",
+                                  "neutrality fails at (1, 0)", ChainTableError),
+    "chain-file-one-outside-chain": ("chain c 2 one=5 zero=0\n1 1\n1 1\n",
+                                     "one=5 is not a rank below 2", ValueError),
+}
+
+
+@pytest.mark.parametrize("chain_text, message, raw_error", BAD_CHAIN_FILES.values(),
+                         ids=BAD_CHAIN_FILES)
+def test_structure_file_bad_chain_file_is_file_format_error(tmp_path, chain_text, message,
+                                                            raw_error):
+    path = tmp_path / "bad.chain"
+    path.write_text(chain_text, encoding="utf-8")
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        structure_from_text(f"structure g chain={path}\nelements a\ndefault 0\n")
+    with pytest.raises(raw_error, match=re.escape(message)) as err:
+        chain_from_text(chain_text)
+    assert not isinstance(err.value, FileFormatError)
 
 
 def test_structure_file_rejects_a_second_value_for_a_tuple():
