@@ -265,10 +265,11 @@ def check_extension_property(m: GradedStructure, spec, k: int) -> list[Extension
     _, pairs = _extension_pairs(spec, m.chain, k, None)
     defects = []
     for n, nprime in pairs:
+        forms = None  # the pair's canonical forms, computed at its first defect
         for f in find_embeddings(n, m):
             if not find_embeddings(nprime, m, fixed=f, limit=1):
-                defects.append(ExtensionDefect(canonical_form(n), canonical_form(nprime),
-                                               tuple(sorted(f.items()))))
+                forms = forms or (canonical_form(n), canonical_form(nprime))
+                defects.append(ExtensionDefect(*forms, tuple(sorted(f.items()))))
     return defects
 
 

@@ -9,6 +9,13 @@ positions (i_1, ..., i_k).  String ids matter only at the boundary:
 ``make_structure``, the file format, ``value`` and morphism mappings.
 Structures are immutable, hashable values; renaming is explicit.  All
 operations here are pure.
+
+``find_embeddings`` is a forward-checking search over candidate sets
+kept as Python-int bitsets of target positions.  The masks it reads are
+cached on the target structure, like ``positions``, and go with it: the
+positions by loop value, built for every element at once, and the
+positions by value in an element's row and column, built for that
+element when a search first places something there.
 """
 
 from __future__ import annotations
@@ -108,6 +115,31 @@ class GradedStructure:
         """Element id -> position in the universe."""
         return {e: i for i, e in enumerate(self.universe)}
 
+    @cached_property
+    def _loop_masks(self) -> tuple[list[int], ...]:
+        """Per predicate, rank -> bitset of the positions whose loop, the
+        tuple repeating them, has that rank: a unary predicate's value."""
+        n = len(self.universe)
+        return tuple(_rank_masks(table[::_diagonal_step(n, arity)], self.chain.size)
+                     for (_, arity), table in zip(self.signature.predicates, self.pred_tables))
+
+    @cached_property
+    def _pair_masks(self) -> list:
+        """Position -> its ``_element_pair_masks``, or None until
+        ``find_embeddings`` first places an element there."""
+        return [None] * len(self.universe)
+
+    def _element_pair_masks(self, d: int) -> tuple[list[int], ...]:
+        """Per binary predicate, two lists by rank of position bitsets: the
+        positions e with rank (d, e), then those with rank (e, d)."""
+        n = len(self.universe)
+        masks = []
+        for (_, arity), table in zip(self.signature.predicates, self.pred_tables):
+            if arity == 2:
+                masks.append(_rank_masks(table[d * n:(d + 1) * n], self.chain.size))
+                masks.append(_rank_masks(table[d::n], self.chain.size))
+        return tuple(masks)
+
     def value(self, pred: str, *elems: str) -> int:
         """The rank of ``pred`` at the elements with the given ids."""
         for (name, arity), table in zip(self.signature.predicates, self.pred_tables):
@@ -190,45 +222,39 @@ def is_embedding(m: GradedStructure, n: GradedStructure, f: dict) -> bool:
     return _preserves(m, n, [where[v] for v in images])
 
 
-def _consistent_extension(m, n, seed: dict, src: int, dst: int) -> bool:
-    """Whether seed plus src -> dst keeps the atoms that involve src.
+def _diagonal_step(n: int, arity: int) -> int:
+    """Distance in a table over n elements between the entries of the
+    tuples (i, ..., i) and (i + 1, ..., i + 1): 1 + n + ... + n**(arity - 1)."""
+    return (n ** arity - 1) // (n - 1) if n > 1 else arity
 
-    ``seed`` maps positions of m to positions of n; atoms among its own
-    elements count as checked.  Each tuple over dom(seed) + src that
-    contains src is visited once, keyed by the place of its first src.
+
+def _rank_masks(values, size: int) -> list[int]:
+    """Rank -> bitset of the places in ``values`` that hold that rank."""
+    masks = [0] * size
+    for place, v in enumerate(values):
+        masks[v] |= 1 << place
+    return masks
+
+
+def _wide_atoms_kept(wide, nm: int, nn: int, placed: list, src: int, dst: int) -> bool:
+    """Whether src -> dst keeps, next to the ``placed`` position pairs,
+    the atoms of arity three or more that involve src.
+
+    ``wide`` lists (arity, m's table, n's table).  Each tuple over the
+    placed sources and src that contains src is visited once, keyed by
+    the place of its first src.
     """
-    old = list(seed.items())
     new = [(src, dst)]
-    every = old + new
-    nm, nn = len(m.universe), len(n.universe)
-    for (_, arity), tm, tn in zip(m.signature.predicates, m.pred_tables, n.pred_tables):
+    every = placed + new
+    for arity, tm, tn in wide:
         for first in range(arity):
-            for t in itertools.product(*([old] * first + [new] + [every] * (arity - first - 1))):
+            for t in itertools.product(*([placed] * first + [new] + [every] * (arity - first - 1))):
                 fm = fn = 0
                 for s, d in t:
                     fm = fm * nm + s
                     fn = fn * nn + d
                 if tm[fm] != tn[fn]:
                     return False
-    return True
-
-
-def _embedding_search(m, n, seed, order, limit, results):
-    """Backtracking over injective position maps in deterministic order."""
-    if len(seed) == len(order):
-        # Each atom was checked when the last of its elements was placed.
-        results.append({m.universe[s]: n.universe[d] for s, d in seed.items()})
-        return limit is None or len(results) < limit
-    src = order[len(seed)]
-    used = set(seed.values())
-    for dst in range(len(n.universe)):
-        if dst in used or not _consistent_extension(m, n, seed, src, dst):
-            continue
-        seed[src] = dst
-        more = _embedding_search(m, n, seed, order, limit, results)
-        del seed[src]
-        if not more:
-            return False
     return True
 
 
@@ -243,24 +269,106 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None =
     result order is stable.  A ``fixed`` map with an id outside m or n,
     two elements sent to one, or a value it does not keep has no
     extension.
+
+    The search is forward checking over candidate sets (Ullmann 1976;
+    Haralick and Elliott 1980).  Every unplaced element of m keeps a
+    bitset of the positions of n it may still go to, starting from those
+    with its unary and loop values.  Placing s at d clears d from every
+    set and keeps, per binary predicate, the positions whose values
+    against d are those of the unplaced element against s: the row and
+    column masks of d, built on first use and cached on n.  An emptied
+    set cuts the branch at once.  Atoms of arity three or more are
+    checked when their last element is placed.
     """
     _require_compatible(m, n)
-    if len(m.universe) > len(n.universe):
+    nm, nn = len(m.universe), len(n.universe)
+    if nm > nn:
         return []
-    seed: dict[int, int] = {}
+    preds = m.signature.predicates
+    wide = [(arity, tm, tn) for (_, arity), tm, tn in zip(preds, m.pred_tables, n.pred_tables)
+            if arity > 2]
+    # lines[s]: per binary predicate, the row and the column of s in m,
+    # whose ranks index the row and column masks of the image of s.
+    lines = [[line for (_, arity), tm in zip(preds, m.pred_tables) if arity == 2
+              for line in (tm[s * nm:(s + 1) * nm], tm[s::nm])] for s in range(nm)]
+    cand = [(1 << nn) - 1] * nm
+    for (_, arity), tm, masks in zip(preds, m.pred_tables, n._loop_masks):
+        cand = [c & masks[v] for c, v in zip(cand, tm[::_diagonal_step(nm, arity)])]
+    pair_masks = n._pair_masks
+    placed: list[tuple[int, int]] = []
+
+    def place(s, d, cand, rest):
+        """The candidate sets of ``rest`` once s goes to d, or None if
+        that breaks an atom or leaves an element of ``rest`` nowhere."""
+        if wide and not _wide_atoms_kept(wide, nm, nn, placed, s, d):
+            return None
+        if not rest:
+            return cand
+        masks = pair_masks[d]
+        if masks is None:
+            masks = pair_masks[d] = n._element_pair_masks(d)
+        keep = ~(1 << d)
+        out = cand[:]
+        lines_s = lines[s]
+        for t in rest:
+            c = cand[t] & keep
+            for mask, line in zip(masks, lines_s):
+                c &= mask[line[t]]
+            if not c:
+                return None
+            out[t] = c
+        return out
+
+    results: list[dict] = []
+
+    def search(k, cand):
+        if k == nm:
+            # Each atom was checked when the last of its elements was placed.
+            results.append({m.universe[s]: n.universe[d] for s, d in placed})
+            return limit is None or len(results) < limit
+        s, rest = order[k], order[k + 1:]
+        bits = cand[s]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            d = low.bit_length() - 1
+            after = place(s, d, cand, rest)
+            if after is None:
+                continue
+            placed.append((s, d))
+            more = search(k + 1, after)
+            placed.pop()
+            if not more:
+                return False
+        return True
+
+    seed = []
     for src, dst in (fixed or {}).items():
         s, d = m.positions.get(src), n.positions.get(dst)
-        if s is None or d is None or d in seed.values() or not _consistent_extension(m, n, seed, s, d):
+        if s is None or d is None:
             return []
-        seed[s] = d
-    order = list(seed) + [i for i in range(len(m.universe)) if i not in seed]
-    results: list[dict] = []
-    _embedding_search(m, n, seed, order, limit, results)
+        seed.append((s, d))
+    order = [s for s, _ in seed]
+    order += [s for s in range(nm) if s not in order]
+    for k, (s, d) in enumerate(seed):
+        if not cand[s] >> d & 1:
+            return []
+        cand = place(s, d, cand, order[k + 1:])
+        if cand is None:
+            return []
+        placed.append((s, d))
+    search(len(seed), cand)
     return results
 
 
 def is_isomorphic(m: GradedStructure, n: GradedStructure) -> dict | None:
-    """An onto embedding of m into n as an id map, or None."""
+    """An onto embedding of m into n as an id map, or None.
+
+    Structures on different chains or signatures raise ``ValueError``,
+    whatever their sizes.  The map is the first one ``find_embeddings``
+    finds.
+    """
+    _require_compatible(m, n)
     if len(m.universe) != len(n.universe):
         return None
     found = find_embeddings(m, n, limit=1)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -88,17 +89,81 @@ def test_golden_output(argv, code, stdout, tmp_path, monkeypatch, capsys):
     assert run(argv, capsys) == (code, stdout)
 
 
+# sha256 of stage002.gs and transcript.json from ``limit build --class k2
+# --chain bool --stages 2 --budget 3``, recorded before the embedding
+# search kept candidate sets.
+K2_BOOL_BUDGET3_SHA256 = {
+    "stage002.gs": "8516d3d016e1a71356b55e43acc8d0638a246ace3d173c5fbf3baa43be4bb8c4",
+    "transcript.json": "ce627ca37f032890a1c12ba17862f79c97fc6b1f1c4807823d7cfb82ff32175e",
+}
+
+
 def test_limit_build_k2_and_replay(tmp_path, capsys):
     built, replayed = tmp_path / "built", tmp_path / "replayed"
     rc, out = run(["limit", "build", "--class", "k2", "--chain", "bool", "--stages", "2",
                    "--budget", "3", "--out", str(built)], capsys)
     assert rc == 0
     assert out.splitlines()[2:] == ["stage0 1", "stage1 14", "stage2 54"]
+    for name, digest in K2_BOOL_BUDGET3_SHA256.items():
+        assert hashlib.sha256((built / name).read_bytes()).hexdigest() == digest
     rc, out = run(["limit", "replay", "--transcript", str(built / "transcript.json"),
                    "--out", str(replayed)], capsys)
     assert (rc, out) == (0, "stages 3\n")
     assert len(stage_files(built)) == 3
     assert stage_files(built) == stage_files(replayed)
+
+
+def graph_text(name, ids, weights):
+    lines = [f"structure {name} chain=luk:3", "elements " + " ".join(ids), "default 0"]
+    lines += [f"< {a} {b} = {weights[i][j]}" for i, a in enumerate(ids)
+              for j, b in enumerate(ids) if weights[i][j]]
+    return "\n".join(lines) + "\n"
+
+
+def write_iso_pair(folder, seed, size):
+    """A random symmetric loopless ``luk:3`` graph and a relabelled copy.
+
+    The copy lists the image of the first vertex last, so a search that
+    places the first vertex first tries every other target before the
+    right one."""
+    rng = random.Random(seed)
+    w = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            w[i][j] = w[j][i] = rng.randrange(3)
+    perm = list(range(size))
+    rng.shuffle(perm)
+    order = list(range(1, size)) + [0]
+    (folder / "g.gs").write_text(graph_text("g", [f"v{i}" for i in range(size)], w))
+    (folder / "h.gs").write_text(graph_text("h", [f"u{perm[i]}" for i in order],
+                                            [[w[i][j] for j in order] for i in order]))
+
+
+# sha256 of the ``iso`` standard output for ``write_iso_pair(seed=1, size=40)``,
+# recorded before the embedding search kept candidate sets.
+ISO_40_SHA256 = "a091115a32af98d6b190bb452770cbb3af30b5ce4bd2aafd2a14d5e69f8be825"
+
+
+@pytest.mark.parametrize("text_b, message", [
+    ("structure b chain=bool\nelements x\ndefault 0\n", "valued on different chains"),
+    ("structure b chain=bool\nelements x y\ndefault 0\n", "valued on different chains"),
+    ("structure b chain=luk:3\npredicates R:1\nelements x\ndefault 0\n", "different signatures"),
+], ids=["other-chain-other-size", "other-chain-same-size", "other-signature-other-size"])
+def test_iso_of_incomparable_structures_is_an_error(text_b, message, tmp_path, capsys):
+    (tmp_path / "a.gs").write_text("structure a chain=luk:3\nelements a b\ndefault 0\n")
+    (tmp_path / "b.gs").write_text(text_b)
+    rc = main(["iso", str(tmp_path / "a.gs"), str(tmp_path / "b.gs")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_iso_relabelled_random_graph_digest(tmp_path, capsys):
+    write_iso_pair(tmp_path, seed=1, size=40)
+    rc, out = run(["iso", str(tmp_path / "g.gs"), str(tmp_path / "h.gs")], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ISO_40_SHA256
 
 
 # sha256 of stage002.gs from ``limit build --chain luk:4 --stages 2 --budget 2``,

@@ -5,11 +5,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedmodels.algebra import chain_from_text
+from gradedmodels.algebra import boolean_chain, chain_from_text
 from gradedmodels.errors import ChainTableError, FileFormatError
-from gradedmodels.logic import Signature
+from gradedmodels.logic import SIG_LT, Signature
 from gradedmodels.structure import (
+    GradedStructure,
     age,
     binary_structure,
     canonical_form,
@@ -148,6 +151,84 @@ def test_find_embeddings_fixed_vs_brute_force(luk3):
                     assert sorted(sorted(f.items()) for f in got) == \
                         sorted(sorted(f.items()) for f in want)
                     assert find_embeddings(m, n, fixed=fixed, limit=1) == got[:1]
+
+
+# One predicate of each arity the search checks its own way: unary
+# values and loops before the search, binary atoms by candidate masks,
+# arity three at placement.
+SIG_MIXED = Signature(predicates=(("R", 1), ("<", 2), ("S", 3)))
+
+
+def random_signed_structure(rng, chain, signature, size):
+    """Every atom of every predicate drawn uniformly from the chain."""
+    elems = [f"n{i}" for i in range(size)]
+    values = {(p, t): rng.randrange(chain.size)
+              for p, arity in signature.predicates
+              for t in itertools.product(elems, repeat=arity)}
+    return make_structure(chain, elems, values, signature=signature)
+
+
+def expected_embeddings(m, n, fixed, limit):
+    """The brute-force embeddings that extend ``fixed``, in the order
+    ``find_embeddings`` promises: lexicographic in the images of fixed's
+    keys and then of m's other elements, targets in n's universe order;
+    each map lists fixed's keys first, then m's universe order."""
+    keys = list(fixed) + [e for e in m.universe if e not in fixed]
+    where = n.positions
+    every = [f for f in brute_force_embeddings(m, n) if fixed.items() <= f.items()]
+    every.sort(key=lambda f: [where[f[e]] for e in keys])
+    return [[(e, f[e]) for e in keys] for f in every][:limit]
+
+
+def assert_embeddings_in_order(m, n, fixed, limit):
+    got = find_embeddings(m, n, fixed=fixed, limit=limit)
+    assert [list(f.items()) for f in got] == expected_embeddings(m, n, fixed, limit)
+
+
+@pytest.mark.parametrize("signature", [SIG_LT, SIG_MIXED], ids=["lt", "R1-lt2-S3"])
+def test_find_embeddings_order_vs_brute_force(signature, bool_chain, luk3):
+    """The result list, not just its set: each m is a relabelled induced
+    substructure of n, with two of its atoms perturbed in every other
+    case so that some unary, binary and ternary checks fail; every seed
+    of at most two elements, and limits None, 1 and 2."""
+    rng = random.Random(8080)
+    for chain in (bool_chain, luk3):
+        for case in range(12):
+            n = random_signed_structure(rng, chain, signature, rng.randint(1, 4))
+            sub = restrict(n, rng.sample(n.universe, rng.randint(1, len(n.universe))))
+            m = rename(sub, {e: f"m{i}" for i, e in enumerate(sub.universe)})
+            if case % 2:
+                tables = [list(t) for t in m.pred_tables]
+                for _ in range(2):
+                    table = rng.choice(tables)
+                    table[rng.randrange(len(table))] = rng.randrange(chain.size)
+                m = GradedStructure(chain, signature, m.universe, tuple(map(tuple, tables)))
+            for size in range(3):
+                for sources in itertools.permutations(m.universe, size):
+                    for targets in itertools.permutations(n.universe, size):
+                        for limit in (None, 1, 2):
+                            assert_embeddings_in_order(m, n, dict(zip(sources, targets)), limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([SIG_LT, SIG_MIXED]), st.integers(0, 2**32 - 1),
+       st.integers(5, 7), st.integers(1, 4), st.integers(0, 2))
+def test_find_embeddings_order_on_larger_targets(signature, seed, n_size, m_size, seed_size):
+    """As above, on targets of five to seven elements over ``bool`` with
+    mostly constant tables, so that each m has many embeddings; the seed
+    is part of the embedding m came from, so it extends."""
+    rng = random.Random(seed)
+    chain = boolean_chain()
+    elems = [f"n{i}" for i in range(n_size)]
+    values = {(p, t): int(rng.random() < 0.25)
+              for p, arity in signature.predicates
+              for t in itertools.product(elems, repeat=arity)}
+    n = make_structure(chain, elems, values, signature=signature)
+    sub = restrict(n, rng.sample(elems, m_size))
+    m = rename(sub, {e: f"m{i}" for i, e in enumerate(sub.universe)})
+    fixed = {f"m{i}": sub.universe[i] for i in rng.sample(range(m_size), min(seed_size, m_size))}
+    assert_embeddings_in_order(m, n, fixed, None)
+    assert_embeddings_in_order(m, n, fixed, 3)
 
 
 def test_isomorphic_relabeling(luk3):
