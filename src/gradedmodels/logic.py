@@ -4,11 +4,23 @@ Connective tokens in the concrete syntax: ``&`` is lattice meet, ``|``
 is join, ``*`` is the monoidal conjunction, ``->`` is the residuum.
 ``a < b`` is infix sugar for the designated binary predicate named
 ``<``.  Truth constants are ``0``, ``1``, ``bot``, ``top``.
+
+``evaluate`` compiles a formula once per call into closures over a list
+of element positions, one slot per assigned variable and one per
+quantifier.  A quantifier's body is compiled as a vector over the bound
+variable: its values at every position at once, read as strided slices
+of the predicate tables and combined through rows of the chain's
+operation tables, then folded with ``min`` (``forall``) or ``max``
+(``exists``).  The module reads structures only through their
+attributes (``chain``, ``signature``, ``universe``, ``pred_tables``,
+``positions``) and imports nothing else from the package but ``errors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import getitem
 
 from .errors import FormulaParseError
 
@@ -309,56 +321,136 @@ def evaluate(structure, formula, assignment=None) -> int:
     """Compute the rank of a formula in a structure under an assignment.
 
     The assignment maps variables to element ids, all of which must be
-    in the universe.  Quantifiers range eagerly over the whole universe;
-    on an empty universe ``forall`` yields top and ``exists`` yields bot.
+    in the universe, and must bind every free variable.  Quantifiers
+    range over the whole universe; on an empty universe ``forall``
+    yields top and ``exists`` yields bot.
+
+    The formula is compiled once per call into closures over one list
+    of positions: a slot per assigned variable, then a slot per
+    quantifier, so a variable bound twice gets two slots.  Each
+    quantifier's body is compiled as a vector of its values at every
+    position of the bound variable, which the quantifier folds with
+    ``min`` or ``max``; nothing longer than the universe is built.
+    Every atom is checked against the signature while compiling: an
+    uninterpreted symbol or a wrong argument count raises
+    ``ValueError`` whatever the universe size.
     """
-    chain = structure.chain
-    n = len(structure.universe)
-    preds = dict(zip((p for p, _ in structure.signature.predicates), structure.pred_tables))
-    env = {}
+    positions = structure.positions
+    env = []
+    scope = {}
     for var, eid in (assignment or {}).items():
-        if eid not in structure.positions:
+        if eid not in positions:
             raise ValueError(f"unknown element {eid!r} assigned to {var!r}")
-        env[var] = structure.positions[eid]
-
-    def ev(f, env):
-        if isinstance(f, Atom):
-            if f.pred not in preds:
-                raise ValueError(f"symbol {f.pred!r} not interpreted in structure")
-            flat = 0
-            for a in f.args:
-                flat = flat * n + env[a.name]
-            return preds[f.pred][flat]
-        if isinstance(f, Const):
-            if f.kind == "0":
-                return chain.zero
-            if f.kind == "1":
-                return chain.one
-            if f.kind == "bot":
-                return chain.bot
-            return chain.top
-        if isinstance(f, BinOp):
-            a = ev(f.left, env)
-            b = ev(f.right, env)
-            if f.op == "&":
-                return min(a, b)
-            if f.op == "|":
-                return max(a, b)
-            if f.op == "*":
-                return chain.conj_table[a][b]
-            return chain.res_table[a][b]
-        if isinstance(f, Quant):
-            values = []
-            for p in range(n):
-                inner = dict(env)
-                inner[f.var] = p
-                values.append(ev(f.body, inner))
-            if f.kind == "forall":
-                return min(values, default=chain.top)
-            return max(values, default=chain.bot)
-        raise TypeError(f"not a formula: {f!r}")
-
-    missing = free_vars(formula) - set(env)
+        scope[var] = len(env)
+        env.append(positions[eid])
+    missing = free_vars(formula) - set(scope)
     if missing:
         raise ValueError(f"unbound free variables: {sorted(missing)}")
-    return ev(formula, env)
+    compiler = _Compiler(structure, len(env))
+    run = compiler.scalar(formula, scope)
+    env += [0] * (compiler.slots - len(env))
+    return run(env)
+
+
+class _Compiler:
+    """Turns formulas over one structure into closures over ``env``.
+
+    ``scalar`` gives a closure returning the formula's rank.  ``vector``
+    gives, for a variable in scope, a closure returning an iterable of
+    the ranks at each position of that variable, the other slots fixed:
+    an atom is a strided slice of its table, a part without the variable
+    is computed once and repeated, and a connective maps a row of its
+    operation table over the vectors.  The iterables stay lazy, so the
+    enclosing quantifier's ``min`` or ``max`` consumes them without
+    building anything longer than the universe.
+    """
+
+    def __init__(self, structure, slots: int):
+        chain = structure.chain
+        k = chain.size
+        self.n = len(structure.universe)
+        self.slots = slots
+        self.tables = {name: (arity, table) for (name, arity), table
+                       in zip(structure.signature.predicates, structure.pred_tables)}
+        self.consts = {"0": chain.zero, "1": chain.one, "bot": chain.bot, "top": chain.top}
+        # ops[op][a][b] is the rank of ``a op b``.
+        self.ops = {
+            "&": tuple(tuple(range(a)) + (a,) * (k - a) for a in range(k)),
+            "|": tuple((a,) * a + tuple(range(a, k)) for a in range(k)),
+            "*": chain.conj_table,
+            "->": chain.res_table,
+        }
+
+    def atom(self, f, scope):
+        """The table of f's predicate, and f's flat index into it as
+        (slot, weight) pairs, one per distinct slot among the arguments."""
+        if f.pred not in self.tables:
+            raise ValueError(f"symbol {f.pred!r} not interpreted in structure")
+        arity, table = self.tables[f.pred]
+        if len(f.args) != arity:
+            raise ValueError(f"{f.pred!r} takes {arity} arguments, got {len(f.args)}")
+        weights = {}
+        for i, a in enumerate(f.args):
+            slot = scope[a.name]
+            weights[slot] = weights.get(slot, 0) + self.n ** (arity - 1 - i)
+        return table, weights
+
+    def scalar(self, f, scope):
+        if isinstance(f, Atom):
+            table, weights = self.atom(f, scope)
+            pairs = tuple(weights.items())
+            return lambda env: table[sum(env[s] * w for s, w in pairs)]
+        if isinstance(f, Const):
+            value = self.consts[f.kind]
+            return lambda env: value
+        if isinstance(f, BinOp):
+            tab = self.ops[f.op]
+            left, right = self.scalar(f.left, scope), self.scalar(f.right, scope)
+            return lambda env: tab[left(env)][right(env)]
+        if isinstance(f, Quant):
+            slot = self.slots
+            self.slots += 1
+            body = self.vector(f.body, {**scope, f.var: slot}, f.var)
+            if f.kind == "forall":
+                top = self.consts["top"]
+                return lambda env: min(body(env), default=top)
+            bot = self.consts["bot"]
+            return lambda env: max(body(env), default=bot)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def vector(self, f, scope, var):
+        n = self.n
+        if var not in free_vars(f):
+            value = self.scalar(f, scope)
+            return lambda env: repeat(value(env), n)
+        slot = scope[var]
+        if isinstance(f, Atom):
+            table, weights = self.atom(f, scope)
+            stride = weights.pop(slot)
+            span = stride * (n - 1) + 1
+            pairs = tuple(weights.items())
+
+            def strided(env):
+                off = sum(env[s] * w for s, w in pairs)
+                return table[off:off + span:stride]
+            return strided
+        if isinstance(f, BinOp):
+            tab = self.ops[f.op]
+            if var not in free_vars(f.left):
+                left, right = self.scalar(f.left, scope), self.vector(f.right, scope, var)
+                return lambda env: map(tab[left(env)].__getitem__, right(env))
+            if var not in free_vars(f.right):
+                cols = tuple(zip(*tab))
+                left, right = self.vector(f.left, scope, var), self.scalar(f.right, scope)
+                return lambda env: map(cols[right(env)].__getitem__, left(env))
+            left, right = self.vector(f.left, scope, var), self.vector(f.right, scope, var)
+            rows = tab.__getitem__
+            return lambda env: map(getitem, map(rows, left(env)), right(env))
+        # A quantifier whose body mentions var: run it at each position.
+        inner = self.scalar(f, scope)
+
+        def each(env):
+            for p in range(n):
+                env[slot] = p
+                yield inner(env)
+        return each

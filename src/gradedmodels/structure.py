@@ -268,7 +268,7 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None =
     universe in order, trying n's elements in universe order, so the
     result order is stable.  A ``fixed`` map with an id outside m or n,
     two elements sent to one, or a value it does not keep has no
-    extension.
+    extension.  A ``limit`` below 1 asks for no results and gets none.
 
     The search is forward checking over candidate sets (Ullmann 1976;
     Haralick and Elliott 1980).  Every unplaced element of m keeps a
@@ -282,7 +282,7 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None =
     """
     _require_compatible(m, n)
     nm, nn = len(m.universe), len(n.universe)
-    if nm > nn:
+    if nm > nn or (limit is not None and limit < 1):
         return []
     preds = m.signature.predicates
     wide = [(arity, tm, tn) for (_, arity), tm, tn in zip(preds, m.pred_tables, n.pred_tables)

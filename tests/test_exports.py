@@ -56,3 +56,15 @@ def test_fraisse_uses_only_public_names_of_classes():
                 and node.value.id == "classes" and node.attr.startswith("_")):
             private.append((node.lineno, node.attr))
     assert private == []
+
+
+def test_logic_imports_only_errors_from_the_package():
+    """The evaluator reads structures through their attributes alone, and
+    importing ``logic`` stays as cheap as importing ``errors``."""
+    found = []
+    for node in ast.walk(_module_tree("logic")):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [name for name in _imported_modules(node) if name.split(".")[0] == "gradedmodels"]
+    assert set(found) <= {"errors", "gradedmodels.errors"}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedmodels.algebra import resolve_chain
 from gradedmodels.errors import FormulaParseError
 from gradedmodels.logic import (
     SIG_LT,
@@ -20,7 +21,10 @@ from gradedmodels.logic import (
     free_vars,
     parse_formula,
 )
-from gradedmodels.structure import binary_structure
+from gradedmodels.structure import GradedStructure, binary_structure
+
+from conftest import FIVE_CHAINS
+from evaluate_reference import evaluate_reference
 
 
 def test_parse_transitivity_shape():
@@ -188,3 +192,104 @@ def test_signature_validation():
         Signature(predicates=(("P", 1), ("P", 2)))
     with pytest.raises(ValueError):
         Signature(predicates=(("P", 0),))
+
+
+# Every arity up to three, so atoms read rows, columns, diagonals and
+# general strided runs of their tables.
+SIG_P_LT_R = Signature(predicates=(("P", 1), ("<", 2), ("R", 3)))
+CHAINS = FIVE_CHAINS + (resolve_chain("godel:257"),)
+
+
+def graded_formulas():
+    var = st.builds(Var, st.sampled_from(VARS))
+    atoms = st.one_of(
+        st.builds(Const, st.sampled_from(["0", "1", "bot", "top"])),
+        st.builds(Atom, st.just("P"), st.tuples(var)),
+        st.builds(Atom, st.just("<"), st.tuples(var, var)),
+        st.builds(Atom, st.just("R"), st.tuples(var, var, var)),
+    )
+
+    def compound(sub):
+        quant = st.builds(Quant, st.sampled_from(["forall", "exists"]), st.sampled_from(VARS), sub)
+        return st.one_of(st.builds(BinOp, st.sampled_from(["&", "|", "*", "->"]), sub, sub),
+                         quant, quant)
+    return st.recursive(atoms, compound, max_leaves=10)
+
+
+@st.composite
+def structures_and_assignments(draw):
+    """A structure over SIG_P_LT_R of 0-4 elements, and an assignment of
+    some variables, now and then with an id outside the universe."""
+    chain = draw(st.sampled_from(CHAINS))
+    universe = tuple(f"e{i}" for i in range(draw(st.integers(0, 4))))
+    ranks = st.integers(0, chain.size - 1)
+    tables = tuple(tuple(draw(st.lists(ranks, min_size=len(universe) ** arity,
+                                       max_size=len(universe) ** arity)))
+                   for _, arity in SIG_P_LT_R.predicates)
+    m = GradedStructure(chain, SIG_P_LT_R, universe, tables)
+    assignment = {v: draw(st.sampled_from(universe)) for v in VARS
+                  if universe and draw(st.integers(0, 5))}
+    if draw(st.integers(0, 9)) == 0:
+        assignment[draw(st.sampled_from(VARS))] = "nosuch"
+    return m, assignment
+
+
+@settings(max_examples=500, deadline=None)
+@given(structures_and_assignments(), graded_formulas())
+def test_evaluate_matches_reference(case, formula):
+    m, assignment = case
+    try:
+        want = evaluate_reference(m, formula, assignment)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            evaluate(m, formula, assignment)
+        assert str(got.value) == str(err)
+    else:
+        assert evaluate(m, formula, assignment) == want
+
+
+TRANSITIVITY = "forall x forall y forall z (((x < y) & (y < z)) -> (x < z))"
+
+
+@pytest.mark.parametrize("text, assignment", [
+    (TRANSITIVITY, {}),
+    ("forall x forall y ((x < y) -> (y < x))", {}),
+    ("forall x exists y (x < y)", {}),
+    # x < x under forall y: a diagonal over x, repeated over y.
+    ("forall x forall y ((x < x) -> ((x < y) | (y < y)))", {}),
+    ("exists y ((x < x) * (y < x))", {"x": "e7"}),
+    ("forall x ((x < y) -> (exists x ((y < x) & (exists y (x < y)))))", {"y": "e3"}),
+])
+def test_evaluate_matches_reference_on_forty_vertices(luk3, text, assignment):
+    m = random_structure(random.Random(40), luk3, 40)
+    f = parse_formula(text)
+    assert evaluate(m, f, assignment) == evaluate_reference(m, f, assignment)
+
+
+@pytest.mark.parametrize("text, assignment", [
+    ("forall x forall y ((forall x exists z (x < z)) & (x < y))", {}),
+    ("exists y ((forall x exists z (x < z)) * (x < y))", {"x": "e1"}),
+    ("exists x forall y ((exists x forall z (z < x)) -> (x < y))", {}),
+])
+def test_evaluate_inner_quantifier_leaves_outer_variable(luk3, text, assignment):
+    """An inner quantifier over x, run before an outer x is read, must
+    not change the outer x's value."""
+    f = parse_formula(text)
+    for seed in range(50):
+        m = random_structure(random.Random(seed), luk3, 3)
+        assert evaluate(m, f, assignment) == evaluate_reference(m, f, assignment)
+
+
+@pytest.mark.parametrize("size", [0, 2])
+@pytest.mark.parametrize("atom", [
+    Atom("Q", (Var("x"),)),
+    Atom("<", (Var("x"),)),
+    Atom("<", (Var("x"), Var("x"), Var("x"))),
+])
+def test_evaluate_rejects_atoms_outside_the_signature(luk3, size, atom):
+    """Checked while compiling, so also where no atom is ever read."""
+    m = random_structure(random.Random(size), luk3, size)
+    with pytest.raises(ValueError):
+        evaluate(m, Quant("forall", "x", atom))
+    with pytest.raises(ValueError):
+        evaluate(m, BinOp("&", Const("bot"), Quant("exists", "x", atom)))

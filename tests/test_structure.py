@@ -89,6 +89,14 @@ def test_vertex_into_edge_pair_two_embeddings(bool_chain):
     assert [f["v"] for f in found] == ["a", "b"]
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_find_embeddings_limit_below_one_finds_none(bool_chain, limit):
+    vertex = binary_structure(bool_chain, ["v"], {("v", "v"): 0})
+    pair = edge_graph(bool_chain, [("a", "b")], ["a", "b"])
+    assert find_embeddings(vertex, pair, limit=limit) == []
+    assert find_embeddings(vertex, pair, fixed={"v": "b"}, limit=limit) == []
+
+
 def test_rigid_structure_has_only_identity(luk3):
     m = binary_structure(
         luk3, ["a", "b"],
