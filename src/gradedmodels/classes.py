@@ -38,7 +38,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import struct
+import sys
 from dataclasses import dataclass, field
+from operator import mul
 
 from .algebra import Chain
 from .errors import AmalgamationError, BudgetError
@@ -546,13 +549,56 @@ def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
 _ENUM_BUDGET = 10**7
 
 
+def _orbit_representatives(size: int, s: int):
+    """The lex-least table of each orbit of S_s on the tables over s
+    elements with ranks below ``size``, in increasing lex order.
+
+    A table's code is its value read as a base-``size`` numeral, first
+    entry most significant, so codes follow lex order.  A flag per code
+    says whether some representative already reached it: the next
+    unflagged code is the least of a new orbit, whose images under every
+    permutation are then flagged.  An image's code is the table's dot
+    product with that permutation's weights, the place value each entry
+    moves to.  The weights of all permutations are packed into one int
+    per entry, a fixed-width field per permutation, so one dot product
+    gives every image's code, read back as an array of machine ints.
+    """
+    cells = s * s
+    count = size ** cells
+    place = [size ** (cells - 1 - k) for k in range(cells)]
+    # The identity comes first; the walk moves past its image anyway.
+    perms = list(itertools.permutations(range(s)))[1:]
+    fmt = next(f for f in "HIQ" if count <= 1 << 8 * struct.calcsize(f))
+    bits = 8 * struct.calcsize(fmt)
+    packed = [sum(place[p[k // s] * s + p[k % s]] << bits * i for i, p in enumerate(perms))
+              for k in range(cells)]
+    nbytes = len(perms) * bits // 8
+    # A code splits into a head and a tail numeral, each decoded by lookup.
+    low = cells // 2
+    heads = list(itertools.product(range(size), repeat=cells - low))
+    tails = list(itertools.product(range(size), repeat=low))
+    seen = bytearray(count)
+    code = 0
+    while code != -1:
+        head, tail = divmod(code, size ** low)
+        table = heads[head] + tails[tail]
+        images = sum(map(mul, table, packed)).to_bytes(nbytes, sys.byteorder)
+        for image in memoryview(images).cast(fmt):
+            seen[image] = 1
+        yield table
+        code = seen.find(0, code + 1)
+
+
 def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[GradedStructure]:
     """All isomorphism types of members with at most ``max_size`` elements.
 
-    Candidates are every table of ``<`` on a fixed universe, filtered by
-    membership and deduplicated by canonical form; the result is ordered
-    by size then canonical form.  Rejects runs whose raw candidate count
-    exceeds ``_ENUM_BUDGET`` before building any.
+    Each type is given by its lex-least table of ``<`` on the universe
+    x0, x1, ...; the result is ordered by size then canonical form.
+    Each size visits one table per orbit of the symmetric group, the
+    least one, and asks ``spec.membership`` about it alone, so the
+    membership predicate must be isomorphism-invariant.  Rejects runs
+    whose raw table count, every table of every size, exceeds
+    ``_ENUM_BUDGET`` before building any.
     """
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
@@ -560,19 +606,14 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[Graded
     if total > _ENUM_BUDGET:
         raise BudgetError(f"{total} candidates exceed the budget of {_ENUM_BUDGET}")
     found: list[tuple[int, bytes, GradedStructure]] = []
-    seen: set[bytes] = set()
     for s in range(1, max_size + 1):
         elems = tuple(f"x{i}" for i in range(s))
-        for table in itertools.product(range(chain.size), repeat=s * s):
+        for table in _orbit_representatives(chain.size, s):
             m = GradedStructure(chain, SIG_LT, elems, (table,), name=f"{spec.name}_{s}")
-            if not spec.membership(m):
-                continue
-            form = canonical_form(m)
-            if form in seen:
-                continue
-            seen.add(form)
-            found.append((s, form, m))
-    found.sort(key=lambda item: (item[0], item[1]))
+            if spec.membership(m):
+                found.append((s, canonical_form(m), m))
+    # Types differ in their forms, so the key decides every comparison.
+    found.sort(key=lambda item: item[:2])
     return [m for _, _, m in found]
 
 

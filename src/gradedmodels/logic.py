@@ -333,7 +333,8 @@ def evaluate(structure, formula, assignment=None) -> int:
     ``min`` or ``max``; nothing longer than the universe is built.
     Every atom is checked against the signature while compiling: an
     uninterpreted symbol or a wrong argument count raises
-    ``ValueError`` whatever the universe size.
+    ``ValueError`` whatever the universe size.  So does a constant,
+    connective or quantifier of unknown kind in a hand-built formula.
     """
     positions = structure.positions
     env = []
@@ -395,19 +396,29 @@ class _Compiler:
             weights[slot] = weights.get(slot, 0) + self.n ** (arity - 1 - i)
         return table, weights
 
+    def op(self, f):
+        """The operation table of f's connective."""
+        if f.op not in self.ops:
+            raise ValueError(f"unknown connective {f.op!r}")
+        return self.ops[f.op]
+
     def scalar(self, f, scope):
         if isinstance(f, Atom):
             table, weights = self.atom(f, scope)
             pairs = tuple(weights.items())
             return lambda env: table[sum(env[s] * w for s, w in pairs)]
         if isinstance(f, Const):
+            if f.kind not in self.consts:
+                raise ValueError(f"unknown constant {f.kind!r}")
             value = self.consts[f.kind]
             return lambda env: value
         if isinstance(f, BinOp):
-            tab = self.ops[f.op]
+            tab = self.op(f)
             left, right = self.scalar(f.left, scope), self.scalar(f.right, scope)
             return lambda env: tab[left(env)][right(env)]
         if isinstance(f, Quant):
+            if f.kind not in ("forall", "exists"):
+                raise ValueError(f"unknown quantifier {f.kind!r}")
             slot = self.slots
             self.slots += 1
             body = self.vector(f.body, {**scope, f.var: slot}, f.var)
@@ -435,7 +446,7 @@ class _Compiler:
                 return table[off:off + span:stride]
             return strided
         if isinstance(f, BinOp):
-            tab = self.ops[f.op]
+            tab = self.op(f)
             if var not in free_vars(f.left):
                 left, right = self.scalar(f.left, scope), self.vector(f.right, scope, var)
                 return lambda env: map(tab[left(env)].__getitem__, right(env))

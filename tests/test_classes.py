@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedmodels import classes
 from gradedmodels.algebra import make_lukasiewicz
 from gradedmodels.classes import (
     ClassSpec,
@@ -32,6 +33,7 @@ from gradedmodels.structure import (
 )
 
 from conftest import FIVE_CHAINS
+from enumerate_reference import enumerate_reference
 from membership_reference import REFERENCE
 
 LUK3 = make_lukasiewicz(3)
@@ -267,6 +269,48 @@ def test_enumeration_is_deduplicated_and_member_closed(luk3):
     assert order == sorted(order)
 
 
+CHAINS = {c.name: c for c in FIVE_CHAINS}
+
+
+def listed(members):
+    """What the enumeration promises of each type, in order."""
+    return [(m.universe, m.pred_tables, m.name) for m in members]
+
+
+@pytest.mark.parametrize("chain_name, max_size", [
+    ("bool", 3), ("luk:3", 2), ("godel:3", 2), ("u3", 3), ("luk:4", 2),
+])
+@pytest.mark.parametrize("name", ["k0", "k1", "k2", "k3"])
+def test_enumeration_equals_the_product_reference(name, chain_name, max_size):
+    chain = CHAINS[chain_name]
+    spec = get_class(name)
+    assert listed(enumerate_class(spec, chain, max_size)) == \
+        listed(enumerate_reference(spec, chain, max_size))
+
+
+def orbit(table, s):
+    """Every image of a table over s elements under a permutation."""
+    return [tuple(table[p[i] * s + p[j]] for i in range(s) for j in range(s))
+            for p in itertools.permutations(range(s))]
+
+
+@pytest.mark.parametrize("size, s, count", [
+    (2, 1, 2), (2, 2, 10), (2, 3, 104), (2, 4, 3044),
+    # Burnside: the identity fixes size**(s*s) tables, a transposition
+    # size**(s*s - s), a 3-cycle 3**3.
+    (3, 2, (3**4 + 3**2) // 2),
+    (4, 2, (4**4 + 4**2) // 2),
+    (3, 3, (3**9 + 3 * 3**5 + 2 * 3**3) // 6),
+])
+def test_orbit_walk_gives_the_least_table_of_each_orbit(size, s, count):
+    """Least of its orbit and strictly increasing, so one per orbit; as
+    many as there are orbits, so every orbit."""
+    reps = list(classes._orbit_representatives(size, s))
+    assert len(reps) == count
+    assert all(a < b for a, b in zip(reps, reps[1:]))
+    assert all(t == min(orbit(t, s)) for t in reps)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(["k0", "k1", "k2", "k3"]),
@@ -360,14 +404,18 @@ def test_k0_is_an_age_at_desk_scale(bool_chain, luk3):
         assert check_jep(spec, chain, 2).ok
 
 
-def test_broken_class_hp_counterexample(bool_chain):
-    vertex_form = canonical_form(binary_structure(bool_chain, ["v"], {("v", "v"): 0}))
+def k1drop(chain):
+    """k1 without its one-vertex type, so without HP."""
+    vertex_form = canonical_form(binary_structure(chain, ["v"], {("v", "v"): 0}))
 
     def membership(m):
         return k1_member(m) and canonical_form(m) != vertex_form
 
-    broken = ClassSpec("k1drop", membership)
-    report = check_hp(broken, bool_chain, 2)
+    return ClassSpec("k1drop", membership)
+
+
+def test_broken_class_hp_counterexample(bool_chain):
+    report = check_hp(k1drop(bool_chain), bool_chain, 2)
     assert not report.ok
     assert any("loses membership" in c.detail for c in report.counterexamples)
 
@@ -398,6 +446,14 @@ def test_ap_counterexample_for_capped_class(bool_chain):
     report = check_ap(capped, bool_chain, 2)
     assert not report.ok
     assert report.stats["searched"] == report.checked
+
+
+@pytest.mark.parametrize("make_spec", [k1drop, lambda chain: ClassSpec("one_edge", at_most_one_edge)],
+                         ids=["k1drop", "one_edge"])
+def test_user_class_enumeration_equals_the_product_reference(bool_chain, make_spec):
+    spec = make_spec(bool_chain)
+    got = listed(enumerate_class(spec, bool_chain, 3))
+    assert got and got == listed(enumerate_reference(spec, bool_chain, 3))
 
 
 def test_ap_search_reports_only_missing_disjoint_amalgams(bool_chain):

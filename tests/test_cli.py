@@ -197,6 +197,23 @@ def test_limit_build_luk4_stage_digests(klass, tmp_path, capsys):
     assert digest == LUK4_TRANSCRIPT_SHA256[klass]
 
 
+# sha256 of the ``enumerate --chain bool --max-size 4`` standard output,
+# recorded when every table of every size was still built and checked.
+ENUM_BOOL4_SHA256 = {
+    "k0": "0699cc7f15a656437245c847e10df47a7f57d0f78d75296394864fc13bf2366a",
+    "k1": "f4cd4bfd395d19dbb50c5d481a003b1d0304c7774ee19364feddd7b6851f0249",
+    "k2": "67f5e231bdb805d07e19dcbcc0982fc04f4ef6cbaf07f5a1f9691431a56c2ede",
+    "k3": "654b83221e27d14466e172231ea37c59d6bafd92dc2c0255fa83c74287a7a7a6",
+}
+
+
+@pytest.mark.parametrize("klass", sorted(ENUM_BOOL4_SHA256))
+def test_enumerate_bool_size4_digests(klass, capsys):
+    rc, out = run(["enumerate", "--class", klass, "--chain", "bool", "--max-size", "4"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUM_BOOL4_SHA256[klass]
+
+
 # sha256 of ``check --format tsv`` standard output, statistics lines included,
 # keyed by (property, class, chain, k).  Every run exits 0.
 CHECK_TSV_SHA256 = {

@@ -293,3 +293,18 @@ def test_evaluate_rejects_atoms_outside_the_signature(luk3, size, atom):
         evaluate(m, Quant("forall", "x", atom))
     with pytest.raises(ValueError):
         evaluate(m, BinOp("&", Const("bot"), Quant("exists", "x", atom)))
+
+
+XX = Atom("<", (Var("x"), Var("x")))
+
+
+@pytest.mark.parametrize("formula", [
+    Const("2"),
+    BinOp("=>", Const("0"), Const("1")),
+    Quant("forall", "x", BinOp("=>", XX, XX)),
+    Quant("every", "x", XX),
+], ids=["constant", "connective", "connective-in-a-vector", "quantifier"])
+def test_evaluate_rejects_unknown_kinds_while_compiling(luk3, formula):
+    m = binary_structure(luk3, ["a"], {("a", "a"): 1})
+    with pytest.raises(ValueError):
+        evaluate(m, formula)
