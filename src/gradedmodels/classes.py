@@ -16,8 +16,10 @@ cell check over every position.
 
 A v-formation is two structures; its base is the set of ids they share,
 on which they must agree.  Every built-in class amalgamates through one
-core: the union of the arm universes, built row by row, with each cross
-pair set by the class's closed-form rule.  The core checks the second
+core: the union of the arm universes, built row by row, with the cross
+pairs set by the class's closed-form rule, a column at a time: for each
+new element of the second arm, its values against the whole first arm,
+read off the composition through the base.  The core checks the second
 arm with the class's membership predicate and the amalgam with the
 class's cell check, run over the cross cells only.  That is exact only
 when the first arm is a member, so every ``amalgamate_k*`` takes a
@@ -157,15 +159,14 @@ def _cuts_transitive(m: GradedStructure, xs, ys, levels, antisymmetric=False) ->
     n = len(m.universe)
     size = m.chain.size
     sides = ((xs, ys),) if xs == ys else ((xs, ys), (ys, xs))
-    # bytes() takes ranks below 256 only; a larger chain's cells are coded one by one.
-    ranks = bytes(lt) if size <= 256 else None
     starts = range(0, n * n, n)
     ones = int.from_bytes(b"\1" * n, "little")
     for g in range(0, len(levels), 8):
         group = levels[g:g + 8]
         code = _level_code(group, size)
         every = (1 << len(group)) - 1
-        cut = bytes(map(code.__getitem__, lt)) if ranks is None else ranks.translate(code)
+        # A chain of more than 256 ranks keeps tuple tables, coded cell by cell.
+        cut = lt.translate(code) if type(lt) is bytes else bytes(map(code.__getitem__, lt))
         rows = [int.from_bytes(cut[i:i + n], "little") for i in starts]
         cols = [int.from_bytes(cut[p::n], "little") for p in range(n)]
         for heads, tails in sides:
@@ -303,96 +304,111 @@ def _amalgam_frame(v: VFormation):
     The union lists the first arm, then the second arm's new elements.
     ``new1`` holds the positions of the first arm's new elements, which
     keep them in the union, and ``ext2`` those of the second arm's, in
-    the second arm; ext2[j] sits at union position len(arm1) + j.  The
-    cross pairs are (x, y) for x in new1 and y in ext2, listed x-major.
-    ``assemble(forward, backward)`` returns the union table given the
-    values of (x, y) and of (y, x) for every cross pair, in that order.
-    It builds the table by rows: a first-arm row is a slice of the first
-    arm's table followed by its cells against the second arm's new
-    elements, which are cross values for a new element and second-arm
-    values for a base element; a row of a new second-arm element has
-    cross values against the first arm's new elements and second-arm
-    values everywhere else.
+    the second arm; ext2[j] sits at union position len(arm1) + j.
+    ``assemble(forward, backward)`` returns the union table given, for
+    each j, two columns over the first arm's positions: forward[j][x] is
+    the value of (x, ext2[j]) and backward[j][x] that of (ext2[j], x).
+    Only their entries at ``new1`` are read; a base element's cells take
+    the second arm's values.  The table is built by rows, joined in the
+    arms' container: a first-arm row is a slice of the first arm's table
+    followed by its cells against ext2, cut from a block that the
+    forward columns fill by strided assignment; a row of a new
+    second-arm element is its backward column with the base cells
+    overwritten, followed by its cells against ext2.
     """
     arm1, arm2 = v.arm1, v.arm2
     if arm1.signature != SIG_LT:
         raise ValueError("amalgamation recipes are defined over the one-binary-predicate signature")
     lt1, lt2 = arm1.pred_tables[0], arm2.pred_tables[0]
+    kind = type(lt1)
     n1, n2 = len(arm1.universe), len(arm2.universe)
-    # A first-arm element's position in the second arm; None when it is new.
-    in2 = [arm2.positions.get(e) for e in arm1.universe]
-    new1 = [x for x, q in enumerate(in2) if q is None]
+    new1 = [x for x, e in enumerate(arm1.universe) if e not in arm2.positions]
     ext2 = [y for y, e in enumerate(arm2.universe) if e not in arm1.positions]
     m = len(ext2)
     universe = arm1.universe + tuple(arm2.universe[y] for y in ext2)
 
-    def assemble(forward, backward) -> tuple[int, ...]:
-        table = []
-        k = 0
-        for p, q in enumerate(in2):
-            table += lt1[p * n1:(p + 1) * n1]
-            if q is None:
-                table += forward[k:k + m]
-                k += m
-            else:
-                table += [lt2[q * n2 + y] for y in ext2]
-        for j, y in enumerate(ext2):
-            row = lt2[y * n2:(y + 1) * n2]
-            back = iter(backward[j::m])
-            table += [next(back) if q is None else row[q] for q in in2]
-            table += [row[z] for z in ext2]
-        return tuple(table)
+    def assemble(forward, backward):
+        block = [0] * (n1 * m)
+        for j, col in enumerate(forward):
+            block[j::m] = col
+        for p, q in v.shared:
+            block[p * m:(p + 1) * m] = [lt2[q * n2 + y] for y in ext2]
+        block = kind(block)
+        parts = []
+        for p in range(n1):
+            parts += (lt1[p * n1:(p + 1) * n1], block[p * m:(p + 1) * m])
+        for y, col in zip(ext2, backward):
+            row = list(col)
+            for p, q in v.shared:
+                row[p] = lt2[y * n2 + q]
+            parts += (kind(row), kind([lt2[y * n2 + z] for z in ext2]))
+        return b"".join(parts) if kind is bytes else tuple(itertools.chain.from_iterable(parts))
 
     return universe, new1, ext2, assemble
 
 
-def _amalgamate(v: VFormation, cross_rule, member, cells_ok) -> GradedStructure:
+def _amalgamate(v: VFormation, cross, member, cells_ok) -> GradedStructure:
     """The amalgamation core shared by every built-in class.
 
-    ``cross_rule(x, y)`` gives the values of (x, y) and (y, x) for x new
-    in the first arm and y new in the second, both given by their
-    positions in their own arm.  ``member`` is the class's membership
-    predicate, checked on the second arm.  ``cells_ok(out, xs, ys)`` is
-    the class's cell check, the one that ``member`` runs over every
-    position; here it runs over the cross cells only, with xs and ys the
-    two arms' new elements as positions in the amalgam ``out``, in
-    O(n * (n + |cross|)) steps.  That is exact when both arms are
-    members, so the first arm must already be one; the callers
-    guarantee it.  ``check_ap`` and ``check_jep`` pass enumerated
-    members, and ``build_limit`` and ``replay_transcript`` pass the
-    current stage, which is a checked initial stage or an amalgam.
+    ``cross(v, ext2)`` gives the cross values as the ``forward`` and
+    ``backward`` columns that ``_amalgam_frame``'s ``assemble`` takes:
+    for each new element y of the second arm (ext2 lists their positions
+    there), the values of (x, y) and of (y, x) over every position x of
+    the first arm, read only where x is new.  ``member`` is the class's
+    membership predicate, checked on the second arm.
+    ``cells_ok(out, xs, ys)`` is the class's cell check, the one that
+    ``member`` runs over every position; here it runs over the cross
+    cells only, with xs and ys the two arms' new elements as positions
+    in the amalgam ``out``, in O(n * (n + |cross|)) steps.  That is
+    exact when both arms are members, so the first arm must already be
+    one; the callers guarantee it.  ``check_ap`` and ``check_jep`` pass
+    enumerated members, and ``build_limit`` and ``replay_transcript``
+    pass the current stage, which is a checked initial stage or an
+    amalgam.
     """
     if not member(v.arm2):
         raise AmalgamationError(f"the second arm is not a member ({member.__name__} rejects it)")
     universe, new1, ext2, assemble = _amalgam_frame(v)
-    forward = backward = ()
-    if new1 and ext2:
-        forward, backward = zip(*[cross_rule(x, y) for x in new1 for y in ext2])
-    out = GradedStructure(v.arm1.chain, SIG_LT, universe, (assemble(forward, backward),),
+    out = GradedStructure(v.arm1.chain, SIG_LT, universe, (assemble(*cross(v, ext2)),),
                           name="amalgam")
-    if forward and not cells_ok(out, new1, range(len(v.arm1.universe), len(universe))):
+    if new1 and ext2 and not cells_ok(out, new1, range(len(v.arm1.universe), len(universe))):
         raise AmalgamationError(f"cross rule lost membership ({member.__name__} fails on a cross cell)")
     return out
 
 
-def _composition(v: VFormation):
-    """C(x, y) = max over base b of min(v1(x, b), v2(b, y)), both ways.
+def _bottom_cross(v: VFormation, ext2):
+    """Bottom in both directions for every cross pair, as fresh lists."""
+    bottom = [v.arm1.chain.bot] * len(v.arm1.universe)
+    return [bottom[:] for _ in ext2], [bottom[:] for _ in ext2]
 
-    Returns a function of (x, y), x in the first arm and y in the second,
-    giving (C(x, y), C(y, x)); both are bottom over an empty base.
+
+def _composition(v: VFormation, ext2):
+    """C(x, y) = max over base b of min(v1(x, b), v2(b, y)), both ways, a
+    column at a time.
+
+    Returns (forward, backward): for each position y in ``ext2`` of the
+    second arm, the lists of C(x, y) and of C(y, x) over every position x
+    of the first arm.  A base element b gives its column of the first
+    arm, v1(x, b) over x, clipped at v2(b, y) by ``map(min, ...)``, and
+    its row, v1(b, x) over x, clipped at v2(y, b); one ``map(max, ...)``
+    over those of every base element gives the columns.  Both are bottom
+    over an empty base.
     """
+    if not v.shared:
+        return _bottom_cross(v, ext2)
     lt1, lt2 = v.arm1.pred_tables[0], v.arm2.pred_tables[0]
     n1, n2 = len(v.arm1.universe), len(v.arm2.universe)
-    base = v.shared
-    bot = v.arm1.chain.bot
+    into = [(lt1[b1::n1], b2) for b1, b2 in v.shared]
+    out_of = [(lt1[b1 * n1:(b1 + 1) * n1], b2) for b1, b2 in v.shared]
 
-    def through(x, y):
-        return (
-            max((min(lt1[x * n1 + b1], lt2[b2 * n2 + y]) for b1, b2 in base), default=bot),
-            max((min(lt2[y * n2 + b2], lt1[b1 * n1 + x]) for b1, b2 in base), default=bot),
-        )
+    def sup(clipped):
+        return list(clipped[0] if len(clipped) == 1 else map(max, *clipped))
 
-    return through
+    forward = [sup([map(min, col, itertools.repeat(lt2[b2 * n2 + y])) for col, b2 in into])
+               for y in ext2]
+    backward = [sup([map(min, row, itertools.repeat(lt2[y * n2 + b2])) for row, b2 in out_of])
+                for y in ext2]
+    return forward, backward
 
 
 def amalgamate_k0(v: VFormation) -> GradedStructure:
@@ -403,7 +419,7 @@ def amalgamate_k0(v: VFormation) -> GradedStructure:
     the base, which is the whole sup-min closure of the union.  The
     first arm must be a member (see ``_amalgamate``).
     """
-    return _amalgamate(v, _composition(v), k0_member, _k0_cells_ok)
+    return _amalgamate(v, _composition, k0_member, _k0_cells_ok)
 
 
 def amalgamate_k1(v: VFormation) -> GradedStructure:
@@ -413,8 +429,7 @@ def amalgamate_k1(v: VFormation) -> GradedStructure:
     the result loopless and symmetric.  The first arm must be a member
     (see ``_amalgamate``).
     """
-    bot = v.arm1.chain.bot
-    return _amalgamate(v, lambda x, y: (bot, bot), k1_member, _k1_cells_ok)
+    return _amalgamate(v, _bottom_cross, k1_member, _k1_cells_ok)
 
 
 def _k2_key(arm: GradedStructure, base, z: int, levels) -> tuple[int, ...]:
@@ -432,6 +447,27 @@ def _k2_key(arm: GradedStructure, base, z: int, levels) -> tuple[int, ...]:
         tied = any(lt[b * n + z] >= a and lt[z * n + b] >= a for b in base)
         key.append(2 * below + tied)
     return tuple(key)
+
+
+def _k2_cross(v: VFormation, ext2):
+    """The cross columns of ``amalgamate_k2``: per pair, the largest level
+    at which the key prefixes order it, or the composition if larger."""
+    chain = v.arm1.chain
+    levels = range(1, chain.one + 1)
+    base1, base2 = [p for p, _ in v.shared], [q for _, q in v.shared]
+    keys1 = {x: _k2_key(v.arm1, base1, x, levels)
+             for x, e in enumerate(v.arm1.universe) if e not in v.arm2.positions}
+    forward, backward = _composition(v, ext2)
+    for y, fcol, bcol in zip(ext2, forward, backward):
+        ky = _k2_key(v.arm2, base2, y, levels)
+        for x, kx in keys1.items():
+            up = max((a for a in levels if kx[:a] <= ky[:a]), default=chain.bot)
+            down = max(
+                (a for a in levels if ky[:a] < kx[:a] or (ky[:a] == kx[:a] and kx[a - 1] % 2)),
+                default=chain.bot,
+            )
+            fcol[x], bcol[x] = max(fcol[x], up), max(bcol[x], down)
+    return forward, backward
 
 
 def amalgamate_k2(v: VFormation) -> GradedStructure:
@@ -474,26 +510,17 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
        through the base, so, as for ``amalgamate_k0``, the composition
        closes the union of the arms' cuts transitively.
     """
+    return _amalgamate(v, _k2_cross, k2_member, _k2_cells_ok)
+
+
+def _k3_cross(v: VFormation, ext2):
+    """The composition's columns, each rank sent to ``one`` when it is at
+    least ``one`` and to ``zero`` otherwise."""
     chain = v.arm1.chain
-    levels = range(1, chain.one + 1)
-    base1, base2 = [p for p, _ in v.shared], [q for _, q in v.shared]
-    keys1 = {x: _k2_key(v.arm1, base1, x, levels)
-             for x, e in enumerate(v.arm1.universe) if e not in v.arm2.positions}
-    keys2 = {y: _k2_key(v.arm2, base2, y, levels)
-             for y, e in enumerate(v.arm2.universe) if e not in v.arm1.positions}
-    through = _composition(v)
-
-    def rule(x, y):
-        kx, ky = keys1[x], keys2[y]
-        forward = max((a for a in levels if kx[:a] <= ky[:a]), default=chain.bot)
-        backward = max(
-            (a for a in levels if ky[:a] < kx[:a] or (ky[:a] == kx[:a] and kx[a - 1] % 2)),
-            default=chain.bot,
-        )
-        cxy, cyx = through(x, y)
-        return max(cxy, forward), max(cyx, backward)
-
-    return _amalgamate(v, rule, k2_member, _k2_cells_ok)
+    cut = [chain.one if r >= chain.one else chain.zero for r in range(chain.size)]
+    forward, backward = _composition(v, ext2)
+    return ([list(map(cut.__getitem__, col)) for col in forward],
+            [list(map(cut.__getitem__, col)) for col in backward])
 
 
 def amalgamate_k3(v: VFormation) -> GradedStructure:
@@ -504,18 +531,22 @@ def amalgamate_k3(v: VFormation) -> GradedStructure:
     endpoints at the filter level; otherwise it takes the falsum
     constant.  The first arm must be a member (see ``_amalgamate``).
     """
-    chain = v.arm1.chain
-    one, zero = chain.one, chain.zero
-    through = _composition(v)
-
-    def rule(x, y):
-        cxy, cyx = through(x, y)
-        return (one if cxy >= one else zero), (one if cyx >= one else zero)
-
-    return _amalgamate(v, rule, k3_member, _k3_cells_ok)
+    return _amalgamate(v, _k3_cross, k3_member, _k3_cells_ok)
 
 
 _SEARCH_CAP = 10**6
+
+
+def _cross_columns(v: VFormation, new1, ext2, values):
+    """The ``assemble`` columns of cross values listed pair by pair:
+    (x, y) then (y, x) for x in ``new1`` and y in ``ext2``, x-major."""
+    n1 = len(v.arm1.universe)
+    forward = [[0] * n1 for _ in ext2]
+    backward = [[0] * n1 for _ in ext2]
+    pairs = itertools.product(new1, range(len(ext2)))
+    for (x, j), f, b in zip(pairs, values[0::2], values[1::2]):
+        forward[j][x], backward[j][x] = f, b
+    return forward, backward
 
 
 def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
@@ -536,7 +567,7 @@ def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
     if count > _SEARCH_CAP:
         raise BudgetError(f"{count} cross assignments exceed the cap of {_SEARCH_CAP}")
     for combo in itertools.product(range(chain.size), repeat=cells):
-        table = assemble(combo[0::2], combo[1::2])
+        table = assemble(*_cross_columns(v, new1, ext2, combo))
         out = GradedStructure(chain, SIG_LT, universe, (table,), name="amalgam")
         if membership(out):
             return out

@@ -346,9 +346,10 @@ def check_random_graph_property(m: GradedStructure, max_x: int) -> list[WitnessD
     total = sum(comb(n, s) * chain.size ** s for s in range(max_x + 1))
     if total > _RANDGRAPH_CAP:
         raise BudgetError(f"{total} demands exceed the cap of {_RANDGRAPH_CAP}")
-    # A member is symmetric, so row w of the table gives w's values both ways.
+    # A member is symmetric, so row w of the table gives w's values both
+    # ways; rows are tuples, which the interpreter indexes faster than bytes.
     lt = m.pred_tables[0]
-    rows = [lt[w * n:(w + 1) * n] for w in range(n)]
+    rows = [tuple(lt[w * n:(w + 1) * n]) for w in range(n)]
     defects = []
     for s in range(max_x + 1):
         for X in itertools.combinations(m.universe, s):

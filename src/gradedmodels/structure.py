@@ -10,6 +10,15 @@ positions (i_1, ..., i_k).  String ids matter only at the boundary:
 Structures are immutable, hashable values; renaming is explicit.  All
 operations here are pure.
 
+The chain picks the container of every table.  Over a chain of at most
+256 ranks, as every built-in chain is, a table is ``bytes``, one byte
+per entry: it is validated by one ``translate``, sliced, joined and
+compared at memory speed, and a rank is still an int when read.  A
+larger chain keeps a ``tuple`` of ints.  Both index, slice, iterate and
+hash alike, so reading code does not branch; code that builds a table
+makes it in the container of the tables it reads (``type(table)``), and
+the constructor accepts either container and stores the chain's.
+
 ``find_embeddings`` is a forward-checking search over candidate sets
 kept as Python-int bitsets of target positions.  The masks it reads are
 cached on the target structure, like ``positions``, and go with it: the
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 from .algebra import Chain, resolve_chain
 from .errors import FileFormatError
@@ -45,20 +54,66 @@ __all__ = [
 ]
 
 
-def _check_element_id(eid: str) -> str:
-    # split() drops every whitespace character, so this also rejects "".
-    if not isinstance(eid, str) or eid.split() != [eid] or "=" in eid:
-        raise ValueError(f"bad element id {eid!r}")
-    return eid
+def _check_universe(universe: tuple) -> None:
+    """Every id is a nonempty string with no whitespace and no "=", and
+    no id repeats.
+
+    Joined by spaces, the ids split back into themselves exactly when
+    each is a nonempty string without whitespace, so a good universe
+    costs a few passes in C; a bad one is read id by id to name the
+    first bad id.
+    """
+    try:
+        joined = " ".join(universe)
+    except TypeError:  # an id that is not a string
+        joined = None
+    if (joined is not None and "=" not in joined and joined.split() == list(universe)
+            and len(set(universe)) == len(universe)):
+        return
+    seen = set()
+    for eid in universe:
+        # split() drops every whitespace character, so this also rejects "".
+        if not isinstance(eid, str) or eid.split() != [eid] or "=" in eid:
+            raise ValueError(f"bad element id {eid!r}")
+        if eid in seen:
+            raise ValueError(f"duplicate element id {eid!r}")
+        seen.add(eid)
 
 
-def _check_table(table, length: int, bound: int, what: str) -> None:
-    """A table is a tuple of ``length`` ints, each in 0..bound-1."""
-    if type(table) is not tuple or len(table) != length:
-        raise ValueError(f"interpretation of {what} is not a total table of {length} entries")
-    if table and not (all(map(isinstance, table, itertools.repeat(int)))
-                      and min(table) >= 0 and max(table) < bound):
-        raise ValueError(f"interpretation of {what} has an entry outside 0..{bound - 1}")
+@cache
+def _ranks_below(size: int) -> bytes:
+    """The bytes 0..size-1, the ``bytes.translate`` deletion set of valid ranks."""
+    return bytes(range(size))
+
+
+def _check_table(table, length: int, size: int, pname: str):
+    """The table of predicate ``pname`` is a tuple or ``bytes`` of
+    ``length`` ranks, each in 0..size-1; returns it in the container of a
+    chain of ``size`` ranks.
+
+    A chain of at most 256 ranks stores ``bytes``: a tuple is converted
+    by ``bytes()``, which rejects every entry that is not an int in
+    0..255, and the ranks are in range exactly when deleting every byte
+    below ``size`` leaves nothing.  A larger chain stores a tuple, whose
+    entries are checked one by one; a ``bytes`` table is in range there.
+    """
+    if type(table) not in (tuple, bytes) or len(table) != length:
+        raise ValueError(f"interpretation of predicate {pname!r} is not a total table "
+                         f"of {length} entries")
+    if size <= 256:
+        if type(table) is tuple:
+            try:
+                table = bytes(table)
+            except (TypeError, ValueError):
+                table = None
+        if table is not None and not table.translate(None, _ranks_below(size)):
+            return table
+    elif type(table) is bytes:
+        return tuple(table)
+    elif not table or (all(map(isinstance, table, itertools.repeat(int)))
+                       and min(table) >= 0 and max(table) < size):
+        return table
+    raise ValueError(f"interpretation of predicate {pname!r} has an entry outside 0..{size - 1}")
 
 
 def _flat(coords, n: int) -> list[int]:
@@ -70,9 +125,10 @@ def _flat(coords, n: int) -> list[int]:
     return flat
 
 
-def _pull(table, pos, n: int, arity: int) -> tuple:
-    """The table over the elements at ``pos`` (in that order) of a table over n elements."""
-    return tuple(map(table.__getitem__, _flat([pos] * arity, n)))
+def _pull(table, pos, n: int, arity: int):
+    """The table over the elements at ``pos`` (in that order) of a table
+    over n elements, in the same container."""
+    return type(table)(map(table.__getitem__, _flat([pos] * arity, n)))
 
 
 @dataclass(frozen=True)
@@ -81,31 +137,31 @@ class GradedStructure:
 
     ``pred_tables`` follows ``signature.predicates`` and holds ranks of
     ``chain``.  The constructor is the one place that validates, so code
-    reading the tables checks nothing again.
+    reading the tables checks nothing again.  It takes each table as a
+    tuple or as ``bytes`` and stores it in the chain's container:
+    ``bytes`` for a chain of at most 256 ranks, a tuple above that (see
+    ``_check_table``), so equal tables compare and hash equal whichever
+    container they came in.
     Equality and hashing ignore ``name``.
     """
 
     chain: Chain
     signature: Signature
     universe: tuple[str, ...]
-    pred_tables: tuple[tuple[int, ...], ...]
+    pred_tables: tuple[bytes | tuple[int, ...], ...]
     name: str = field(default="s", compare=False)
 
     def __post_init__(self):
         if not (type(self.universe) is type(self.pred_tables) is tuple):
             raise ValueError("the universe and the tables must be tuples")
-        seen = set()
-        for eid in self.universe:
-            _check_element_id(eid)
-            if eid in seen:
-                raise ValueError(f"duplicate element id {eid!r}")
-            seen.add(eid)
+        _check_universe(self.universe)
         n = len(self.universe)
         preds = self.signature.predicates
         if len(self.pred_tables) != len(preds):
             raise ValueError("expected one table per predicate")
-        for (pname, arity), table in zip(preds, self.pred_tables):
-            _check_table(table, n ** arity, self.chain.size, f"predicate {pname!r}")
+        tables = [_check_table(table, n ** arity, self.chain.size, pname)
+                  for (pname, arity), table in zip(preds, self.pred_tables)]
+        object.__setattr__(self, "pred_tables", tuple(tables))
 
     def __len__(self) -> int:
         return len(self.universe)
@@ -228,8 +284,23 @@ def _diagonal_step(n: int, arity: int) -> int:
     return (n ** arity - 1) // (n - 1) if n > 1 else arity
 
 
+@cache
+def _rank_digits(rank: int) -> bytes:
+    """The ``bytes.translate`` table that sends ``rank`` to the digit 1
+    and every other byte to the digit 0."""
+    return b"0" * rank + b"1" + b"0" * (255 - rank)
+
+
 def _rank_masks(values, size: int) -> list[int]:
-    """Rank -> bitset of the places in ``values`` that hold that rank."""
+    """Rank -> bitset of the places in ``values`` that hold that rank.
+
+    A ``bytes`` line, reversed so that place 0 is the lowest bit, becomes
+    each rank's mask as one ``translate`` to binary digits read by
+    ``int``; a tuple line is read place by place.
+    """
+    if type(values) is bytes:
+        line = values[::-1]
+        return [int(line.translate(_rank_digits(v)), 2) if line else 0 for v in range(size)]
     masks = [0] * size
     for place, v in enumerate(values):
         masks[v] |= 1 << place
@@ -288,8 +359,9 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None =
     wide = [(arity, tm, tn) for (_, arity), tm, tn in zip(preds, m.pred_tables, n.pred_tables)
             if arity > 2]
     # lines[s]: per binary predicate, the row and the column of s in m,
-    # whose ranks index the row and column masks of the image of s.
-    lines = [[line for (_, arity), tm in zip(preds, m.pred_tables) if arity == 2
+    # whose ranks index the row and column masks of the image of s; as
+    # tuples, which the interpreter indexes faster than bytes.
+    lines = [[tuple(line) for (_, arity), tm in zip(preds, m.pred_tables) if arity == 2
               for line in (tm[s * nm:(s + 1) * nm], tm[s::nm])] for s in range(nm)]
     cand = [(1 << nn) - 1] * nm
     for (_, arity), tm, masks in zip(preds, m.pred_tables, n._loop_masks):
@@ -403,7 +475,10 @@ def canonical_form(m: GradedStructure) -> bytes:
     orderings.  Elements are first grouped by an invariant profile and
     only orderings listing the profile groups in sorted profile order
     are tried; the grouping is itself invariant, so the minimum over
-    this restricted set is still a complete invariant.
+    this restricted set is still a complete invariant.  Tables of one
+    size compare in the same order as ``bytes`` and as tuples, and the
+    winner is rendered with its tables as tuples, so the form does not
+    depend on the container.
     """
     groups: dict = {}
     for i in range(len(m.universe)):
@@ -415,7 +490,7 @@ def canonical_form(m: GradedStructure) -> bytes:
         key = _serialize_under(m, perm)
         if best is None or key < best:
             best = key
-    return repr(best).encode("utf-8")
+    return repr((best[0], *map(tuple, best[1:]))).encode("utf-8")
 
 
 def restrict(m: GradedStructure, elements) -> GradedStructure:

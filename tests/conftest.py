@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from gradedmodels.algebra import Chain, boolean_chain, make_godel, make_lukasiewicz
@@ -13,6 +15,18 @@ FIVE_CHAINS = (
     Chain(3, U3_ROWS, one=1, zero=0, name="u3"),
     make_lukasiewicz(4),
 )
+
+
+@functools.cache
+def godel257():
+    """The 257-rank Goedel chain, whose ranks do not fit in a byte; it
+    takes about two seconds to build, so it is built once."""
+    return make_godel(257)
+
+
+def chain_named(name):
+    """One of ``FIVE_CHAINS``, or ``godel:257``, by name."""
+    return godel257() if name == "godel:257" else {c.name: c for c in FIVE_CHAINS}[name]
 
 
 @pytest.fixture(scope="session")

@@ -197,6 +197,41 @@ def test_limit_build_luk4_stage_digests(klass, tmp_path, capsys):
     assert digest == LUK4_TRANSCRIPT_SHA256[klass]
 
 
+def seeded_graph_text(seed, size):
+    """A ``luk:3`` structure with a random rank on every pair, loops included."""
+    rng = random.Random(seed)
+    ids = [f"v{i}" for i in range(size)]
+    return graph_text("r", ids, [[rng.randrange(3) for _ in ids] for _ in ids])
+
+
+# Digests that pin the bytes of ``canonical_form``, recorded while tables
+# were tuples: the ``age --k 2`` standard output for
+# ``seeded_graph_text(7, 12)``, and the sorted defect lines of ``limit
+# check --class k3 --budget 2`` on stage001.gs of the k3 ``luk:4`` build.
+AGE_SEEDED_SHA256 = "a706eafe0b9bf9df99ec07775f7642b6e5120a6ed8bcefaf5d7e8cc955755d4c"
+K3_LUK4_STAGE1_DEFECTS_SHA256 = "2763311ba3069497101343b80d598fe39346d22e396aeac131d357220de9ae9c"
+
+
+def test_age_digest_of_a_seeded_graph(tmp_path, capsys):
+    (tmp_path / "r.gs").write_text(seeded_graph_text(7, 12))
+    rc, out = run(["age", str(tmp_path / "r.gs"), "--k", "2"], capsys)
+    assert rc == 0 and out.startswith("types 32\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == AGE_SEEDED_SHA256
+
+
+def test_limit_check_defects_of_the_k3_luk4_first_stage(tmp_path, capsys):
+    built = tmp_path / "built"
+    rc, _ = run(["limit", "build", "--class", "k3", "--chain", "luk:4", "--stages", "1",
+                 "--budget", "2", "--out", str(built)], capsys)
+    assert rc == 0
+    rc, out = run(["limit", "check", "--stage", str(built / "stage001.gs"), "--class", "k3",
+                   "--budget", "2"], capsys)
+    lines = out.splitlines()
+    assert rc == 1 and lines[0] == "defects 220"
+    digest = hashlib.sha256("\n".join(sorted(lines[1:])).encode()).hexdigest()
+    assert digest == K3_LUK4_STAGE1_DEFECTS_SHA256
+
+
 # sha256 of the ``enumerate --chain bool --max-size 4`` standard output,
 # recorded when every table of every size was still built and checked.
 ENUM_BOOL4_SHA256 = {

@@ -53,8 +53,8 @@ def test_delta_check_agrees_with_membership_on_small_v_formations(name, chain):
                     ys = range(len(m1), len(universe))
                     cells = 2 * len(new1) * len(ext2)
                     for combo in itertools.product(chain.ranks(), repeat=cells):
-                        out = GradedStructure(chain, SIG_LT, universe,
-                                              (assemble(combo[0::2], combo[1::2]),))
+                        columns = classes._cross_columns(v, new1, ext2, combo)
+                        out = GradedStructure(chain, SIG_LT, universe, (assemble(*columns),))
                         verdict = REFERENCE[name](out)
                         assert CROSS_OK[name](out, new1, ys) == verdict, out.pred_tables
                         verdicts.add(verdict)

@@ -1,11 +1,13 @@
 """Amalgamation recipes, the stage-wise limit builder, and the verifiers."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gradedmodels import classes
 from gradedmodels.classes import (
     ClassSpec,
     VFormation,
@@ -32,7 +34,9 @@ from gradedmodels.fraisse import (
     random_weighted_graph,
     replay_transcript,
 )
+from gradedmodels.logic import SIG_LT
 from gradedmodels.structure import (
+    GradedStructure,
     binary_structure,
     find_embeddings,
     is_isomorphic,
@@ -41,7 +45,8 @@ from gradedmodels.structure import (
     structure_to_text,
 )
 
-from conftest import FIVE_CHAINS
+from composition_reference import composition_reference
+from conftest import FIVE_CHAINS, godel257
 from test_classes import at_most_one_edge, pair
 from test_structure import edge_graph
 
@@ -293,25 +298,69 @@ def test_amalgamators_verified_on_all_small_v_formations(name, chain_fixture, re
     assert report.stats["constructed"] == report.checked
 
 
-def test_k3_rule_agrees_with_search_or_both_members(luk3):
-    spec = get_class("k3")
-    members = enumerate_class(spec, luk3, 2)
-    agreements = 0
+def ap_v_formations(spec, chain, k):
+    """Every v-formation that ``check_ap`` visits at k, in its order."""
+    members = enumerate_class(spec, chain, k)
     for m1 in members:
         for ssize in range(1, len(m1.universe) + 1):
             for subset in itertools.combinations(m1.universe, ssize):
                 base = restrict(m1, subset)
                 for m2 in members:
                     for g in find_embeddings(base, m2):
-                        v = align_v_formation(m1, m2, g)
-                        ruled = amalgamate_k3(v)
-                        searched = search_amalgam(v, k3_member)
-                        assert searched is not None
-                        assert k3_member(ruled) and k3_member(searched)
-                        if searched == ruled:
-                            agreements += 1
-                            assert is_isomorphic(ruled, searched) is not None
+                        yield align_v_formation(m1, m2, g)
+
+
+def test_k3_rule_agrees_with_search_or_both_members(luk3):
+    agreements = 0
+    for v in ap_v_formations(get_class("k3"), luk3, 2):
+        ruled = amalgamate_k3(v)
+        searched = search_amalgam(v, k3_member)
+        assert searched is not None
+        assert k3_member(ruled) and k3_member(searched)
+        if searched == ruled:
+            agreements += 1
+            assert is_isomorphic(ruled, searched) is not None
     assert agreements > 0
+
+
+def assert_composition_is_the_reference(v):
+    """Every entry of the column composition, base positions included,
+    equals the per-pair reference."""
+    ext2 = classes._amalgam_frame(v)[2]
+    forward, backward = classes._composition(v, ext2)
+    through = composition_reference(v)
+    assert len(forward) == len(backward) == len(ext2)
+    for y, fcol, bcol in zip(ext2, forward, backward):
+        assert len(fcol) == len(bcol) == len(v.arm1)
+        assert list(zip(fcol, bcol)) == [through(x, y) for x in range(len(v.arm1))]
+
+
+@pytest.mark.parametrize("name", ["k0", "k1", "k2", "k3"])
+@pytest.mark.parametrize("chain", FIVE_CHAINS, ids=lambda c: c.name)
+def test_column_composition_equals_the_per_pair_reference(name, chain):
+    spec = get_class(name)
+    visited = 0
+    for v in ap_v_formations(spec, chain, 2):
+        assert_composition_is_the_reference(v)
+        visited += 1
+    assert visited == check_ap(spec, chain, 2).checked
+    # The empty base of joint embedding.
+    members = enumerate_class(spec, chain, 2)
+    for m1, m2 in itertools.product(members, repeat=2):
+        assert_composition_is_the_reference(align_v_formation(m1, m2, {}))
+
+
+def test_column_composition_on_a_chain_of_tuple_tables():
+    """A chain of 257 ranks keeps tuple tables, with ranks past a byte."""
+    rng = random.Random(5)
+    elems = ("a", "b", "c", "d", "p", "q")
+    table = tuple(rng.randrange(257) for _ in range(35)) + (256,)
+    m = GradedStructure(godel257(), SIG_LT, elems, (table,))
+    assert type(m.pred_tables[0]) is tuple
+    for base in ([], ["c"], ["c", "d"], ["a", "c", "d"]):
+        v = VFormation(restrict(m, ["a", "b", *base]), restrict(m, [*base, "p", "q"]))
+        assert len(v.shared) == len(set(base))
+        assert_composition_is_the_reference(v)
 
 
 def test_limit_needs_an_amalgamator(bool_chain):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedmodels.algebra import boolean_chain, chain_from_text
+from gradedmodels.classes import VFormation, enumerate_class, get_class
 from gradedmodels.errors import ChainTableError, FileFormatError
 from gradedmodels.logic import SIG_LT, Signature
 from gradedmodels.structure import (
@@ -26,7 +27,9 @@ from gradedmodels.structure import (
     structure_from_text,
     structure_to_text,
 )
+from gradedmodels.structure import _rank_masks
 
+from conftest import FIVE_CHAINS, chain_named
 from test_logic import fold_oracle, random_qf_formula, random_structure
 
 
@@ -442,3 +445,91 @@ def test_structure_file_nonstandard_signature(luk3):
     text = structure_to_text(m)
     assert "predicates R:1 S:3" in text
     assert structure_from_text(text, chain=luk3) == m
+
+
+# --- table containers ---
+
+@pytest.mark.parametrize("name, kind", [(c.name, bytes) for c in FIVE_CHAINS] + [("godel:257", tuple)])
+def test_tables_are_kept_in_the_chain_container(name, kind):
+    """``bytes`` up to 256 ranks, a tuple above; every way to make a
+    structure keeps the chain's container."""
+    chain = chain_named(name)
+    top, bot = chain.top, chain.bot
+    m = binary_structure(chain, ["a", "b", "c"], {("a", "b"): top, ("c", "a"): chain.one},
+                         default=bot)
+    sig = Signature(predicates=(("R", 1), ("<", 2)))
+    wide = make_structure(chain, ["a", "b"], {("R", ("a",)): top}, signature=sig, default=bot)
+    arm1 = binary_structure(chain, ["a", "b"], {("a", "a"): top, ("b", "b"): top}, default=bot)
+    arm2 = binary_structure(chain, ["b", "c"], {("b", "b"): top, ("c", "c"): top}, default=bot)
+    made = [
+        m, wide, restrict(m, ["a", "c"]), rename(m, {"a": "z"}),
+        structure_from_text(structure_to_text(m), chain=chain),
+        get_class("k0").amalgamate(VFormation(arm1, arm2)),
+        *enumerate_class(get_class("k0"), chain, 1),
+    ]
+    assert all(type(t) is kind for s in made for t in s.pred_tables)
+
+
+BAD_TABLES = {
+    "list": lambda size: [0, 0, 0, 0],
+    "bytearray": lambda size: bytearray(4),
+    "short-tuple": lambda size: (0, 0, 0),
+    "long-bytes": lambda size: bytes(5),
+    "rank-chain-size": lambda size: (0, 0, 0, size),
+    "rank-minus-one": lambda size: (0, 0, 0, -1),
+    "rank-float": lambda size: (0, 0, 0, 1.5),
+    "rank-str": lambda size: (0, 0, 0, "1"),
+    "rank-none": lambda size: (0, 0, 0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+@pytest.mark.parametrize("name", ["bool", "godel:257"])
+def test_constructor_rejects_bad_tables_in_either_container(name, case):
+    chain = chain_named(name)
+    with pytest.raises(ValueError, match="interpretation of predicate '<'"):
+        GradedStructure(chain, SIG_LT, ("a", "b"), (BAD_TABLES[case](chain.size),))
+
+
+@pytest.mark.parametrize("table", [bytes((0, 0, 0, 2)), (0, 0, 0, 256), bytes((0, 0, 0, 255))],
+                         ids=["rank-chain-size", "rank-past-a-byte", "rank-255"])
+def test_constructor_rejects_ranks_outside_a_small_chain(table):
+    with pytest.raises(ValueError, match="outside 0..1"):
+        GradedStructure(boolean_chain(), SIG_LT, ("a", "b"), (table,))
+
+
+@pytest.mark.parametrize("name", ["bool", "luk:4", "godel:257"])
+def test_tuple_and_bytes_input_build_equal_structures(name):
+    chain = chain_named(name)
+    table = tuple(r % chain.size for r in (255, 0, 1, 2))
+    a = GradedStructure(chain, SIG_LT, ("a", "b"), (table,))
+    b = GradedStructure(chain, SIG_LT, ("a", "b"), (bytes(table),))
+    assert a == b and hash(a) == hash(b)
+    assert a.pred_tables == b.pred_tables
+    assert canonical_form(a) == canonical_form(b)
+    assert list(a.pred_tables[0]) == list(table)
+
+
+@pytest.mark.parametrize("name", ["luk:3", "godel:257"])
+def test_canonical_form_renders_tables_as_tuples(name):
+    """The forms are the ``repr`` of tuples whatever the container, so
+    age digests and defect renderings do not depend on it."""
+    chain = chain_named(name)
+    m = binary_structure(chain, ["a", "b", "c"],
+                         {("a", "b"): 2, ("a", "a"): 1, ("b", "b"): 1, ("c", "a"): 1}, default=0)
+    assert canonical_form(m) == b"(3, (0, 0, 1, 0, 1, 0, 0, 2, 1))"
+    assert canonical_form(restrict(m, ["b"])) == b"(1, (1,))"
+    sig = Signature(predicates=(("P", 1), ("<", 2)))
+    m = make_structure(chain, ["a", "b"], {("P", ("a",)): 2, ("<", ("a", "b")): 1},
+                       signature=sig, default=0)
+    assert canonical_form(m) == b"(2, (0, 2), (0, 0, 1, 0))"
+
+
+@pytest.mark.parametrize("size", [2, 4, 256])
+def test_rank_masks_agree_on_bytes_and_tuple_lines(size):
+    rng = random.Random(size)
+    for length in (0, 1, 2, 7, 40, 300):
+        line = [rng.randrange(size) for _ in range(length)]
+        want = [sum(1 << place for place, v in enumerate(line) if v == rank) for rank in range(size)]
+        assert _rank_masks(bytes(line), size) == want
+        assert _rank_masks(tuple(line), size) == want
