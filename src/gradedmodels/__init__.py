@@ -52,7 +52,6 @@ from .structure import (
     binary_structure,
     canonical_form,
     find_embeddings,
-    is_embedding,
     is_isomorphic,
     is_substructure,
     make_structure,

@@ -1,16 +1,18 @@
 """Finite residuated chains of truth values.
 
 A chain holds ranks 0..n-1 ordered as the lattice order, a commutative
-monoid operation ``conj`` with neutral element ``one``, the residuum
-``res`` derived from it, and the two distinguished constants ``one``
-(threshold of the designated filter) and ``zero`` (the falsum constant,
-whose position in the chain is unconstrained).  Meet and join are min
-and max of ranks.  Chains are immutable and safe to share.
+monoid operation (``conj_table``) with neutral element ``one``, the
+residuum derived from it (``res_table``), and the two distinguished
+constants ``one`` (threshold of the designated filter) and ``zero`` (the
+falsum constant, whose position in the chain is unconstrained).  Meet
+and join are min and max of ranks.  Chains are immutable and safe to
+share.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ChainTableError, FileFormatError
@@ -77,25 +79,10 @@ class Chain:
     def ranks(self) -> range:
         return range(self.size)
 
-    def check_rank(self, a: int) -> int:
+    def in_filter(self, a: int) -> bool:
         if not isinstance(a, int) or not 0 <= a < self.size:
             raise ValueError(f"rank {a!r} out of range for chain of size {self.size}")
-        return a
-
-    def conj(self, a: int, b: int) -> int:
-        return self.conj_table[self.check_rank(a)][self.check_rank(b)]
-
-    def res(self, a: int, c: int) -> int:
-        return self.res_table[self.check_rank(a)][self.check_rank(c)]
-
-    def meet(self, a: int, b: int) -> int:
-        return min(self.check_rank(a), self.check_rank(b))
-
-    def join(self, a: int, b: int) -> int:
-        return max(self.check_rank(a), self.check_rank(b))
-
-    def in_filter(self, a: int) -> bool:
-        return self.check_rank(a) >= self.one
+        return a >= self.one
 
     def __repr__(self) -> str:
         return f"Chain({self.name!r}, size={self.size}, one={self.one}, zero={self.zero})"
@@ -150,17 +137,9 @@ def _find_axiom_failure(size: int, table, one: int) -> tuple[str, tuple, str] | 
 
 
 def _build_res_table(size: int, table) -> tuple[tuple[int, ...], ...]:
-    res = []
-    for a in range(size):
-        row = []
-        for c in range(size):
-            best = 0
-            for b in range(size):
-                if table[a][b] <= c:
-                    best = b
-            row.append(best)
-        res.append(tuple(row))
-    return tuple(res)
+    """res(a, c), the largest b with a*b <= c, found by bisection: each row
+    is nondecreasing and starts at a*0 = 0 once the axioms have passed."""
+    return tuple(tuple(bisect_right(row, c) - 1 for c in range(size)) for row in table)
 
 
 def make_lukasiewicz(n: int) -> Chain:

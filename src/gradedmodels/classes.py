@@ -29,11 +29,10 @@ member as its first arm; they are reached through
 base.
 
 The property checkers run over bounded exhaustive enumerations of
-isomorphism types and report counterexamples.  They verify each
-built-in class's closed-form amalgams, and search exhaustively
-(``search_amalgam``) only for a class that has no amalgamator; for the
-amalgamation property that search covers disjoint amalgams only.  The
-Fraisse limits built from these classes live in ``fraisse``.
+isomorphism types and report counterexamples.  The joint-embedding and
+amalgamation checkers verify the class amalgamator's witness for every
+instance, so they need a class that has one.  The Fraisse limits built
+from these classes live in ``fraisse``.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ __all__ = [
     "VFormation",
     "align_v_formation",
     "verify_amalgam",
-    "search_amalgam",
     "enumerate_class",
     "check_hp",
     "check_jep",
@@ -93,10 +91,9 @@ class ClassSpec:
     ``check_ap`` and ``check_jep`` pass enumerated members;
     ``build_limit`` and ``replay_transcript`` pass a stage that is a
     checked initial structure or an amalgam.
-    When ``amalgamate`` is None the JEP and AP checkers search
-    exhaustively for witnesses, the AP checker among disjoint amalgams
-    only, and the limit builder refuses the class.  Specs compare by
-    value.
+    The amalgamator is optional only for ``enumerate_class`` and
+    ``check_hp``: ``check_jep``, ``check_ap`` and the limit builder
+    refuse a class without one.  Specs compare by value.
     """
 
     name: str
@@ -534,46 +531,6 @@ def amalgamate_k3(v: VFormation) -> GradedStructure:
     return _amalgamate(v, _k3_cross, k3_member, _k3_cells_ok)
 
 
-_SEARCH_CAP = 10**6
-
-
-def _cross_columns(v: VFormation, new1, ext2, values):
-    """The ``assemble`` columns of cross values listed pair by pair:
-    (x, y) then (y, x) for x in ``new1`` and y in ``ext2``, x-major."""
-    n1 = len(v.arm1.universe)
-    forward = [[0] * n1 for _ in ext2]
-    backward = [[0] * n1 for _ in ext2]
-    pairs = itertools.product(new1, range(len(ext2)))
-    for (x, j), f, b in zip(pairs, values[0::2], values[1::2]):
-        forward[j][x], backward[j][x] = f, b
-    return forward, backward
-
-
-def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
-    """Exhaustive search for a disjoint amalgam, first hit wins.
-
-    For classes without a construction, and as the tests' oracle.  Only
-    amalgams on the union of the arm universes are tried, in which the
-    arms' new elements stay apart; an amalgam that identifies a new
-    element of one arm with one of the other is never found, so None
-    does not mean that v has no amalgam.  Only the mixed pairs are open;
-    every assignment of chain values to them (both directions) is tried
-    in rank order.
-    """
-    universe, new1, ext2, assemble = _amalgam_frame(v)
-    chain = v.arm1.chain
-    cells = 2 * len(new1) * len(ext2)
-    count = chain.size ** cells
-    if count > _SEARCH_CAP:
-        raise BudgetError(f"{count} cross assignments exceed the cap of {_SEARCH_CAP}")
-    for combo in itertools.product(range(chain.size), repeat=cells):
-        table = assemble(*_cross_columns(v, new1, ext2, combo))
-        out = GradedStructure(chain, SIG_LT, universe, (table,), name="amalgam")
-        if membership(out):
-            return out
-    return None
-
-
 # --- enumeration ---
 
 
@@ -721,39 +678,29 @@ def _amalgam_problem(spec: ClassSpec, v, what: str) -> str | None:
 def check_jep(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     """Every pair of members has a common extension in the class.
 
-    With an amalgamator, its amalgam over the empty base is the witness,
+    The class amalgamator's amalgam over the empty base is the witness,
     verified to be a member containing both inputs; a failure is a
-    counterexample.  Without one, the members of size up to twice the
-    largest input are enumerated once, and each pair is searched among
-    those no larger than the two combined.  The stats count constructed
-    and searched pairs.
+    counterexample.  A class without an amalgamator raises
+    ``ValueError`` before any enumeration.  The stats count constructed
+    pairs; ``searched`` is always 0.
     """
+    if spec.amalgamate is None:
+        raise ValueError(f"class {spec.name} has no amalgamator")
     members = enumerate_class(spec, chain, k)
-    candidates = [] if spec.amalgamate is not None else \
-        enumerate_class(spec, chain, 2 * max(map(len, members), default=0))
     checked = 0
     constructed = 0
-    searched = 0
     bad: list[Counterexample] = []
     for i, m1 in enumerate(members):
         for j in range(i, len(members)):
-            m2 = members[j]
             checked += 1
-            if spec.amalgamate is None:
-                searched += 1
-                limit = len(m1) + len(m2)
-                if not any(find_embeddings(m1, c, limit=1) and find_embeddings(m2, c, limit=1)
-                           for c in candidates if len(c) <= limit):
-                    bad.append(Counterexample("jep", f"type[{i}] and type[{j}] have no common extension"))
-                continue
-            problem = _amalgam_problem(spec, align_v_formation(m1, m2, {}), "a common extension")
+            problem = _amalgam_problem(spec, align_v_formation(m1, members[j], {}), "a common extension")
             if problem is None:
                 constructed += 1
             else:
                 bad.append(Counterexample(
                     "jep", f"amalgamator failed on type[{i}] and type[{j}]: {problem}"
                 ))
-    stats = {"constructed": constructed, "searched": searched}
+    stats = {"constructed": constructed, "searched": 0}
     return PropertyReport("jep", spec.name, chain.name, k, checked, bad, stats)
 
 
@@ -763,15 +710,14 @@ def check_ap(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     For each member pair and each way of sharing a common substructure,
     the class amalgamator's witness is verified to be a member containing
     both arms; a failure is a counterexample.  A class without an
-    amalgamator gets a bounded exhaustive completion search over the
-    cross values instead; it finds only disjoint amalgams, so its
-    counterexamples ("no disjoint amalgam") need not be failures of the
-    property.  The stats count constructed and searched v-formations.
+    amalgamator raises ``ValueError`` before any enumeration.  The stats
+    count constructed v-formations; ``searched`` is always 0.
     """
+    if spec.amalgamate is None:
+        raise ValueError(f"class {spec.name} has no amalgamator")
     members = enumerate_class(spec, chain, k)
     checked = 0
     constructed = 0
-    searched = 0
     bad: list[Counterexample] = []
     for i, m1 in enumerate(members):
         for ssize in range(1, len(m1.universe) + 1):
@@ -780,20 +726,14 @@ def check_ap(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
                 for j, m2 in enumerate(members):
                     for g in find_embeddings(base, m2):
                         checked += 1
-                        v = align_v_formation(m1, m2, g)
-                        where = (f"base of type[{i}] on {{{' '.join(subset)}}} "
-                                 f"into type[{j}] via {sorted(g.items())}")
-                        if spec.amalgamate is None:
-                            searched += 1
-                            if search_amalgam(v, spec.membership) is None:
-                                bad.append(Counterexample("ap", f"no disjoint amalgam for {where}"))
-                            continue
-                        problem = _amalgam_problem(spec, v, "an amalgam")
+                        problem = _amalgam_problem(spec, align_v_formation(m1, m2, g), "an amalgam")
                         if problem is None:
                             constructed += 1
                         else:
+                            where = (f"base of type[{i}] on {{{' '.join(subset)}}} "
+                                     f"into type[{j}] via {sorted(g.items())}")
                             bad.append(Counterexample("ap", f"amalgamator failed on {where}: {problem}"))
-    stats = {"constructed": constructed, "searched": searched}
+    stats = {"constructed": constructed, "searched": 0}
     return PropertyReport("ap", spec.name, chain.name, k, checked, bad, stats)
 
 

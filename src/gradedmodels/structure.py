@@ -42,7 +42,6 @@ __all__ = [
     "make_structure",
     "binary_structure",
     "is_substructure",
-    "is_embedding",
     "find_embeddings",
     "is_isomorphic",
     "canonical_form",
@@ -263,19 +262,6 @@ def is_substructure(m: GradedStructure, n: GradedStructure) -> bool:
     if any(e not in where for e in m.universe):
         return False
     return _preserves(m, n, [where[e] for e in m.universe])
-
-
-def is_embedding(m: GradedStructure, n: GradedStructure, f: dict) -> bool:
-    """Whether the id map f is an embedding of m into n, checked directly:
-    the reference that ``find_embeddings`` is tested against."""
-    _require_compatible(m, n)
-    if set(f) != set(m.universe):
-        return False
-    images = [f[e] for e in m.universe]
-    where = n.positions
-    if len(set(images)) != len(images) or any(v not in where for v in images):
-        return False
-    return _preserves(m, n, [where[v] for v in images])
 
 
 def _diagonal_step(n: int, arity: int) -> int:
@@ -518,14 +504,12 @@ def rename(m: GradedStructure, mapping: dict) -> GradedStructure:
 
 def fresh_names(base: str, count: int, taken) -> list[str]:
     """Deterministic ids base0, base1, ... skipping anything in taken."""
-    taken = set(taken)
     out = []
     i = 0
     while len(out) < count:
         cand = f"{base}{i}"
         if cand not in taken:
             out.append(cand)
-            taken.add(cand)
         i += 1
     return out
 

@@ -19,6 +19,7 @@ from gradedmodels.classes import enumerate_class, get_class
 from gradedmodels.logic import SIG_LT
 from gradedmodels.structure import GradedStructure, find_embeddings, restrict
 
+from amalgam_reference import _cross_columns
 from conftest import FIVE_CHAINS
 from membership_reference import REFERENCE
 from test_fraisse import _draw_arm
@@ -53,7 +54,7 @@ def test_delta_check_agrees_with_membership_on_small_v_formations(name, chain):
                     ys = range(len(m1), len(universe))
                     cells = 2 * len(new1) * len(ext2)
                     for combo in itertools.product(chain.ranks(), repeat=cells):
-                        columns = classes._cross_columns(v, new1, ext2, combo)
+                        columns = _cross_columns(v, new1, ext2, combo)
                         out = GradedStructure(chain, SIG_LT, universe, (assemble(*columns),))
                         verdict = REFERENCE[name](out)
                         assert CROSS_OK[name](out, new1, ys) == verdict, out.pred_tables

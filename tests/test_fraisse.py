@@ -17,13 +17,13 @@ from gradedmodels.classes import (
     amalgamate_k2,
     amalgamate_k3,
     check_ap,
+    check_jep,
     enumerate_class,
     get_class,
     k0_member,
     k1_member,
     k2_member,
     k3_member,
-    search_amalgam,
 )
 from gradedmodels.errors import AmalgamationError, BudgetError
 from gradedmodels.fraisse import (
@@ -45,6 +45,7 @@ from gradedmodels.structure import (
     structure_to_text,
 )
 
+from amalgam_reference import search_amalgam
 from composition_reference import composition_reference
 from conftest import FIVE_CHAINS, godel257
 from test_classes import at_most_one_edge, pair
@@ -323,6 +324,18 @@ def test_k3_rule_agrees_with_search_or_both_members(luk3):
     assert agreements > 0
 
 
+def test_search_amalgam_exhausts_capped_class(bool_chain):
+    arm1 = edge_graph(bool_chain, [("a", "c")], ["a", "c"])
+    arm2 = edge_graph(bool_chain, [("c", "b")], ["c", "b"])
+    v = VFormation(arm1, arm2)
+    assert search_amalgam(v, at_most_one_edge) is None
+    # 2 x 5 new elements: 2**20 cross assignments, over the cap
+    arm1 = edge_graph(bool_chain, [], ["c", "a0", "a1"])
+    arm2 = edge_graph(bool_chain, [], ["c"] + [f"b{i}" for i in range(5)])
+    with pytest.raises(BudgetError):
+        search_amalgam(VFormation(arm1, arm2), at_most_one_edge)
+
+
 def assert_composition_is_the_reference(v):
     """Every entry of the column composition, base positions included,
     equals the per-pair reference."""
@@ -363,10 +376,18 @@ def test_column_composition_on_a_chain_of_tuple_tables():
         assert_composition_is_the_reference(v)
 
 
-def test_limit_needs_an_amalgamator(bool_chain):
-    capped = ClassSpec("one_edge", at_most_one_edge)
-    with pytest.raises(ValueError):
-        build_limit(capped, bool_chain, 1, 2)
+@pytest.mark.parametrize("run", [
+    lambda spec, chain: build_limit(spec, chain, 1, 2),
+    lambda spec, chain: check_ap(spec, chain, 2),
+    lambda spec, chain: check_jep(spec, chain, 2),
+], ids=["build_limit", "check_ap", "check_jep"])
+def test_limit_needs_an_amalgamator(bool_chain, run):
+    """The guard runs before any enumeration: membership is never asked."""
+    def untouched(m):
+        raise AssertionError("a candidate was built")
+
+    with pytest.raises(ValueError, match="^class one_edge has no amalgamator$"):
+        run(ClassSpec("one_edge", untouched), bool_chain)
 
 
 def test_build_limit_zero_stages(bool_chain):
@@ -498,15 +519,3 @@ def test_amalgamate_k1_rejects_arms_outside_the_class(bool_chain):
     loop = binary_structure(bool_chain, ["a"], {("a", "a"): 1})
     with pytest.raises(AmalgamationError):
         amalgamate_k1(VFormation(loop, loop))
-
-
-def test_search_amalgam_exhausts_capped_class(bool_chain):
-    arm1 = edge_graph(bool_chain, [("a", "c")], ["a", "c"])
-    arm2 = edge_graph(bool_chain, [("c", "b")], ["c", "b"])
-    v = VFormation(arm1, arm2)
-    assert search_amalgam(v, at_most_one_edge) is None
-    # 2 x 5 new elements: 2**20 cross assignments, over the cap
-    arm1 = edge_graph(bool_chain, [], ["c", "a0", "a1"])
-    arm2 = edge_graph(bool_chain, [], ["c"] + [f"b{i}" for i in range(5)])
-    with pytest.raises(BudgetError):
-        search_amalgam(VFormation(arm1, arm2), at_most_one_edge)
