@@ -219,6 +219,39 @@ def test_age_digest_of_a_seeded_graph(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == AGE_SEEDED_SHA256
 
 
+def symmetric_graph_text(seed, size):
+    """A ``luk:3`` weighted graph: a random rank on every edge, the same
+    both ways, and bottom loops."""
+    rng = random.Random(seed)
+    ids = [f"v{i}" for i in range(size)]
+    weights = [[0] * size for _ in ids]
+    for i in range(size):
+        for j in range(i + 1, size):
+            weights[i][j] = weights[j][i] = rng.randrange(3)
+    return graph_text("r", ids, weights)
+
+
+# sha256 of the ``randgraph check --max-x 2`` standard output for
+# ``symmetric_graph_text(1, 40)``, recorded while the check read every
+# vertex's row entry by entry.
+RANDGRAPH_CHECK_SHA256 = "e6243e2306f46c790eae5f8504ff3256abfb954e5f56367524b6e3da5bc069d1"
+
+
+def test_randgraph_check_digest_of_a_seeded_graph(tmp_path, capsys):
+    (tmp_path / "r.gs").write_text(symmetric_graph_text(1, 40))
+    rc, out = run(["randgraph", "check", "--structure", str(tmp_path / "r.gs"), "--max-x", "2"],
+                  capsys)
+    assert rc == 1 and out.startswith("defects 71\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == RANDGRAPH_CHECK_SHA256
+
+
+def test_age_over_its_subset_cap_is_an_error(tmp_path, capsys):
+    (tmp_path / "r.gs").write_text(symmetric_graph_text(2, 200))
+    assert main(["age", str(tmp_path / "r.gs"), "--k", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "cap" in captured.err
+
+
 def test_limit_check_defects_of_the_k3_luk4_first_stage(tmp_path, capsys):
     built = tmp_path / "built"
     rc, _ = run(["limit", "build", "--class", "k3", "--chain", "luk:4", "--stages", "1",

@@ -47,9 +47,10 @@ from gradedmodels.structure import (
 
 from amalgam_reference import search_amalgam
 from composition_reference import composition_reference
-from conftest import FIVE_CHAINS, godel257
+from conftest import FIVE_CHAINS, chain_named, godel257
 from test_classes import at_most_one_edge, pair
 from test_structure import edge_graph
+from witness_reference import witness_defects_reference
 
 
 def test_v_formation_validation(bool_chain, luk3):
@@ -513,6 +514,41 @@ def test_random_graph_budget_guards(luk3):
     g = random_weighted_graph(luk3, 2)
     with pytest.raises(BudgetError):
         check_random_graph_property(g, 4)
+
+
+def random_graph_member(chain, size, seed):
+    """A k1 member: a random rank on every edge, the same both ways, and
+    a random loop below ``one``."""
+    rng = random.Random(seed)
+    ids = [f"v{i}" for i in range(size)]
+    values = {}
+    for i, a in enumerate(ids):
+        values[(a, a)] = rng.randrange(chain.one)
+        for b in ids[i + 1:]:
+            values[(a, b)] = values[(b, a)] = rng.randrange(chain.size)
+    return binary_structure(chain, ids, values)
+
+
+# (chain, vertices, max_x): every max_x from 0 to 3 on the byte chains,
+# and up to 2 on the 257-rank chain, whose tuple tables give 257**3
+# demands per triple.
+WITNESS_CASES = [(c, n, x) for c in ("bool", "luk:3", "u3") for n in (1, 3, 6) for x in range(4)]
+WITNESS_CASES += [("godel:257", n, x) for n in (1, 3) for x in range(3)]
+
+
+@pytest.mark.parametrize("name, size, max_x", WITNESS_CASES)
+def test_random_graph_checker_agrees_with_the_vertex_by_vertex_reference(name, size, max_x):
+    """Equal defects in equal order, with X as large as the universe or
+    larger, loops off bottom, and defects in every case with 3 or more
+    vertices and max_x >= 2."""
+    chain = chain_named(name)
+    for seed in range(3):
+        g = random_graph_member(chain, size, seed)
+        assert k1_member(g)
+        defects = check_random_graph_property(g, max_x)
+        assert defects == witness_defects_reference(g, max_x)
+        if size >= 3 and max_x >= 2:
+            assert defects
 
 
 def test_amalgamate_k1_rejects_arms_outside_the_class(bool_chain):

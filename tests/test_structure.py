@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedmodels import structure as structure_module
 from gradedmodels.algebra import boolean_chain, chain_from_text
 from gradedmodels.classes import VFormation, enumerate_class, get_class
-from gradedmodels.errors import ChainTableError, FileFormatError
+from gradedmodels.errors import BudgetError, ChainTableError, FileFormatError
 from gradedmodels.logic import SIG_LT, Signature
 from gradedmodels.structure import (
     GradedStructure,
@@ -28,6 +29,7 @@ from gradedmodels.structure import (
 )
 from gradedmodels.structure import _rank_masks
 
+from age_reference import age_reference
 from conftest import FIVE_CHAINS, chain_named
 from test_logic import fold_oracle, random_qf_formula, random_structure
 
@@ -367,6 +369,37 @@ def test_substructure_transitive(luk3):
         assert is_substructure(m, o)
 
 
+UNARY_TERNARY = Signature(predicates=(("P", 1), ("T", 3)))
+
+
+def random_wide_structure(chain, size, seed):
+    """A structure over a unary and a ternary predicate, each entry rank 0
+    or 1, so that restrictions repeat."""
+    rng = random.Random(seed)
+    tables = tuple(tuple(rng.randrange(2) for _ in range(size ** arity))
+                   for _, arity in UNARY_TERNARY.predicates)
+    return GradedStructure(chain, UNARY_TERNARY, tuple(f"e{i}" for i in range(size)), tables)
+
+
+@pytest.mark.parametrize("name", ["bool", "luk:3", "u3", "godel:257"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_age_agrees_with_the_subset_by_subset_reference(name, k):
+    chain = chain_named(name)
+    for seed in range(3):
+        m = random_wide_structure(chain, 5, seed)
+        assert age(m, k) == age_reference(m, k)
+    path = edge_graph(chain, [("a", "b"), ("b", "c")], ["a", "b", "c", "d"])
+    assert age(path, k) == age_reference(path, k)
+
+
+def test_age_over_its_subset_cap_fails_before_any_work(luk3, monkeypatch):
+    m = binary_structure(luk3, [f"v{i}" for i in range(200)], default=0)
+    assert len(age(m, 2)) == 2  # 20,100 subsets
+    monkeypatch.setattr(structure_module, "_pull", None)
+    with pytest.raises(BudgetError, match="cap"):
+        age(m, 4)
+
+
 def test_structure_file_roundtrip(luk3):
     m = binary_structure(
         luk3, ["a", "b", "c"],
@@ -450,6 +483,28 @@ def test_structure_file_rejects_a_second_value_for_a_tuple():
     text = "structure g chain=luk:3\nelements a b\ndefault 0\n< a b = 2\n< a b = 1\n"
     with pytest.raises(FileFormatError, match="< a b = 1"):
         structure_from_text(text)
+
+
+def test_structure_file_reads_value_lines_before_the_elements_line_is_rejected():
+    repeated = "structure g chain=luk:3\nelements a b a\ndefault 0\n< a b = 2\n"
+    with pytest.raises(FileFormatError, match="bad elements line: duplicate element id 'a'"):
+        structure_from_text(repeated)
+    with pytest.raises(FileFormatError, match="bad value line: '< a b'"):
+        structure_from_text(repeated + "< a b\n")
+
+
+@pytest.mark.parametrize("name", ["bool", "luk:3", "godel:257"])
+def test_structure_file_roundtrip_of_a_multi_predicate_signature(name):
+    chain = chain_named(name)
+    sig = Signature(predicates=(("R", 1), ("<", 2), ("S", 3)))
+    rng = random.Random(5)
+    tables = tuple(tuple(rng.choice((chain.bot, chain.one, chain.top, rng.randrange(chain.size)))
+                         for _ in range(4 ** arity)) for _, arity in sig.predicates)
+    m = GradedStructure(chain, sig, ("a", "b", "c", "d"), tables, name="wide")
+    text = structure_to_text(m)
+    back = structure_from_text(text, chain=chain)
+    assert back == m and back.name == "wide"
+    assert structure_to_text(back) == text
 
 
 def test_structure_file_nonstandard_signature(luk3):
