@@ -20,13 +20,16 @@ core: the union of the arm universes, built row by row, with the cross
 pairs set by the class's closed-form rule, a column at a time: for each
 new element of the second arm, its values against the whole first arm,
 read off the composition through the base.  The core checks the second
-arm with the class's membership predicate and the amalgam with the
-class's cell check, run over the cross cells only.  That is exact only
-when the first arm is a member, so every ``amalgamate_k*`` takes a
-member as its first arm; they are reached through
-``get_class(name).amalgamate``.  Either failure raises
-``AmalgamationError``.  Joint extension is the amalgam over the empty
-base.
+arm with the class's membership predicate, unless ``enumerate_class``
+already gave it the verdict, and the amalgam with the class's cell
+check, run over the cross cells only.  That is exact only when the
+first arm is a member, so every ``amalgamate_k*`` takes a member as its
+first arm; they are reached through ``get_class(name).amalgamate``.
+Either failure raises ``AmalgamationError``.  Joint extension is the
+amalgam over the empty base.  The amalgam extends its first arm: it is
+not validated again, and its positions and the cut lines of the cell
+checks are carried from the first arm's, so a limit stage that grows by
+one element at a time does not rebuild them from its whole table.
 
 The property checkers run over bounded exhaustive enumerations of
 isomorphism types and report counterexamples.  The joint-embedding and
@@ -41,6 +44,7 @@ import functools
 import itertools
 import struct
 import sys
+from collections import ChainMap
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -51,9 +55,11 @@ from .structure import (
     GradedStructure,
     _pull,
     _require_compatible,
+    _trusted,
     canonical_form,
     find_embeddings,
     fresh_names,
+    id_supply,
     is_substructure,
     rename,
     restrict,
@@ -86,8 +92,9 @@ class ClassSpec:
     ``amalgamate`` maps a v-formation to a member containing both arms,
     raising ``AmalgamationError`` when it cannot; over the empty base it
     also gives joint extensions.  The built-in amalgamators check the
-    second arm with the membership predicate but the amalgam only on its
-    cross cells, so the first arm must already be a member.
+    second arm with the membership predicate (or read the verdict that
+    ``enumerate_class`` left on it) but the amalgam only on its cross
+    cells, so the first arm must already be a member.
     ``check_ap`` and ``check_jep`` pass enumerated members;
     ``build_limit`` and ``replay_transcript`` pass a stage that is a
     checked initial structure or an amalgam.
@@ -132,6 +139,66 @@ def _level_code(levels, size: int) -> bytes:
                  for v in range(size)).ljust(256, b"\0")
 
 
+def _cut(line, code: bytes) -> bytes:
+    """The cells of ``line`` coded by ``code`` (see ``_level_code``), one byte each."""
+    # A chain of more than 256 ranks keeps tuple tables, coded cell by cell.
+    return line.translate(code) if type(line) is bytes else bytes(map(code.__getitem__, line))
+
+
+def _cut_lines(m: GradedStructure, code: bytes) -> tuple[list[int], list[int]]:
+    """The rows and the columns of m's ``<`` table coded by ``code``, each
+    as an int of its coded cells, first cell lowest: cached in m's
+    ``_derived`` under "cut lines", by code.
+
+    A structure without them codes its whole table once.  An amalgam
+    gets them from its first arm instead (see ``_carry_cut_lines``).
+    """
+    cache = m._derived.get("cut lines")
+    if cache is None:
+        cache = m._derived["cut lines"] = {}
+    lines = cache.get(code)
+    if lines is None:
+        n = len(m.universe)
+        cut = _cut(m.pred_tables[0], code)
+        lines = cache[code] = ([int.from_bytes(cut[i:i + n], "little") for i in range(0, n * n, n)],
+                               [int.from_bytes(cut[p::n], "little") for p in range(n)])
+    return lines
+
+
+def _carry_cut_lines(arm1: GradedStructure, out: GradedStructure) -> None:
+    """Seed the cut lines of ``out``, an amalgam whose universe lists
+    arm1's first, from those cached on arm1, for every code arm1 holds.
+
+    The amalgam's table restricted to arm1's positions is arm1's table,
+    so the line of an old position p is arm1's line with the bytes of
+    p's cells against each new position j above it, shifted by 8 * j;
+    only those cells and the lines of the new positions are coded, from
+    the new rows and columns alone, never the whole table.  The lines so
+    built are the ones ``_cut_lines`` would build from the table.  An
+    old line whose new cells are all zero keeps arm1's int.
+    """
+    held = arm1._derived.get("cut lines")
+    if not held:
+        return
+    lt = out.pred_tables[0]
+    n1, n = len(arm1.universe), len(out.universe)
+    old = range(n1)
+    cache = out._derived["cut lines"] = {}
+    for code, (rows1, cols1) in held.items():
+        rows, cols = rows1[:], cols1[:]
+        new_rows, new_cols = [], []
+        for j in range(n1, n):
+            shift = 8 * j
+            col, row = _cut(lt[j::n], code), _cut(lt[j * n:(j + 1) * n], code)
+            for p in itertools.compress(old, col):
+                rows[p] |= col[p] << shift
+            for p in itertools.compress(old, row):
+                cols[p] |= row[p] << shift
+            new_rows.append(int.from_bytes(row, "little"))
+            new_cols.append(int.from_bytes(col, "little"))
+        cache[code] = (rows + new_rows, cols + new_cols)
+
+
 def _cuts_transitive(m: GradedStructure, xs, ys, levels, antisymmetric=False) -> bool:
     """Whether every cut {v >= t} of m, t in ``levels``, is transitive
     (and antisymmetric, when asked) on the cells (x, y) and (y, x), x in
@@ -149,36 +216,37 @@ def _cuts_transitive(m: GradedStructure, xs, ys, levels, antisymmetric=False) ->
     ys x xs, or once when xs equals ys, and no loop is asked to be
     antisymmetric.  Eight levels at a time share one pass: each cell
     becomes a byte whose bit i says whether it is in the i-th cut, rows
-    and columns become ints of those bytes, and a cell's byte, repeated
-    across an int, masks the levels that each condition applies to.
+    and columns become ints of those bytes (``_cut_lines``, cached on m
+    and carried from an amalgam's first arm), and a cell's byte,
+    repeated across an int, masks the levels that each condition
+    applies to.
     """
     lt = m.pred_tables[0]
     n = len(m.universe)
     size = m.chain.size
     sides = ((xs, ys),) if xs == ys else ((xs, ys), (ys, xs))
-    starts = range(0, n * n, n)
     ones = int.from_bytes(b"\1" * n, "little")
     for g in range(0, len(levels), 8):
         group = levels[g:g + 8]
         code = _level_code(group, size)
         every = (1 << len(group)) - 1
-        # A chain of more than 256 ranks keeps tuple tables, coded cell by cell.
-        cut = lt.translate(code) if type(lt) is bytes else bytes(map(code.__getitem__, lt))
-        rows = [int.from_bytes(cut[i:i + n], "little") for i in starts]
-        cols = [int.from_bytes(cut[p::n], "little") for p in range(n)]
+        rows, cols = _cut_lines(m, code)
         for heads, tails in sides:
             for a in heads:
                 row, col, start = rows[a], cols[a], a * n
                 for c in tails:
-                    held = cut[start + c]
-                    if held:
-                        if antisymmetric and a != c and held & cut[c * n + a]:
+                    held = code[lt[start + c]]
+                    if not held:
+                        # Outside every cut: row(a) and col(c) are disjoint
+                        # at each level, and lines hold no other bits.
+                        if row & cols[c]:
                             return False
-                        if (rows[c] & ~row | col & ~cols[c]) & held * ones:
-                            return False
-                        if held == every:
-                            continue
-                    if row & cols[c] & (every ^ held) * ones:
+                        continue
+                    if antisymmetric and a != c and held & code[lt[c * n + a]]:
+                        return False
+                    if (rows[c] & ~row | col & ~cols[c]) & held * ones:
+                        return False
+                    if held != every and row & cols[c] & (every ^ held) * ones:
                         return False
     return True
 
@@ -261,8 +329,9 @@ class VFormation:
     def __post_init__(self):
         arm1, arm2 = self.arm1, self.arm2
         _require_compatible(arm1, arm2)
-        where = arm2.positions
-        shared = tuple((p, where[e]) for p, e in enumerate(arm1.universe) if e in where)
+        # Read off the second arm's ids, the fewer in a limit stage's events.
+        where = arm1.positions
+        shared = tuple(sorted((where[e], q) for q, e in enumerate(arm2.universe) if e in where))
         pos1, pos2 = [p for p, _ in shared], [q for _, q in shared]
         n1, n2 = len(arm1.universe), len(arm2.universe)
         for (_, arity), t1, t2 in zip(arm1.signature.predicates, arm1.pred_tables, arm2.pred_tables):
@@ -271,17 +340,21 @@ class VFormation:
         object.__setattr__(self, "shared", shared)
 
 
-def align_v_formation(arm1: GradedStructure, arm2: GradedStructure, embedding: dict) -> VFormation:
+def align_v_formation(arm1: GradedStructure, arm2: GradedStructure, embedding: dict,
+                      ids=None) -> VFormation:
     """Build a v-formation from an embedding of a base of arm1 into arm2.
 
     ``embedding`` maps ids of arm1 to ids of arm2.  arm2 is renamed so the
     embedding image carries the base's ids and everything else is fresh
-    relative to arm1.
+    relative to both arms: the first ids of ``ids``, an iterator from
+    ``id_supply("n")``, that neither arm holds.  By default that is a
+    new supply, which starts at n0; ``build_limit`` keeps one across its
+    events.
     """
     inverse = {y: b for b, y in embedding.items()}
-    taken = set(arm1.universe) | set(arm2.universe)
     rest = [e for e in arm2.universe if e not in inverse]
-    news = fresh_names("n", len(rest), taken)
+    news = fresh_names(len(rest), ChainMap(arm1.positions, arm2.positions),
+                       id_supply("n") if ids is None else ids)
     mapping = dict(inverse)
     mapping.update(zip(rest, news))
     return VFormation(arm1, rename(arm2, mapping))
@@ -319,7 +392,9 @@ def _amalgam_frame(v: VFormation):
     lt1, lt2 = arm1.pred_tables[0], arm2.pred_tables[0]
     kind = type(lt1)
     n1, n2 = len(arm1.universe), len(arm2.universe)
-    new1 = [x for x, e in enumerate(arm1.universe) if e not in arm2.positions]
+    new1 = list(range(n1))
+    for p, _ in reversed(v.shared):
+        del new1[p]
     ext2 = [y for y, e in enumerate(arm2.universe) if e not in arm1.positions]
     m = len(ext2)
     universe = arm1.universe + tuple(arm2.universe[y] for y in ext2)
@@ -331,9 +406,11 @@ def _amalgam_frame(v: VFormation):
         for p, q in v.shared:
             block[p * m:(p + 1) * m] = [lt2[q * n2 + y] for y in ext2]
         block = kind(block)
+        # Rows of a bytes table are joined from views, copied once, by the join.
+        rows1 = memoryview(lt1) if kind is bytes else lt1
         parts = []
         for p in range(n1):
-            parts += (lt1[p * n1:(p + 1) * n1], block[p * m:(p + 1) * m])
+            parts += (rows1[p * n1:(p + 1) * n1], block[p * m:(p + 1) * m])
         for y, col in zip(ext2, backward):
             row = list(col)
             for p, q in v.shared:
@@ -352,23 +429,38 @@ def _amalgamate(v: VFormation, cross, member, cells_ok) -> GradedStructure:
     for each new element y of the second arm (ext2 lists their positions
     there), the values of (x, y) and of (y, x) over every position x of
     the first arm, read only where x is new.  ``member`` is the class's
-    membership predicate, checked on the second arm.
-    ``cells_ok(out, xs, ys)`` is the class's cell check, the one that
-    ``member`` runs over every position; here it runs over the cross
-    cells only, with xs and ys the two arms' new elements as positions
-    in the amalgam ``out``, in O(n * (n + |cross|)) steps.  That is
-    exact when both arms are members, so the first arm must already be
-    one; the callers guarantee it.  ``check_ap`` and ``check_jep`` pass
-    enumerated members, and ``build_limit`` and ``replay_transcript``
-    pass the current stage, which is a checked initial stage or an
-    amalgam.
+    membership predicate, checked on the second arm unless its
+    ``_derived`` cache holds ``member``'s verdict: ``enumerate_class``
+    records it on every member it returns, and ``rename`` (so
+    ``align_v_formation``) shares the cache, so an enumerated arm is not
+    checked again.  ``cells_ok(out, xs, ys)`` is the class's cell check,
+    the one that ``member`` runs over every position; here it runs over
+    the cross cells only, with xs and ys the two arms' new elements as
+    positions in the amalgam ``out``, in O(n * (n + |cross|)) steps.
+    That is exact when both arms are members, so the first arm must
+    already be one; the callers guarantee it.  ``check_ap`` and
+    ``check_jep`` pass enumerated members, and ``build_limit`` and
+    ``replay_transcript`` pass the current stage, which is a checked
+    initial stage or an amalgam.
+
+    The amalgam extends its first arm and is built as such, without
+    validating again (see ``GradedStructure``): its table holds ranks
+    read from the validated arms, the chain's constants and their min
+    and max; its universe is arm1's, then ids of arm2 that arm1 lacks;
+    its ``positions`` are arm1's, extended by the new ids; and its cut
+    lines are carried from arm1's (``_carry_cut_lines``).
     """
-    if not member(v.arm2):
+    arm1, arm2 = v.arm1, v.arm2
+    if not (arm2._derived.get(member) or member(arm2)):
         raise AmalgamationError(f"the second arm is not a member ({member.__name__} rejects it)")
     universe, new1, ext2, assemble = _amalgam_frame(v)
-    out = GradedStructure(v.arm1.chain, SIG_LT, universe, (assemble(*cross(v, ext2)),),
-                          name="amalgam")
-    if new1 and ext2 and not cells_ok(out, new1, range(len(v.arm1.universe), len(universe))):
+    n1 = len(arm1.universe)
+    positions = arm1.positions.copy()
+    positions.update(zip(universe[n1:], range(n1, len(universe))))
+    out = _trusted(arm1.chain, SIG_LT, universe, (assemble(*cross(v, ext2)),), "amalgam",
+                   positions=positions)
+    _carry_cut_lines(arm1, out)
+    if new1 and ext2 and not cells_ok(out, new1, range(n1, len(universe))):
         raise AmalgamationError(f"cross rule lost membership ({member.__name__} fails on a cross cell)")
     return out
 
@@ -582,6 +674,8 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[Graded
 
     Each type is given by its lex-least table of ``<`` on the universe
     x0, x1, ...; the result is ordered by size then canonical form.
+    Each member's ``_derived`` cache records the verdict of
+    ``spec.membership``, so the amalgamation core need not check it again.
     Each size visits one table per orbit of the symmetric group, the
     least one, and asks ``spec.membership`` about it alone, so the
     membership predicate must be isomorphism-invariant.  Rejects runs
@@ -599,6 +693,7 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[Graded
         for table in _orbit_representatives(chain.size, s):
             m = GradedStructure(chain, SIG_LT, elems, (table,), name=f"{spec.name}_{s}")
             if spec.membership(m):
+                m._derived[spec.membership] = True
                 found.append((s, canonical_form(m), m))
     # Types differ in their forms, so the key decides every comparison.
     found.sort(key=lambda item: item[:2])

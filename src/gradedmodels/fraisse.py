@@ -25,6 +25,7 @@ from .structure import (
     GradedStructure,
     canonical_form,
     find_embeddings,
+    id_supply,
     restrict,
     structure_from_text,
     structure_to_text,
@@ -191,6 +192,12 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
         initial_text=structure_to_text(current),
     )
     stage_list = [current]
+    # One supply of fresh ids for the whole build.  It passes over an id
+    # only when the stage or the arm holds it, and an arm, an enumerated
+    # member, holds only x-ids; so every n-id it has passed over is in
+    # the stage for good, and each event gets the ids a walk from n0
+    # would give.
+    ids = id_supply("n")
     for stage in range(stages):
         tasks = [
             (f, n, nprime)
@@ -200,7 +207,7 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
         for pos, (mapping, n, nprime) in enumerate(tasks):
             if find_embeddings(nprime, current, fixed=mapping, limit=1):
                 continue
-            v = align_v_formation(current, nprime, {b: a for a, b in mapping.items()})
+            v = align_v_formation(current, nprime, {b: a for a, b in mapping.items()}, ids)
             try:
                 current = spec.amalgamate(v)
             except AmalgamationError as exc:

@@ -21,16 +21,18 @@ the constructor accepts either container and stores the chain's.
 
 ``find_embeddings`` is a forward-checking search over candidate sets
 kept as Python-int bitsets of target positions.  The masks it reads are
-cached on the target structure, like ``positions``, and go with it: the
-positions by loop value, built for every element at once, and the
-positions by value in an element's row and column, built for that
-element when a search first places something there.
+cached on the target structure, in its ``_derived`` dict, and go with it
+and with its renamings: the positions by loop value, built for every
+element at once, and the positions by value in an element's row and
+column, built for that element when a search first places something
+there.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import comb
 
@@ -136,13 +138,26 @@ class GradedStructure:
     """A universe of element ids and one row-major table per predicate.
 
     ``pred_tables`` follows ``signature.predicates`` and holds ranks of
-    ``chain``.  The constructor is the one place that validates, so code
-    reading the tables checks nothing again.  It takes each table as a
-    tuple or as ``bytes`` and stores it in the chain's container:
-    ``bytes`` for a chain of at most 256 ranks, a tuple above that (see
+    ``chain``.  The constructor validates, so code reading the tables
+    checks nothing again.  It takes each table as a tuple or as
+    ``bytes`` and stores it in the chain's container: ``bytes`` for a
+    chain of at most 256 ranks, a tuple above that (see
     ``_check_table``), so equal tables compare and hash equal whichever
     container they came in.
     Equality and hashing ignore ``name``.
+
+    Two constructions skip the validation, because their input is
+    already valid: ``rename``, which checks only the ids it brings in and
+    keeps the tables, and the amalgam of ``classes._amalgamate``, whose
+    tables hold only ranks read from validated arms and the chain's
+    constants, and whose universe is the first arm's followed by ids of
+    the second arm that the first lacks (see ``_trusted``).
+
+    ``_derived`` caches data that depend on the chain, the signature and
+    the tables alone, not on the ids: the masks of ``find_embeddings``
+    and, kept by ``classes``, the cut lines of its cell checks and
+    membership verdicts.  Each user keys its entries.  A renamed
+    structure shares the dict of its source.
     """
 
     chain: Chain
@@ -150,6 +165,7 @@ class GradedStructure:
     universe: tuple[str, ...]
     pred_tables: tuple[bytes | tuple[int, ...], ...]
     name: str = field(default="s", compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (type(self.universe) is type(self.pred_tables) is tuple):
@@ -171,19 +187,24 @@ class GradedStructure:
         """Element id -> position in the universe."""
         return {e: i for i, e in enumerate(self.universe)}
 
-    @cached_property
     def _loop_masks(self) -> tuple[list[int], ...]:
         """Per predicate, rank -> bitset of the positions whose loop, the
         tuple repeating them, has that rank: a unary predicate's value."""
-        n = len(self.universe)
-        return tuple(_rank_masks(table[::_diagonal_step(n, arity)], self.chain.size)
-                     for (_, arity), table in zip(self.signature.predicates, self.pred_tables))
+        masks = self._derived.get("loop masks")
+        if masks is None:
+            n = len(self.universe)
+            masks = self._derived["loop masks"] = tuple(
+                _rank_masks(table[::_diagonal_step(n, arity)], self.chain.size)
+                for (_, arity), table in zip(self.signature.predicates, self.pred_tables))
+        return masks
 
-    @cached_property
     def _pair_masks(self) -> list:
         """Position -> its ``_element_pair_masks``, or None until
         ``find_embeddings`` first places an element there."""
-        return [None] * len(self.universe)
+        masks = self._derived.get("pair masks")
+        if masks is None:
+            masks = self._derived["pair masks"] = [None] * len(self.universe)
+        return masks
 
     def _element_pair_masks(self, d: int) -> tuple[list[int], ...]:
         """Per binary predicate, two lists by rank of position bitsets: the
@@ -205,6 +226,25 @@ class GradedStructure:
 
     def __repr__(self) -> str:
         return f"GradedStructure({self.name!r}, |M|={len(self.universe)})"
+
+
+def _trusted(chain: Chain, signature: Signature, universe: tuple, pred_tables: tuple,
+             name: str, derived: dict | None = None,
+             positions: dict | None = None) -> GradedStructure:
+    """A structure built without validation, for callers whose input is
+    already valid: the ids a nonrepeating tuple of good ids and the
+    tables in the chain's container with ranks in range.
+
+    ``derived`` becomes its ``_derived`` cache, shared with the caller,
+    and ``positions``, when given, its ``positions``.
+    """
+    m = object.__new__(GradedStructure)
+    fields = m.__dict__
+    fields.update(chain=chain, signature=signature, universe=universe, pred_tables=pred_tables,
+                  name=name, _derived={} if derived is None else derived)
+    if positions is not None:
+        fields["positions"] = positions
+    return m
 
 
 def make_structure(chain, universe, values=None, *, signature=SIG_LT, default=None,
@@ -351,9 +391,9 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None =
     lines = [[tuple(line) for (_, arity), tm in zip(preds, m.pred_tables) if arity == 2
               for line in (tm[s * nm:(s + 1) * nm], tm[s::nm])] for s in range(nm)]
     cand = [(1 << nn) - 1] * nm
-    for (_, arity), tm, masks in zip(preds, m.pred_tables, n._loop_masks):
+    for (_, arity), tm, masks in zip(preds, m.pred_tables, n._loop_masks()):
         cand = [c & masks[v] for c, v in zip(cand, tm[::_diagonal_step(nm, arity)])]
-    pair_masks = n._pair_masks
+    pair_masks = n._pair_masks()
     placed: list[tuple[int, int]] = []
 
     def place(s, d, cand, rest):
@@ -496,23 +536,34 @@ def restrict(m: GradedStructure, elements) -> GradedStructure:
 
 
 def rename(m: GradedStructure, mapping: dict) -> GradedStructure:
-    """Relabel elements; ids not in the mapping are kept.  The tables are shared."""
+    """Relabel elements; ids not in the mapping are kept.
+
+    Only the ids that change are checked: the map must be injective on
+    the universe, or ``ValueError`` "renaming is not injective", and each
+    new id must be good, or ``ValueError`` names the first bad one in
+    universe order.  The result is built without validating again (see
+    ``GradedStructure``): it shares m's tables and its ``_derived``
+    cache, and builds its own ``positions``.
+    """
     full = {e: mapping.get(e, e) for e in m.universe}
-    if len(set(full.values())) != len(full):
+    universe = tuple(full.values())
+    if len(set(universe)) != len(universe):
         raise ValueError("renaming is not injective")
-    return replace(m, universe=tuple(full.values()))
+    _check_universe(tuple(new for old, new in full.items() if new != old))
+    return _trusted(m.chain, m.signature, universe, m.pred_tables, m.name, m._derived)
 
 
-def fresh_names(base: str, count: int, taken) -> list[str]:
-    """Deterministic ids base0, base1, ... skipping anything in taken."""
-    out = []
-    i = 0
-    while len(out) < count:
-        cand = f"{base}{i}"
-        if cand not in taken:
-            out.append(cand)
-        i += 1
-    return out
+def id_supply(base: str):
+    """The ids base0, base1, ... in order, as an iterator for ``fresh_names``."""
+    return map(base.__add__, map(str, itertools.count()))
+
+
+def fresh_names(count: int, taken, supply) -> list[str]:
+    """The next ``count`` ids of the iterator ``supply`` that are not in
+    ``taken``.  Every id read from ``supply``, taken or not, is gone from
+    it, so a supply kept across calls resumes where the last call
+    stopped."""
+    return list(itertools.islice(itertools.filterfalse(taken.__contains__, supply), count))
 
 
 # The most subsets that ``age`` restricts to: a few seconds of work
@@ -550,29 +601,41 @@ def age(m: GradedStructure, k: int) -> set[bytes]:
 # --- file format ---
 
 
+@cache
+def _other_ranks(rank: int) -> bytes:
+    """The ``bytes.translate`` table that sends ``rank`` to 0 and every
+    other byte to 1."""
+    return bytes(v != rank for v in range(256))
+
+
 def structure_to_text(m: GradedStructure) -> str:
     """Serialize to the line format; deterministic byte-for-byte.
 
     The default rank is the most frequent value (ties to the smallest),
     and only non-default tuples get explicit lines.  Signatures other
     than the standard one-binary-predicate one are declared on a
-    ``predicates`` line.
+    ``predicates`` line.  The ranks are counted by ``bytes.count``, or a
+    ``Counter`` for tuple tables, and the non-default tuples are picked
+    by ``itertools.compress`` with the table marked by ``translate`` (or
+    ``!=`` for a tuple), so only they are visited in Python.
     """
     lines = [f"structure {m.name} chain={m.chain.name}"]
     if m.signature != SIG_LT:
         decl = " ".join(f"{p}:{a}" for p, a in m.signature.predicates)
         lines.append(f"predicates {decl}")
     lines.append("elements " + " ".join(m.universe) if m.universe else "elements")
-    counts: dict[int, int] = {}
-    for table in m.pred_tables:
-        for v in table:
-            counts[v] = counts.get(v, 0) + 1
-    default = min(sorted(counts, key=lambda v: (-counts[v], v))[:1] or [0])
+    if all(type(table) is bytes for table in m.pred_tables):
+        counts = {v: sum(table.count(v) for table in m.pred_tables) for v in range(m.chain.size)}
+    else:
+        counts = Counter(itertools.chain.from_iterable(m.pred_tables))
+    default = min(counts, key=lambda v: (-counts[v], v)) if any(counts.values()) else 0
     lines.append(f"default {default}")
     for (pname, arity), table in zip(m.signature.predicates, m.pred_tables):
-        for t, v in zip(itertools.product(m.universe, repeat=arity), table):
-            if v != default:
-                lines.append(f"{pname} {' '.join(t)} = {v}")
+        marks = (table.translate(_other_ranks(default)) if type(table) is bytes
+                 else map(default.__ne__, table))
+        cells = zip(itertools.product(m.universe, repeat=arity), table)
+        for t, v in itertools.compress(cells, marks):
+            lines.append(f"{pname} {' '.join(t)} = {v}")
     return "\n".join(lines) + "\n"
 
 
