@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import ChainTableError, FileFormatError
 
@@ -117,18 +118,20 @@ def _find_axiom_failure(size: int, table, one: int) -> tuple[str, tuple, str] | 
         for b in range(a + 1, size):
             if table[a][b] != table[b][a]:
                 return ("commutativity", (a, b), f"{a}*{b} = {table[a][b]} != {table[b][a]} = {b}*{a}")
+    # Row by row: (a*b)*c over every c is the row of a*b, and a*(b*c)
+    # is row a picked at the entries of row b.
+    pick = [itemgetter(*row) for row in table]
     for a in rng:
+        row_a = table[a]
         for b in rng:
-            ab = table[a][b]
-            row_a = table[a]
-            row_ab = table[ab]
-            for c in rng:
-                if row_ab[c] != row_a[table[b][c]]:
-                    return (
-                        "associativity",
-                        (a, b, c),
-                        f"({a}*{b})*{c} = {row_ab[c]} != {row_a[table[b][c]]} = {a}*({b}*{c})",
-                    )
+            row_ab = table[row_a[b]]
+            if row_ab != pick[b](row_a):
+                c = next(c for c in rng if row_ab[c] != row_a[table[b][c]])
+                return (
+                    "associativity",
+                    (a, b, c),
+                    f"({a}*{b})*{c} = {row_ab[c]} != {row_a[table[b][c]]} = {a}*({b}*{c})",
+                )
     # With monotonicity in place, residua exist iff a*0 = 0 for every a.
     for a in rng:
         if table[a][0] != 0:

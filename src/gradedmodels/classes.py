@@ -10,26 +10,25 @@ Four classes over the one-binary-predicate signature are built in:
   partial order; values below the filter are unconstrained.
 
 Each class is stated once: a condition on the loops plus a cell check,
-the conditions on the values of (x, y) and (y, x) for pairs of
-positions, as rank comparisons in the ``<`` table.  Membership runs the
-cell check over every position.
+the conditions on every cell and every triple of positions through a
+given set of positions, as rank comparisons in the ``<`` table.
+Membership runs that check through every position.
 
 A v-formation is two structures; its base is the set of ids they share,
 on which they must agree.  Every built-in class amalgamates through one
 core: the union of the arm universes, built row by row, with the cross
 pairs set by the class's closed-form rule, a column at a time: for each
 new element of the second arm, its values against the whole first arm,
-read off the composition through the base.  The core checks the second
-arm with the class's membership predicate, unless ``enumerate_class``
-already gave it the verdict, and the amalgam with the class's cell
-check, run over the cross cells only.  That is exact only when the
-first arm is a member, so every ``amalgamate_k*`` takes a member as its
-first arm; they are reached through ``get_class(name).amalgamate``.
-Either failure raises ``AmalgamationError``.  Joint extension is the
-amalgam over the empty base.  The amalgam extends its first arm: it is
-not validated again, and its positions and the cut lines of the cell
-checks are carried from the first arm's, so a limit stage that grows by
-one element at a time does not rebuild them from its whole table.
+read off the composition through the base.  The core runs the class's
+check once, on the amalgam, through the positions of the second arm's
+elements.  That decides membership only when the first arm is a member,
+so every ``amalgamate_k*`` takes a member as its first arm; they are
+reached through ``get_class(name).amalgamate``.  A failed check raises
+``AmalgamationError``.  Joint extension is the amalgam over the empty
+base.  The amalgam extends its first arm: it is not validated again,
+and its positions and the cut lines of the cell checks are carried from
+the first arm's, so a limit stage that grows by one element at a time
+does not rebuild them from its whole table.
 
 The property checkers run over bounded exhaustive enumerations of
 isomorphism types and report counterexamples.  The joint-embedding and
@@ -92,9 +91,8 @@ class ClassSpec:
     ``amalgamate`` maps a v-formation to a member containing both arms,
     raising ``AmalgamationError`` when it cannot; over the empty base it
     also gives joint extensions.  The built-in amalgamators check the
-    second arm with the membership predicate (or read the verdict that
-    ``enumerate_class`` left on it) but the amalgam only on its cross
-    cells, so the first arm must already be a member.
+    amalgam only through the second arm's elements, so the first arm
+    must already be a member; they never call ``membership``.
     ``check_ap`` and ``check_jep`` pass enumerated members;
     ``build_limit`` and ``replay_transcript`` pass a stage that is a
     checked initial structure or an amalgam.
@@ -111,24 +109,28 @@ class ClassSpec:
 # Ranks are read from validated tables and compared as plain ints.
 # Since ``one`` is neutral, res(x, y) >= one exactly when x <= y, so
 # "res(x, y) is in the filter" is the comparison x <= y.  A cell check
-# ``cells_ok(m, xs, ys)`` checks the conditions that involve a cell
-# (x, y) or (y, x) with x in xs and y in ys.
+# ``cells_ok(m, news)`` checks the conditions on every cell and every
+# triple of positions that contains a position in ``news``.
+
+
+def _through(m: GradedStructure, news, loops_in_filter: bool, cells_ok) -> bool:
+    """Whether the loops of the positions in ``news`` are all in the
+    filter (or all below it) and ``cells_ok(m, news)`` holds.  A member
+    is nonempty, so the check through no position fails."""
+    lt = m.pred_tables[0]
+    step = len(m.universe) + 1
+    loops = [lt[c * step] for c in news]
+    if not loops or (min(loops) < m.chain.one if loops_in_filter
+                     else max(loops) >= m.chain.one):
+        return False
+    return cells_ok(m, news)
 
 
 def _member(m: GradedStructure, loops_in_filter: bool, cells_ok) -> bool:
-    """A nonempty structure over ``<`` whose loops are all in the filter
-    (or all below it) and whose every cell passes ``cells_ok``."""
+    """A structure over ``<`` that passes the class's check through every position."""
     if m.signature != SIG_LT:
         raise ValueError("class membership is defined over the one-binary-predicate signature")
-    lt = m.pred_tables[0]
-    n = len(m.universe)
-    if not n:
-        return False
-    loops = lt[::n + 1]
-    one = m.chain.one
-    if min(loops) < one if loops_in_filter else max(loops) >= one:
-        return False
-    return cells_ok(m, range(n), range(n))
+    return _through(m, range(len(m.universe)), loops_in_filter, cells_ok)
 
 
 @functools.lru_cache(maxsize=64)
@@ -199,82 +201,73 @@ def _carry_cut_lines(arm1: GradedStructure, out: GradedStructure) -> None:
         cache[code] = (rows + new_rows, cols + new_cols)
 
 
-def _cuts_transitive(m: GradedStructure, xs, ys, levels, antisymmetric=False) -> bool:
+def _cuts_transitive(m: GradedStructure, news, levels, antisymmetric=False) -> bool:
     """Whether every cut {v >= t} of m, t in ``levels``, is transitive
-    (and antisymmetric, when asked) on the cells (x, y) and (y, x), x in
-    ``xs`` and y in ``ys``.
+    (and antisymmetric, when asked) on every triple (and pair) of
+    positions that contains a position in ``news``.
 
-    A cut is transitive exactly when row(a) and col(c) are disjoint for
-    every cell (a, c) outside it, so over every position this is the
-    full check.  Over the cross cells of an amalgam, xs and ys are the
-    two arms' new elements and the cuts are known to be transitive on
-    both arms; a triple outside both arms has a cross cell among its
-    three, so it is enough to check, for each cross cell (a, c) in both
-    directions: at the levels where (a, c) is in the cut, row(c) is a
-    subset of row(a) and col(a) of col(c); at the others, row(a) and
-    col(c) are disjoint.  The cells are visited as xs x ys and then as
-    ys x xs, or once when xs equals ys, and no loop is asked to be
-    antisymmetric.  Eight levels at a time share one pass: each cell
-    becomes a byte whose bit i says whether it is in the i-th cut, rows
-    and columns become ints of those bytes (``_cut_lines``, cached on m
-    and carried from an amalgam's first arm), and a cell's byte,
-    repeated across an int, masks the levels that each condition
-    applies to.
+    A triple x -> y -> z through c has c as x, y or z, so for each c in
+    ``news``, at each level where the cell is in the cut: for a -> c,
+    row(c) lies within row(a) (c as y) and col(a) within col(c) (c as
+    z); for c -> b, row(b) lies within row(c) (c as x).  Through every
+    position the first condition alone covers every triple, so the
+    other two are skipped.
+    Antisymmetry asks that row(c) and col(c) share no cell but the loop.
+    Eight levels at a time share one pass: each cell becomes a byte whose
+    bit i says whether it is in the i-th cut, rows and columns become
+    ints of those bytes (``_cut_lines``, cached on m and carried from an
+    amalgam's first arm), and a cell's byte, repeated across an int,
+    masks the levels that each condition applies to.  Only the cells of
+    c's row and column that lie in some cut are visited.
     """
-    lt = m.pred_tables[0]
     n = len(m.universe)
-    size = m.chain.size
-    sides = ((xs, ys),) if xs == ys else ((xs, ys), (ys, xs))
+    every = len(news) == n
     ones = int.from_bytes(b"\1" * n, "little")
+    positions = range(n)
     for g in range(0, len(levels), 8):
-        group = levels[g:g + 8]
-        code = _level_code(group, size)
-        every = (1 << len(group)) - 1
+        code = _level_code(levels[g:g + 8], m.chain.size)
         rows, cols = _cut_lines(m, code)
-        for heads, tails in sides:
-            for a in heads:
-                row, col, start = rows[a], cols[a], a * n
-                for c in tails:
-                    held = code[lt[start + c]]
-                    if not held:
-                        # Outside every cut: row(a) and col(c) are disjoint
-                        # at each level, and lines hold no other bits.
-                        if row & cols[c]:
-                            return False
-                        continue
-                    if antisymmetric and a != c and held & code[lt[c * n + a]]:
-                        return False
-                    if (rows[c] & ~row | col & ~cols[c]) & held * ones:
-                        return False
-                    if held != every and row & cols[c] & (every ^ held) * ones:
-                        return False
+        for c in news:
+            row, col = rows[c], cols[c]
+            if antisymmetric and row & col & ~(0xFF << 8 * c):
+                return False
+            into = col.to_bytes(n, "little")
+            for a in itertools.compress(positions, into):
+                held = into[a] * ones
+                if row & ~rows[a] & held or not every and cols[a] & ~col & held:
+                    return False
+            if every:
+                continue
+            out_of = row.to_bytes(n, "little")
+            for b in itertools.compress(positions, out_of):
+                if rows[b] & ~row & out_of[b] * ones:
+                    return False
     return True
 
 
-def _k0_cells_ok(m: GradedStructure, xs, ys) -> bool:
-    """k0 on the cells: every cut above bottom is transitive."""
-    return _cuts_transitive(m, xs, ys, range(1, m.chain.size))
+def _k0_cells_ok(m: GradedStructure, news) -> bool:
+    """k0 through ``news``: every cut above bottom is transitive."""
+    return _cuts_transitive(m, news, range(1, m.chain.size))
 
 
-def _k1_cells_ok(m: GradedStructure, xs, ys) -> bool:
-    """k1 on the cells: symmetric values."""
+def _k1_cells_ok(m: GradedStructure, news) -> bool:
+    """k1 through ``news``: each row equals its column."""
     lt = m.pred_tables[0]
     n = len(m.universe)
-    return all(lt[x * n + y] == lt[y * n + x] for x in xs for y in ys)
+    return all(lt[c * n:(c + 1) * n] == lt[c::n] for c in news)
 
 
-def _k2_cells_ok(m: GradedStructure, xs, ys) -> bool:
-    """k2 on the cells: totality at ``one``, then k0."""
+def _k2_cells_ok(m: GradedStructure, news) -> bool:
+    """k2 through ``news``: totality at ``one``, then k0."""
     lt = m.pred_tables[0]
     n = len(m.universe)
-    one = m.chain.one
-    return (all(max(lt[x * n + y], lt[y * n + x]) >= one for x in xs for y in ys)
-            and _k0_cells_ok(m, xs, ys))
+    return (all(min(map(max, lt[c * n:(c + 1) * n], lt[c::n])) >= m.chain.one for c in news)
+            and _k0_cells_ok(m, news))
 
 
-def _k3_cells_ok(m: GradedStructure, xs, ys) -> bool:
-    """k3 on the cells: the cut at ``one`` is transitive and antisymmetric."""
-    return _cuts_transitive(m, xs, ys, (m.chain.one,), antisymmetric=True)
+def _k3_cells_ok(m: GradedStructure, news) -> bool:
+    """k3 through ``news``: the cut at ``one`` is transitive and antisymmetric."""
+    return _cuts_transitive(m, news, (m.chain.one,), antisymmetric=True)
 
 
 def k0_member(m: GradedStructure) -> bool:
@@ -369,18 +362,17 @@ def verify_amalgam(spec, v: VFormation, witness: GradedStructure) -> bool:
 
 
 def _amalgam_frame(v: VFormation):
-    """Union universe, the arms' new elements, and a builder of the union table.
+    """Union universe, the second arm's new elements, and a builder of the union table.
 
     The union lists the first arm, then the second arm's new elements.
-    ``new1`` holds the positions of the first arm's new elements, which
-    keep them in the union, and ``ext2`` those of the second arm's, in
-    the second arm; ext2[j] sits at union position len(arm1) + j.
+    ``ext2`` holds the positions of the second arm's new elements in the
+    second arm; ext2[j] sits at union position len(arm1) + j.
     ``assemble(forward, backward)`` returns the union table given, for
     each j, two columns over the first arm's positions: forward[j][x] is
     the value of (x, ext2[j]) and backward[j][x] that of (ext2[j], x).
-    Only their entries at ``new1`` are read; a base element's cells take
-    the second arm's values.  The table is built by rows, joined in the
-    arms' container: a first-arm row is a slice of the first arm's table
+    A base element's cells take the second arm's values instead of the
+    columns' entries.  The table is built by rows, joined in the arms'
+    container: a first-arm row is a slice of the first arm's table
     followed by its cells against ext2, cut from a block that the
     forward columns fill by strided assignment; a row of a new
     second-arm element is its backward column with the base cells
@@ -392,9 +384,6 @@ def _amalgam_frame(v: VFormation):
     lt1, lt2 = arm1.pred_tables[0], arm2.pred_tables[0]
     kind = type(lt1)
     n1, n2 = len(arm1.universe), len(arm2.universe)
-    new1 = list(range(n1))
-    for p, _ in reversed(v.shared):
-        del new1[p]
     ext2 = [y for y, e in enumerate(arm2.universe) if e not in arm1.positions]
     m = len(ext2)
     universe = arm1.universe + tuple(arm2.universe[y] for y in ext2)
@@ -418,30 +407,26 @@ def _amalgam_frame(v: VFormation):
             parts += (kind(row), kind([lt2[y * n2 + z] for z in ext2]))
         return b"".join(parts) if kind is bytes else tuple(itertools.chain.from_iterable(parts))
 
-    return universe, new1, ext2, assemble
+    return universe, ext2, assemble
 
 
-def _amalgamate(v: VFormation, cross, member, cells_ok) -> GradedStructure:
+def _amalgamate(v: VFormation, cross, name: str, loops_in_filter: bool, cells_ok) -> GradedStructure:
     """The amalgamation core shared by every built-in class.
 
     ``cross(v, ext2)`` gives the cross values as the ``forward`` and
     ``backward`` columns that ``_amalgam_frame``'s ``assemble`` takes:
     for each new element y of the second arm (ext2 lists their positions
     there), the values of (x, y) and of (y, x) over every position x of
-    the first arm, read only where x is new.  ``member`` is the class's
-    membership predicate, checked on the second arm unless its
-    ``_derived`` cache holds ``member``'s verdict: ``enumerate_class``
-    records it on every member it returns, and ``rename`` (so
-    ``align_v_formation``) shares the cache, so an enumerated arm is not
-    checked again.  ``cells_ok(out, xs, ys)`` is the class's cell check,
-    the one that ``member`` runs over every position; here it runs over
-    the cross cells only, with xs and ys the two arms' new elements as
-    positions in the amalgam ``out``, in O(n * (n + |cross|)) steps.
-    That is exact when both arms are members, so the first arm must
-    already be one; the callers guarantee it.  ``check_ap`` and
+    the first arm; the entries at base positions are not read.
+    ``loops_in_filter`` and ``cells_ok`` state the class ``name`` (see
+    ``_through``).  The amalgam is a member exactly when its first arm is
+    one and the class's check through the positions of the second arm's
+    elements, base and new, passes: every loop, cell and triple that
+    check skips lies inside the first arm.  So the first arm must already
+    be a member, and the callers guarantee it: ``check_ap`` and
     ``check_jep`` pass enumerated members, and ``build_limit`` and
     ``replay_transcript`` pass the current stage, which is a checked
-    initial stage or an amalgam.
+    initial stage or an amalgam.  No membership predicate is called.
 
     The amalgam extends its first arm and is built as such, without
     validating again (see ``GradedStructure``): its table holds ranks
@@ -450,18 +435,18 @@ def _amalgamate(v: VFormation, cross, member, cells_ok) -> GradedStructure:
     its ``positions`` are arm1's, extended by the new ids; and its cut
     lines are carried from arm1's (``_carry_cut_lines``).
     """
-    arm1, arm2 = v.arm1, v.arm2
-    if not (arm2._derived.get(member) or member(arm2)):
-        raise AmalgamationError(f"the second arm is not a member ({member.__name__} rejects it)")
-    universe, new1, ext2, assemble = _amalgam_frame(v)
+    arm1 = v.arm1
+    universe, ext2, assemble = _amalgam_frame(v)
     n1 = len(arm1.universe)
     positions = arm1.positions.copy()
     positions.update(zip(universe[n1:], range(n1, len(universe))))
     out = _trusted(arm1.chain, SIG_LT, universe, (assemble(*cross(v, ext2)),), "amalgam",
                    positions=positions)
     _carry_cut_lines(arm1, out)
-    if new1 and ext2 and not cells_ok(out, new1, range(n1, len(universe))):
-        raise AmalgamationError(f"cross rule lost membership ({member.__name__} fails on a cross cell)")
+    news = [p for p, _ in v.shared] + list(range(n1, len(universe)))
+    if not _through(out, news, loops_in_filter, cells_ok):
+        raise AmalgamationError(f"the amalgam is not a member of {name}: "
+                                "the check through the second arm fails")
     return out
 
 
@@ -508,7 +493,7 @@ def amalgamate_k0(v: VFormation) -> GradedStructure:
     the base, which is the whole sup-min closure of the union.  The
     first arm must be a member (see ``_amalgamate``).
     """
-    return _amalgamate(v, _composition, k0_member, _k0_cells_ok)
+    return _amalgamate(v, _composition, "k0", True, _k0_cells_ok)
 
 
 def amalgamate_k1(v: VFormation) -> GradedStructure:
@@ -518,7 +503,7 @@ def amalgamate_k1(v: VFormation) -> GradedStructure:
     the result loopless and symmetric.  The first arm must be a member
     (see ``_amalgamate``).
     """
-    return _amalgamate(v, _bottom_cross, k1_member, _k1_cells_ok)
+    return _amalgamate(v, _bottom_cross, "k1", False, _k1_cells_ok)
 
 
 def _k2_key(arm: GradedStructure, base, z: int, levels) -> tuple[int, ...]:
@@ -599,7 +584,7 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
        through the base, so, as for ``amalgamate_k0``, the composition
        closes the union of the arms' cuts transitively.
     """
-    return _amalgamate(v, _k2_cross, k2_member, _k2_cells_ok)
+    return _amalgamate(v, _k2_cross, "k2", True, _k2_cells_ok)
 
 
 def _k3_cross(v: VFormation, ext2):
@@ -620,7 +605,7 @@ def amalgamate_k3(v: VFormation) -> GradedStructure:
     endpoints at the filter level; otherwise it takes the falsum
     constant.  The first arm must be a member (see ``_amalgamate``).
     """
-    return _amalgamate(v, _k3_cross, k3_member, _k3_cells_ok)
+    return _amalgamate(v, _k3_cross, "k3", True, _k3_cells_ok)
 
 
 # --- enumeration ---
@@ -674,8 +659,6 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[Graded
 
     Each type is given by its lex-least table of ``<`` on the universe
     x0, x1, ...; the result is ordered by size then canonical form.
-    Each member's ``_derived`` cache records the verdict of
-    ``spec.membership``, so the amalgamation core need not check it again.
     Each size visits one table per orbit of the symmetric group, the
     least one, and asks ``spec.membership`` about it alone, so the
     membership predicate must be isomorphism-invariant.  Rejects runs
@@ -693,7 +676,6 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[Graded
         for table in _orbit_representatives(chain.size, s):
             m = GradedStructure(chain, SIG_LT, elems, (table,), name=f"{spec.name}_{s}")
             if spec.membership(m):
-                m._derived[spec.membership] = True
                 found.append((s, canonical_form(m), m))
     # Types differ in their forms, so the key decides every comparison.
     found.sort(key=lambda item: item[:2])

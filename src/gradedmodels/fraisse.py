@@ -171,7 +171,7 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
     member enumeration order (permutable via ``shuffle_seed``).  The
     first stage is an enumerated member and every later one an amalgam,
     so the current stage, the first arm of each amalgamation, is a
-    member, as the check of an amalgam's cross cells needs.
+    member, as the amalgamator's check through the second arm needs.
 
     Returns (stage structures, transcript).
     """
@@ -227,9 +227,9 @@ def replay_transcript(transcript: Transcript):
 
     The initial structure is checked here with the full membership
     predicate.  Every later stage is an amalgam of the current stage
-    with an arm read from the transcript: the amalgamator checks that
-    arm with the full predicate, raising ``AmalgamationError`` for a
-    non-member, and the amalgam on its cross cells, so every stage is a
+    with an arm read from the transcript: the amalgamator checks the
+    amalgam through every element of that arm, raising
+    ``AmalgamationError`` for a non-member arm, so every stage is a
     member.  An event whose ``base`` ids are not exactly the ids its arm
     shares with the current stage raises ``FileFormatError``.
     """

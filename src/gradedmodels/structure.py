@@ -155,8 +155,8 @@ class GradedStructure:
 
     ``_derived`` caches data that depend on the chain, the signature and
     the tables alone, not on the ids: the masks of ``find_embeddings``
-    and, kept by ``classes``, the cut lines of its cell checks and
-    membership verdicts.  Each user keys its entries.  A renamed
+    and, kept by ``classes``, the cut lines of its cell checks.  It holds
+    no membership verdicts.  Each user keys its entries.  A renamed
     structure shares the dict of its source.
     """
 

@@ -15,6 +15,11 @@ from gradedmodels.structure import GradedStructure
 _SEARCH_CAP = 10**6
 
 
+def new_first_arm_positions(v: VFormation) -> list[int]:
+    """The positions of the first arm's elements that the second arm lacks."""
+    return [p for p, e in enumerate(v.arm1.universe) if e not in v.arm2.positions]
+
+
 def _cross_columns(v: VFormation, new1, ext2, values):
     """The ``assemble`` columns of cross values listed pair by pair:
     (x, y) then (y, x) for x in ``new1`` and y in ``ext2``, x-major."""
@@ -37,7 +42,8 @@ def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
     every assignment of chain values to them (both directions) is tried
     in rank order.
     """
-    universe, new1, ext2, assemble = _amalgam_frame(v)
+    universe, ext2, assemble = _amalgam_frame(v)
+    new1 = new_first_arm_positions(v)
     chain = v.arm1.chain
     cells = 2 * len(new1) * len(ext2)
     count = chain.size ** cells

@@ -1,0 +1,103 @@
+"""Digests of the output of a fixed list of CLI commands, for byte-identity checks.
+
+Run from the root of a source checkout:
+
+    python3 tests/cli_digests.py
+
+It imports the package from ``src`` under the working directory and
+runs every command of ``COMMANDS`` in this process through ``cli.main``,
+in a temporary working directory.  For each command it prints one line,
+the exit code and the sha256 of its standard output and of its standard
+error, then one line per file that the command wrote, with its sha256.
+So a refactor that should not change any output is checked by
+
+    python3 tests/cli_digests.py > after.txt
+    (cd ../parent && python3 "$OLDPWD/tests/cli_digests.py") > before.txt
+    diff before.txt after.txt
+
+where ``../parent`` is a checkout of the commit before it.  The commands
+take about twenty seconds in all.  The file name does not start with
+``test_``, so pytest does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+CLASSES = ("k0", "k1", "k2", "k3")
+
+# The chain u3 has ``one`` at its middle rank; it is read from a file.
+U3_CHAIN = "chain u3 3 one=1 zero=0\n0 0 0\n0 1 2\n0 2 2\n"
+
+CHECKS = [("bool", 2), ("bool", 3), ("u3.chain", 2), ("luk:4", 2), ("luk:3", 2), ("luk:3", 3),
+          ("godel:3", 2)]
+
+
+def _commands() -> list[list[str]]:
+    commands = [["check", "--class", name, "--chain", chain, "--k", str(k), "--property", prop]
+                for chain, k in CHECKS for name in CLASSES for prop in ("hp", "jep", "ap")]
+    for chain in ("bool", "luk:3", "luk:4", "u3.chain"):
+        for name in CLASSES:
+            out = f"{name}-{chain}"
+            commands.append(["limit", "build", "--class", name, "--chain", chain, "--stages", "2",
+                             "--budget", "2", "--out", out])
+            commands.append(["limit", "replay", "--transcript", f"{out}/transcript.json",
+                             "--out", f"{out}-replay"])
+    for name in ("k0", "k2"):
+        commands.append(["limit", "build", "--class", name, "--chain", "bool", "--stages", "2",
+                         "--budget", "3", "--out", f"{name}-bool-budget3"])
+    commands.append(["limit", "build", "--class", "k0", "--chain", "luk:3", "--stages", "2",
+                     "--budget", "2", "--seed-order", "5", "--out", "k0-luk3-seed5"])
+    return commands
+
+
+COMMANDS = _commands()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files() -> dict[str, str]:
+    """Relative path -> sha256 of every file under the working directory."""
+    found = {}
+    for folder, _, names in os.walk("."):
+        for name in names:
+            path = os.path.relpath(os.path.join(folder, name))
+            with open(path, "rb") as fh:
+                found[path] = _sha(fh.read())
+    return found
+
+
+def main() -> int:
+    sys.path.insert(0, os.path.abspath("src"))
+    from gradedmodels import cli
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as folder:
+        os.chdir(folder)
+        try:
+            with open("u3.chain", "w", encoding="utf-8") as fh:
+                fh.write(U3_CHAIN)
+            seen = _files()
+            for command in COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(command)
+                print(rc, _sha(out.getvalue().encode()), _sha(err.getvalue().encode()),
+                      " ".join(command))
+                now = _files()
+                for path in sorted(now):
+                    if seen.get(path) != now[path]:
+                        print("  file", now[path], path)
+                seen = now
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

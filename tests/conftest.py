@@ -20,7 +20,7 @@ FIVE_CHAINS = (
 @functools.cache
 def godel257():
     """The 257-rank Goedel chain, whose ranks do not fit in a byte; it
-    takes about two seconds to build, so it is built once."""
+    takes about half a second to build, so it is built once."""
     return make_godel(257)
 
 

@@ -12,8 +12,9 @@ and the peak resident set size of the process, and exits with 1 when a
 digest differs.
 
 The file name does not start with ``test_``, so pytest does not collect
-it: the build takes tens of seconds.  Once it runs in under ten seconds
-it can be pinned in the test suite instead.
+it.  ``test_cli.test_limit_build_k3_luk4_third_stage_digests`` pins the
+same digests in the test suite; this script also reports the time and
+the memory that the build takes.
 """
 
 import hashlib

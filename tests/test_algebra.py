@@ -1,5 +1,6 @@
 """Chain constructors, axiom validation, and the residuation law."""
 
+import itertools
 import random
 
 import pytest
@@ -163,6 +164,43 @@ def test_twenty_mutated_tables_rejected_with_correct_axiom(luk4, u3):
         assert err.value.axiom in actually_failed
         rejected += 1
     assert rejected == 20
+
+
+def associativity_witness_reference(size, table):
+    """The first (a, b, c) in lexicographic order with (a*b)*c != a*(b*c), by the cubic loop."""
+    for a, b, c in itertools.product(range(size), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def test_associativity_witness_is_the_first_failing_triple(u3):
+    """Symmetric, monotone mutations of valid tables that keep ``one``
+    neutral reach the associativity check; the witness it names is the
+    first failing triple of the cubic loop."""
+    rng = random.Random(20261019)
+    bases = [make_lukasiewicz(5), make_godel(5), make_lukasiewicz(9), make_godel(9), u3]
+    found = 0
+    for tried in range(2000):
+        base = bases[tried % len(bases)]
+        size, one = base.size, base.one
+        rows = [list(r) for r in base.conj_table]
+        i, j = sorted(rng.sample([r for r in range(size) if r != one], 2))
+        low = max(rows[i][j - 1], rows[i - 1][j] if i else 0)
+        high = min(rows[i][j + 1] if j + 1 < size else size - 1,
+                   rows[i + 1][j] if i + 1 < size else size - 1)
+        rows[i][j] = rows[j][i] = rng.randint(low, high)
+        if mini_axiom_failures(size, rows, one) & {"neutrality", "monotonicity", "commutativity"}:
+            continue
+        witness = associativity_witness_reference(size, rows)
+        if witness is None:
+            continue
+        with pytest.raises(ChainTableError) as err:
+            Chain(size, rows, one=one, zero=base.zero)
+        assert err.value.axiom == "associativity"
+        assert err.value.witness == witness
+        found += 1
+    assert found >= 20
 
 
 @pytest.mark.parametrize("maker", [

@@ -11,6 +11,8 @@ from gradedmodels.cli import main
 from gradedmodels.errors import AmalgamationError, FileFormatError
 from gradedmodels.fraisse import Transcript, replay_transcript
 
+from limit_stage3_check import ARGV as STAGE3_ARGV, EXPECTED as STAGE3_SHA256
+
 # Small inputs for the golden runs, written to the working directory.
 FILES = {
     "c3.chain": "chain c3 3 one=2 zero=0\n0 0 0\n0 0 1\n0 1 2\n",
@@ -195,6 +197,15 @@ def test_limit_build_luk4_stage_digests(klass, tmp_path, capsys):
     assert digest == LUK4_STAGE2_SHA256[klass]
     digest = hashlib.sha256((out / "transcript.json").read_bytes()).hexdigest()
     assert digest == LUK4_TRANSCRIPT_SHA256[klass]
+
+
+def test_limit_build_k3_luk4_third_stage_digests(tmp_path, capsys):
+    """The build that ``limit_stage3_check.py`` times, about ten seconds."""
+    out = tmp_path / "built"
+    rc, _ = run(STAGE3_ARGV + ["--out", str(out)], capsys)
+    assert rc == 0
+    for name, want in STAGE3_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
 
 
 def seeded_graph_text(seed, size):

@@ -1,10 +1,11 @@
-"""The amalgamation cross-cell checks against reference membership.
+"""The class checks through a set of positions against reference membership.
 
-``classes._amalgamate`` runs a class's cell check over the cross cells
-of an amalgam only, which is exact when both arms are members.  The
-library's membership runs the same cell check over every cell, so these
-tests compare the cross-cell checks with the rank loops of
-``membership_reference`` instead, on tables whose arms are members.
+``classes._amalgamate`` runs a class's cell check through the positions
+of the second arm's elements only, which decides membership when the
+first arm is a member.  The library's membership runs the same check
+through every position, so these tests compare the checks through part
+of a structure with the rank loops of ``membership_reference`` instead,
+on tables whose rest is a member.
 """
 
 import itertools
@@ -14,25 +15,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedmodels import classes
-from gradedmodels.algebra import make_godel, make_lukasiewicz
+from gradedmodels.algebra import make_lukasiewicz
 from gradedmodels.classes import enumerate_class, get_class
+from gradedmodels.errors import AmalgamationError
 from gradedmodels.logic import SIG_LT
 from gradedmodels.structure import GradedStructure, find_embeddings, restrict
 
-from amalgam_reference import _cross_columns
-from conftest import FIVE_CHAINS
+from amalgam_reference import _cross_columns, new_first_arm_positions
+from conftest import FIVE_CHAINS, godel257
 from membership_reference import REFERENCE
 from test_fraisse import _draw_arm
 
-CROSS_OK = {
-    "k0": classes._k0_cells_ok,
-    "k1": classes._k1_cells_ok,
-    "k2": classes._k2_cells_ok,
-    "k3": classes._k3_cells_ok,
+# A class as ``classes._through`` takes it: whether its loops lie in the
+# filter, and its cell check.
+THROUGH = {
+    "k0": (True, classes._k0_cells_ok),
+    "k1": (False, classes._k1_cells_ok),
+    "k2": (True, classes._k2_cells_ok),
+    "k3": (True, classes._k3_cells_ok),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CROSS_OK))
+@pytest.mark.parametrize("name", sorted(THROUGH))
 @pytest.mark.parametrize("chain", FIVE_CHAINS, ids=lambda c: c.name)
 def test_delta_check_agrees_with_membership_on_small_v_formations(name, chain):
     """Exhaustive: every v-formation of members whose union has at most 3
@@ -48,16 +52,17 @@ def test_delta_check_agrees_with_membership_on_small_v_formations(name, chain):
                 base = restrict(m1, subset)
                 for g in find_embeddings(base, m2):
                     v = classes.align_v_formation(m1, m2, g)
-                    universe, new1, ext2, assemble = classes._amalgam_frame(v)
+                    universe, ext2, assemble = classes._amalgam_frame(v)
                     if len(universe) > 3:
                         continue
-                    ys = range(len(m1), len(universe))
+                    new1 = new_first_arm_positions(v)
+                    news = [p for p, _ in v.shared] + list(range(len(m1), len(universe)))
                     cells = 2 * len(new1) * len(ext2)
                     for combo in itertools.product(chain.ranks(), repeat=cells):
                         columns = _cross_columns(v, new1, ext2, combo)
                         out = GradedStructure(chain, SIG_LT, universe, (assemble(*columns),))
                         verdict = REFERENCE[name](out)
-                        assert CROSS_OK[name](out, new1, ys) == verdict, out.pred_tables
+                        assert classes._through(out, news, *THROUGH[name]) == verdict, out.pred_tables
                         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -94,7 +99,7 @@ def _random_member(data, name, chain, n) -> GradedStructure:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(CROSS_OK)), st.sampled_from(FIVE_CHAINS), st.data())
+@given(st.sampled_from(sorted(THROUGH)), st.sampled_from(FIVE_CHAINS), st.data())
 def test_delta_check_agrees_with_membership_one_cross_cell_from_a_member(name, chain, data):
     """A random member of up to 7 elements, split into a base and two
     arms' new parts, with one cross cell set to a random value."""
@@ -114,10 +119,11 @@ def test_delta_check_agrees_with_membership_one_cross_cell_from_a_member(name, c
     out = GradedStructure(chain, SIG_LT, m.universe, (tuple(table),))
     for arm in ("b1", "b2"):
         assert member(restrict(out, [e for e, s in zip(m.universe, sides) if s in arm]))
-    assert CROSS_OK[name](out, xs, ys) == member(out)
+    news = [p for p, side in enumerate(sides) if side != "1"]
+    assert classes._through(out, news, *THROUGH[name]) == member(out)
 
 
-@pytest.mark.parametrize("make_chain", [lambda: make_lukasiewicz(12), lambda: make_godel(257)],
+@pytest.mark.parametrize("make_chain", [lambda: make_lukasiewicz(12), godel257],
                          ids=["luk:12", "godel:257"])
 def test_delta_check_past_eight_levels(make_chain):
     """The cuts go eight levels to a pass, and a chain of more than 256
@@ -135,8 +141,8 @@ def test_delta_check_past_eight_levels(make_chain):
 
     arm1, arm2 = three("a", "m", "b"), three("c", "m", "d")
     v = classes.VFormation(arm1, arm2)
-    universe, new1, _, _ = classes._amalgam_frame(v)
-    ys = range(len(arm1), len(universe))
+    universe = classes._amalgam_frame(v)[0]
+    news = [p for p, _ in v.shared] + list(range(len(arm1), len(universe)))
     for name in ("k0", "k3"):
         spec = get_class(name)
         out = spec.amalgamate(v)
@@ -146,4 +152,79 @@ def test_delta_check_past_eight_levels(make_chain):
         bad[out.positions["a"] * len(universe) + out.positions["d"]] = top - 1
         broken = GradedStructure(chain, SIG_LT, out.universe, (tuple(bad),))
         assert not REFERENCE[name](broken) and not spec.membership(broken)
-        assert not CROSS_OK[name](broken, new1, ys)
+        assert not classes._through(broken, news, *THROUGH[name])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(THROUGH)), st.sampled_from(FIVE_CHAINS), st.data())
+def test_check_through_news_agrees_with_membership_when_the_rest_is_a_member(name, chain, data):
+    """A random member of up to 7 elements and a random nonempty set of
+    positions ``news``, with up to three cells that touch ``news``, loops
+    included, set to random ranks: the rest still restricts to a member,
+    so the check through ``news`` decides membership."""
+    n = data.draw(st.integers(1, 7))
+    m = _random_member(data, name, chain, n)
+    news = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    table = list(m.pred_tables[0])
+    for _ in range(data.draw(st.integers(0, 3))):
+        c, x = data.draw(st.sampled_from(news)), data.draw(st.integers(0, n - 1))
+        cell = c * n + x if data.draw(st.booleans()) else x * n + c
+        table[cell] = data.draw(st.integers(0, chain.size - 1))
+    out = GradedStructure(chain, SIG_LT, m.universe, (tuple(table),))
+    rest = [e for p, e in enumerate(m.universe) if p not in news]
+    assert not rest or REFERENCE[name](restrict(out, rest))
+    assert classes._through(out, news, *THROUGH[name]) == REFERENCE[name](out)
+
+
+@pytest.mark.parametrize("name", sorted(THROUGH))
+@pytest.mark.parametrize("chain", [FIVE_CHAINS[0], FIVE_CHAINS[1], FIVE_CHAINS[3]],
+                         ids=lambda c: c.name)
+def test_check_through_news_agrees_with_membership_one_cell_from_a_member(name, chain):
+    """Exhaustive: every member of three elements, every nonempty set of
+    positions ``news`` and every rank in every one cell that touches
+    ``news``, loops included."""
+    verdicts = set()
+    for m in enumerate_class(get_class(name), chain, 3):
+        if len(m) < 3:
+            continue
+        for size in (1, 2, 3):
+            for news in itertools.combinations(range(3), size):
+                for a, c in itertools.product(range(3), repeat=2):
+                    if a not in news and c not in news:
+                        continue
+                    for rank in chain.ranks():
+                        table = bytearray(m.pred_tables[0])
+                        table[a * 3 + c] = rank
+                        out = GradedStructure(chain, SIG_LT, m.universe, (bytes(table),))
+                        verdict = REFERENCE[name](out)
+                        assert classes._through(out, news, *THROUGH[name]) == verdict
+                        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _all_structures(chain, n):
+    elems = tuple(f"y{i}" for i in range(n))
+    for table in itertools.product(chain.ranks(), repeat=n * n):
+        yield GradedStructure(chain, SIG_LT, elems, (table,))
+
+
+@pytest.mark.parametrize("name", sorted(THROUGH))
+@pytest.mark.parametrize("chain", FIVE_CHAINS, ids=lambda c: c.name)
+def test_amalgamator_rejects_every_small_non_member_second_arm(name, chain):
+    """Exhaustive: every non-member second arm of at most two elements,
+    against every member first arm of at most two, over every base that
+    leaves the second arm at least one new element."""
+    spec = get_class(name)
+    members = enumerate_class(spec, chain, 2)
+    rejected = 0
+    for arm2 in itertools.chain(_all_structures(chain, 1), _all_structures(chain, 2)):
+        if REFERENCE[name](arm2):
+            continue
+        for m1 in members:
+            for size in range(min(len(m1), len(arm2) - 1) + 1):
+                for subset in itertools.combinations(m1.universe, size):
+                    for g in find_embeddings(restrict(m1, subset), arm2):
+                        with pytest.raises(AmalgamationError):
+                            spec.amalgamate(classes.align_v_formation(m1, arm2, g))
+                        rejected += 1
+    assert rejected

@@ -340,7 +340,7 @@ def test_search_amalgam_exhausts_capped_class(bool_chain):
 def assert_composition_is_the_reference(v):
     """Every entry of the column composition, base positions included,
     equals the per-pair reference."""
-    ext2 = classes._amalgam_frame(v)[2]
+    ext2 = classes._amalgam_frame(v)[1]
     forward, backward = classes._composition(v, ext2)
     through = composition_reference(v)
     assert len(forward) == len(backward) == len(ext2)

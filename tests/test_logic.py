@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmodels.algebra import resolve_chain
 from gradedmodels.errors import FormulaParseError
 from gradedmodels.logic import (
     SIG_LT,
@@ -23,7 +22,7 @@ from gradedmodels.logic import (
 )
 from gradedmodels.structure import GradedStructure, binary_structure
 
-from conftest import FIVE_CHAINS
+from conftest import FIVE_CHAINS, godel257
 from evaluate_reference import evaluate_reference
 
 
@@ -197,7 +196,7 @@ def test_signature_validation():
 # Every arity up to three, so atoms read rows, columns, diagonals and
 # general strided runs of their tables.
 SIG_P_LT_R = Signature(predicates=(("P", 1), ("<", 2), ("R", 3)))
-CHAINS = FIVE_CHAINS + (resolve_chain("godel:257"),)
+CHAINS = FIVE_CHAINS + (godel257(),)
 
 
 def graded_formulas():
