@@ -61,7 +61,7 @@ from .structure import (
     id_supply,
     is_substructure,
     rename,
-    restrict,
+    substructures,
 )
 
 __all__ = [
@@ -342,9 +342,17 @@ def align_v_formation(arm1: GradedStructure, arm2: GradedStructure, embedding: d
     relative to both arms: the first ids of ``ids``, an iterator from
     ``id_supply("n")``, that neither arm holds.  By default that is a
     new supply, which starts at n0; ``build_limit`` keeps one across its
-    events.
+    events.  Raises ``ValueError`` when a key is not an id of arm1, a
+    value is not an id of arm2, or two keys share a value.
     """
+    for b, y in embedding.items():
+        if b not in arm1.positions:
+            raise ValueError(f"embedding key {b!r} is not an element of the first arm")
+        if y not in arm2.positions:
+            raise ValueError(f"embedding value {y!r} is not an element of the second arm")
     inverse = {y: b for b, y in embedding.items()}
+    if len(inverse) != len(embedding):
+        raise ValueError("the embedding is not injective")
     rest = [e for e in arm2.universe if e not in inverse]
     news = fresh_names(len(rest), ChainMap(arm1.positions, arm2.positions),
                        id_supply("n") if ids is None else ids)
@@ -589,9 +597,9 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
 
 def _k3_cross(v: VFormation, ext2):
     """The composition's columns, each rank sent to ``one`` when it is at
-    least ``one`` and to ``zero`` otherwise."""
+    least ``one`` and to bottom otherwise."""
     chain = v.arm1.chain
-    cut = [chain.one if r >= chain.one else chain.zero for r in range(chain.size)]
+    cut = [chain.one if r >= chain.one else chain.bot for r in range(chain.size)]
     forward, backward = _composition(v, ext2)
     return ([list(map(cut.__getitem__, col)) for col in forward],
             [list(map(cut.__getitem__, col)) for col in backward])
@@ -602,8 +610,9 @@ def amalgamate_k3(v: VFormation) -> GradedStructure:
 
     A mixed pair takes ``one`` when its composition through the base is
     at least ``one``, that is, when some base element sits between its
-    endpoints at the filter level; otherwise it takes the falsum
-    constant.  The first arm must be a member (see ``_amalgamate``).
+    endpoints at the filter level; otherwise it takes bottom, which is
+    below the filter on every chain (``zero`` may not be).  The first
+    arm must be a member (see ``_amalgamate``).
     """
     return _amalgamate(v, _k3_cross, "k3", True, _k3_cells_ok)
 
@@ -685,24 +694,17 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[Graded
 # --- property reports ---
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    kind: str
-    detail: str
-
-    def render(self) -> str:
-        return f"{self.kind}: {self.detail}"
-
-
 @dataclass
 class PropertyReport:
+    """How many instances a property check checked, and the failure text
+    of each that failed, in check order."""
+
     property: str
     class_name: str
     chain_name: str
     k: int
     checked: int
-    counterexamples: list[Counterexample]
-    stats: dict = field(default_factory=dict)
+    counterexamples: list[str]
 
     @property
     def ok(self) -> bool:
@@ -713,119 +715,101 @@ class PropertyReport:
             f"{self.property} {self.class_name} chain={self.chain_name} k={self.k}",
             f"checked {self.checked} instances",
         ]
-        for key in sorted(self.stats):
-            lines.append(f"{key}: {self.stats[key]}")
         if self.counterexamples:
-            lines.extend(c.render() for c in self.counterexamples)
+            lines.extend(f"{self.property}: {detail}" for detail in self.counterexamples)
         else:
             lines.append("no counterexamples")
         return "\n".join(lines)
 
 
+def _report(prop: str, spec: ClassSpec, chain: Chain, k: int, problems) -> PropertyReport:
+    """The report of a walk that yields one item per instance: None when
+    the instance holds, else its failure text."""
+    checked, bad = 0, []
+    for checked, problem in enumerate(problems, 1):
+        if problem is not None:
+            bad.append(problem)
+    return PropertyReport(prop, spec.name, chain.name, k, checked, bad)
+
+
 def check_hp(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     """Every induced substructure of every enumerated member is a member."""
     members = enumerate_class(spec, chain, k)
-    checked = 0
-    bad: list[Counterexample] = []
-    for i, m in enumerate(members):
-        for size in range(1, len(m.universe)):
-            for subset in itertools.combinations(m.universe, size):
-                checked += 1
-                if not spec.membership(restrict(m, subset)):
-                    bad.append(Counterexample(
-                        "hp",
-                        f"type[{i}] loses membership on subset {{{' '.join(subset)}}}",
-                    ))
-    return PropertyReport("hp", spec.name, chain.name, k, checked, bad)
+    return _report("hp", spec, chain, k, (
+        None if spec.membership(sub)
+        else f"type[{i}] loses membership on subset {{{' '.join(subset)}}}"
+        for i, m in enumerate(members) for subset, sub in substructures(m)))
 
 
-def _amalgam_problem(spec: ClassSpec, v, what: str) -> str | None:
-    """None when the class amalgamator's witness for v is verified, else why not.
+def _amalgamating(spec: ClassSpec, chain: Chain, k: int) -> list[GradedStructure]:
+    """The members of at most k elements; a class without an amalgamator
+    raises ``ValueError`` before any enumeration."""
+    if spec.amalgamate is None:
+        raise ValueError(f"class {spec.name} has no amalgamator")
+    return enumerate_class(spec, chain, k)
 
-    ``what`` names the witness in the failure text: "an amalgam" or "a
-    common extension".
-    """
+
+def _amalgam_problem(spec: ClassSpec, v, where) -> str | None:
+    """None when the class amalgamator's witness for v is verified, else
+    the failure text, which names the instance by ``where()``: it is
+    formatted only for a failure."""
     try:
         witness = spec.amalgamate(v)
     except AmalgamationError as exc:
-        return str(exc)
-    return None if verify_amalgam(spec, v, witness) else f"result is not {what} in the class"
+        why = str(exc)
+    else:
+        if verify_amalgam(spec, v, witness):
+            return None
+        why = f"result is not {'an amalgam' if v.shared else 'a common extension'} in the class"
+    return f"amalgamator failed on {where()}: {why}"
 
 
 def check_jep(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     """Every pair of members has a common extension in the class.
 
     The class amalgamator's amalgam over the empty base is the witness,
-    verified to be a member containing both inputs; a failure is a
-    counterexample.  A class without an amalgamator raises
-    ``ValueError`` before any enumeration.  The stats count constructed
-    pairs; ``searched`` is always 0.
+    verified to be a member containing both inputs; each unordered pair
+    of types, a type with itself included, is one instance.  A class
+    without an amalgamator raises ``ValueError`` before any enumeration.
     """
-    if spec.amalgamate is None:
-        raise ValueError(f"class {spec.name} has no amalgamator")
-    members = enumerate_class(spec, chain, k)
-    checked = 0
-    constructed = 0
-    bad: list[Counterexample] = []
-    for i, m1 in enumerate(members):
-        for j in range(i, len(members)):
-            checked += 1
-            problem = _amalgam_problem(spec, align_v_formation(m1, members[j], {}), "a common extension")
-            if problem is None:
-                constructed += 1
-            else:
-                bad.append(Counterexample(
-                    "jep", f"amalgamator failed on type[{i}] and type[{j}]: {problem}"
-                ))
-    stats = {"constructed": constructed, "searched": 0}
-    return PropertyReport("jep", spec.name, chain.name, k, checked, bad, stats)
+    members = _amalgamating(spec, chain, k)
+    return _report("jep", spec, chain, k, (
+        _amalgam_problem(spec, align_v_formation(m1, members[j], {}),
+                         lambda: f"type[{i}] and type[{j}]")
+        for i, m1 in enumerate(members) for j in range(i, len(members))))
 
 
 def check_ap(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     """Every v-formation of enumerated members has an amalgam.
 
-    For each member pair and each way of sharing a common substructure,
-    the class amalgamator's witness is verified to be a member containing
-    both arms; a failure is a counterexample.  A class without an
-    amalgamator raises ``ValueError`` before any enumeration.  The stats
-    count constructed v-formations; ``searched`` is always 0.
+    For each member, each nonempty subset of it as the base, each member
+    and each embedding of the base into it, the class amalgamator's
+    witness is verified to be a member containing both arms; each such
+    v-formation is one instance.  A class without an amalgamator raises
+    ``ValueError`` before any enumeration.
     """
-    if spec.amalgamate is None:
-        raise ValueError(f"class {spec.name} has no amalgamator")
-    members = enumerate_class(spec, chain, k)
-    checked = 0
-    constructed = 0
-    bad: list[Counterexample] = []
-    for i, m1 in enumerate(members):
-        for ssize in range(1, len(m1.universe) + 1):
-            for subset in itertools.combinations(m1.universe, ssize):
-                base = restrict(m1, subset)
-                for j, m2 in enumerate(members):
-                    for g in find_embeddings(base, m2):
-                        checked += 1
-                        problem = _amalgam_problem(spec, align_v_formation(m1, m2, g), "an amalgam")
-                        if problem is None:
-                            constructed += 1
-                        else:
-                            where = (f"base of type[{i}] on {{{' '.join(subset)}}} "
-                                     f"into type[{j}] via {sorted(g.items())}")
-                            bad.append(Counterexample("ap", f"amalgamator failed on {where}: {problem}"))
-    stats = {"constructed": constructed, "searched": 0}
-    return PropertyReport("ap", spec.name, chain.name, k, checked, bad, stats)
+    members = _amalgamating(spec, chain, k)
+    return _report("ap", spec, chain, k, (
+        _amalgam_problem(spec, align_v_formation(m1, m2, g), lambda: (
+            f"base of type[{i}] on {{{' '.join(subset)}}} into type[{j}] via {sorted(g.items())}"))
+        for i, m1 in enumerate(members) for subset, base in substructures(m1, whole=True)
+        for j, m2 in enumerate(members) for g in find_embeddings(base, m2)))
+
+
+_CLASSES = {spec.name: spec for spec in (
+    ClassSpec("k0", k0_member, amalgamate_k0),
+    ClassSpec("k1", k1_member, amalgamate_k1),
+    ClassSpec("k2", k2_member, amalgamate_k2),
+    ClassSpec("k3", k3_member, amalgamate_k3),
+)}
 
 
 def get_class(name: str) -> ClassSpec:
     """Look up a built-in class by name (k0, k1, k2, k3)."""
-    table = {
-        "k0": ClassSpec("k0", k0_member, amalgamate_k0),
-        "k1": ClassSpec("k1", k1_member, amalgamate_k1),
-        "k2": ClassSpec("k2", k2_member, amalgamate_k2),
-        "k3": ClassSpec("k3", k3_member, amalgamate_k3),
-    }
-    if name not in table:
-        raise ValueError(f"unknown class {name!r}; expected one of {sorted(table)}")
-    return table[name]
+    if name not in _CLASSES:
+        raise ValueError(f"unknown class {name!r}; expected one of {sorted(_CLASSES)}")
+    return _CLASSES[name]
 
 
 def class_names() -> tuple[str, ...]:
-    return ("k0", "k1", "k2", "k3")
+    return tuple(_CLASSES)

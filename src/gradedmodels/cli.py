@@ -117,8 +117,7 @@ def _cmd_check(args, out) -> int:
     report = checker(spec, chain, args.k)
     if args.format == "tsv":
         rows = [(report.property, report.class_name, report.chain_name, report.k, report.checked)]
-        rows += [(k, v) for k, v in sorted(report.stats.items())]
-        rows += [(c.kind, c.detail) for c in report.counterexamples]
+        rows += [(report.property, detail) for detail in report.counterexamples]
         if not report.counterexamples:
             rows.append(("ok",))
         _emit(out, rows, "tsv")

@@ -38,4 +38,5 @@ class BudgetError(GradedModelError):
 
 
 class AmalgamationError(GradedModelError):
-    """An amalgam construction produced no valid member within budget."""
+    """An amalgam is not a member of its class, or a limit stage's
+    amalgam does not realize its extension task."""

@@ -26,9 +26,9 @@ from .structure import (
     canonical_form,
     find_embeddings,
     id_supply,
-    restrict,
     structure_from_text,
     structure_to_text,
+    substructures,
 )
 
 __all__ = [
@@ -150,13 +150,8 @@ def _extension_pairs(spec, chain, size_budget, shuffle_seed):
     members = enumerate_class(spec, chain, size_budget)
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(members)
-    pairs = []
-    for nprime in members:
-        for ssize in range(1, len(nprime.universe)):
-            for subset in itertools.combinations(nprime.universe, ssize):
-                n = restrict(nprime, subset)
-                if spec.membership(n):
-                    pairs.append((n, nprime))
+    pairs = [(n, nprime) for nprime in members for _, n in substructures(nprime)
+             if spec.membership(n)]
     return members, pairs
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "is_isomorphic",
     "canonical_form",
     "restrict",
+    "substructures",
     "rename",
     "age",
     "structure_from_text",
@@ -533,6 +534,15 @@ def restrict(m: GradedStructure, elements) -> GradedStructure:
                         for (_, arity), table in zip(m.signature.predicates, m.pred_tables))
     return GradedStructure(m.chain, m.signature, tuple(m.universe[i] for i in pos),
                            pred_tables, name=m.name)
+
+
+def substructures(m: GradedStructure, whole: bool = False):
+    """``(subset, restrict(m, subset))`` for every nonempty proper subset
+    of m's universe, and for the universe itself when ``whole`` is set:
+    by size, then in ``itertools.combinations`` order."""
+    for size in range(1, len(m.universe) + whole):
+        for subset in itertools.combinations(m.universe, size):
+            yield subset, restrict(m, subset)
 
 
 def rename(m: GradedStructure, mapping: dict) -> GradedStructure:

@@ -6,9 +6,12 @@ Run from the root of a source checkout:
 
 It imports the package from ``src`` under the working directory and
 runs every command of ``COMMANDS`` in this process through ``cli.main``,
-in a temporary working directory.  For each command it prints one line,
-the exit code and the sha256 of its standard output and of its standard
-error, then one line per file that the command wrote, with its sha256.
+in a temporary working directory.  They cover every subcommand: ``age``,
+``eval``, ``iso``, ``limit check`` and ``sub`` run on built stages, and
+``randgraph check`` on the saved output of ``randgraph build``.  For
+each command it prints one line, the exit code and the sha256 of its
+standard output and of its standard error, then one line per file that
+the command wrote, with its sha256.
 So a refactor that should not change any output is checked by
 
     python3 tests/cli_digests.py > after.txt
@@ -32,6 +35,8 @@ CLASSES = ("k0", "k1", "k2", "k3")
 # The chain u3 has ``one`` at its middle rank; it is read from a file.
 U3_CHAIN = "chain u3 3 one=1 zero=0\n0 0 0\n0 1 2\n0 2 2\n"
 
+TRANSITIVITY = "forall x forall y forall z (((x < y) & (y < z)) -> (x < z))"
+
 CHECKS = [("bool", 2), ("bool", 3), ("u3.chain", 2), ("luk:4", 2), ("luk:3", 2), ("luk:3", 3),
           ("godel:3", 2)]
 
@@ -51,7 +56,31 @@ def _commands() -> list[list[str]]:
                          "--budget", "3", "--out", f"{name}-bool-budget3"])
     commands.append(["limit", "build", "--class", "k0", "--chain", "luk:3", "--stages", "2",
                      "--budget", "2", "--seed-order", "5", "--out", "k0-luk3-seed5"])
+    commands += [["enumerate", "--class", name, "--chain", "bool", "--max-size", "3"]
+                 for name in CLASSES]
+    for chain in ("bool", "luk:3"):
+        commands.append(["randgraph", "build", "--chain", chain, "--rounds", "2"])
+        commands.append(["randgraph", "check", "--structure", _randgraph_file(chain),
+                         "--max-x", "1"])
+    stage, replayed = "k3-luk:4/stage002.gs", "k3-luk:4-replay/stage002.gs"
+    commands += [
+        ["algebra", "validate", "u3.chain"],
+        ["algebra", "show", "luk:4", "--format", "tsv"],
+        ["sub", "k3-luk:4/stage001.gs", stage],
+        ["sub", stage, "k3-luk:4/stage001.gs"],
+        ["limit", "check", "--stage", stage, "--class", "k3", "--budget", "2"],
+        ["age", stage, "--k", "2"],
+        ["iso", stage, replayed],
+        ["eval", "--structure", stage, "--formula", TRANSITIVITY],
+        ["eval", "--structure", stage, "--formula", "x < y", "--assign", "x=x0,y=n0",
+         "--format", "tsv"],
+    ]
     return commands
+
+
+def _randgraph_file(chain: str) -> str:
+    """The file that the standard output of ``randgraph build`` on ``chain`` is saved to."""
+    return f"randgraph-{chain}.gs"
 
 
 COMMANDS = _commands()
@@ -87,6 +116,9 @@ def main() -> int:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     rc = cli.main(command)
+                if command[:2] == ["randgraph", "build"]:
+                    with open(_randgraph_file(command[3]), "w", encoding="utf-8") as fh:
+                        fh.write(out.getvalue())
                 print(rc, _sha(out.getvalue().encode()), _sha(err.getvalue().encode()),
                       " ".join(command))
                 now = _files()

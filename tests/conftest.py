@@ -24,6 +24,16 @@ def godel257():
     return make_godel(257)
 
 
+def uninorm_chain(size, one, zero=0, name=None):
+    """The idempotent uninorm chain of ``size`` ranks with unit ``one``,
+    for any one >= 1: the max when both arguments are at least ``one``,
+    the min otherwise (De Baets, *Idempotent uninorms*, EJOR 118, 1999).
+    With ``one`` at the top it is the Goedel chain."""
+    conj = [[max(a, b) if min(a, b) >= one else min(a, b) for b in range(size)]
+            for a in range(size)]
+    return Chain(size, conj, one=one, zero=zero, name=name or f"uninorm{size}.{one}")
+
+
 def chain_named(name):
     """One of ``FIVE_CHAINS``, or ``godel:257``, by name."""
     return godel257() if name == "godel:257" else {c.name: c for c in FIVE_CHAINS}[name]
