@@ -12,7 +12,7 @@ Four classes over the one-binary-predicate signature are built in:
 Each class is stated once: a condition on the loops plus a cell check,
 the conditions on every cell and every triple of positions through a
 given set of positions, as rank comparisons in the ``<`` table.
-Membership runs that check through every position.
+Membership is that check through every position of a nonempty structure.
 
 A v-formation is two structures; its base is the set of ids they share,
 on which they must agree.  Every built-in class amalgamates through one
@@ -20,10 +20,12 @@ core: the union of the arm universes, built row by row, with the cross
 pairs set by the class's closed-form rule, a column at a time: for each
 new element of the second arm, its values against the whole first arm,
 read off the composition through the base.  The core runs the class's
-check once, on the amalgam, through the positions of the second arm's
-elements.  That decides membership only when the first arm is a member,
-so every ``amalgamate_k*`` takes a member as its first arm; they are
-reached through ``get_class(name).amalgamate``.  A failed check raises
+check once, on the amalgam, through its new elements, the second arm's
+elements that the first arm lacks: every loop, cell and triple that
+avoids them lies inside the first arm.  That decides membership only
+when the first arm is a member, so every ``amalgamate_k*`` takes a
+member as its first arm; they are reached through
+``get_class(name).amalgamate``.  A failed check raises
 ``AmalgamationError``.  Joint extension is the amalgam over the empty
 base.  The amalgam extends its first arm: it is not validated again,
 and its positions and the cut lines of the cell checks are carried from
@@ -91,8 +93,9 @@ class ClassSpec:
     ``amalgamate`` maps a v-formation to a member containing both arms,
     raising ``AmalgamationError`` when it cannot; over the empty base it
     also gives joint extensions.  The built-in amalgamators check the
-    amalgam only through the second arm's elements, so the first arm
-    must already be a member; they never call ``membership``.
+    amalgam only through its new elements, those of the second arm that
+    the first arm lacks, so the first arm must already be a member; they
+    never call ``membership``.
     ``check_ap`` and ``check_jep`` pass enumerated members;
     ``build_limit`` and ``replay_transcript`` pass a stage that is a
     checked initial structure or an amalgam.
@@ -115,22 +118,19 @@ class ClassSpec:
 
 def _through(m: GradedStructure, news, loops_in_filter: bool, cells_ok) -> bool:
     """Whether the loops of the positions in ``news`` are all in the
-    filter (or all below it) and ``cells_ok(m, news)`` holds.  A member
-    is nonempty, so the check through no position fails."""
+    filter (or all below it) and ``cells_ok(m, news)`` holds.  The check
+    through no position passes and reads nothing."""
     lt = m.pred_tables[0]
     step = len(m.universe) + 1
-    loops = [lt[c * step] for c in news]
-    if not loops or (min(loops) < m.chain.one if loops_in_filter
-                     else max(loops) >= m.chain.one):
-        return False
-    return cells_ok(m, news)
+    return not news or (all((lt[c * step] >= m.chain.one) == loops_in_filter for c in news)
+                        and cells_ok(m, news))
 
 
 def _member(m: GradedStructure, loops_in_filter: bool, cells_ok) -> bool:
-    """A structure over ``<`` that passes the class's check through every position."""
+    """A nonempty structure over ``<`` passing the class's check through every position."""
     if m.signature != SIG_LT:
         raise ValueError("class membership is defined over the one-binary-predicate signature")
-    return _through(m, range(len(m.universe)), loops_in_filter, cells_ok)
+    return bool(m.universe) and _through(m, range(len(m.universe)), loops_in_filter, cells_ok)
 
 
 @functools.lru_cache(maxsize=64)
@@ -428,11 +428,12 @@ def _amalgamate(v: VFormation, cross, name: str, loops_in_filter: bool, cells_ok
     the first arm; the entries at base positions are not read.
     ``loops_in_filter`` and ``cells_ok`` state the class ``name`` (see
     ``_through``).  The amalgam is a member exactly when its first arm is
-    one and the class's check through the positions of the second arm's
-    elements, base and new, passes: every loop, cell and triple that
-    check skips lies inside the first arm.  So the first arm must already
-    be a member, and the callers guarantee it: ``check_ap`` and
-    ``check_jep`` pass enumerated members, and ``build_limit`` and
+    one and the class's check through its new elements, the second arm's
+    elements that the first arm lacks, passes: every loop, cell and
+    triple that check skips lies inside the first arm, and with no new
+    element the amalgam is the first arm.  So the first arm must be a
+    member, and the callers guarantee it: ``check_ap`` and ``check_jep``
+    pass enumerated members, and ``build_limit`` and
     ``replay_transcript`` pass the current stage, which is a checked
     initial stage or an amalgam.  No membership predicate is called.
 
@@ -451,8 +452,7 @@ def _amalgamate(v: VFormation, cross, name: str, loops_in_filter: bool, cells_ok
     out = _trusted(arm1.chain, SIG_LT, universe, (assemble(*cross(v, ext2)),), "amalgam",
                    positions=positions)
     _carry_cut_lines(arm1, out)
-    news = [p for p, _ in v.shared] + list(range(n1, len(universe)))
-    if not _through(out, news, loops_in_filter, cells_ok):
+    if not _through(out, range(n1, len(universe)), loops_in_filter, cells_ok):
         raise AmalgamationError(f"the amalgam is not a member of {name}: "
                                 "the check through the second arm fails")
     return out

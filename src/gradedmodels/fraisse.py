@@ -166,7 +166,7 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
     member enumeration order (permutable via ``shuffle_seed``).  The
     first stage is an enumerated member and every later one an amalgam,
     so the current stage, the first arm of each amalgamation, is a
-    member, as the amalgamator's check through the second arm needs.
+    member, as the amalgamator's check through the new elements needs.
 
     Returns (stage structures, transcript).
     """
@@ -222,9 +222,9 @@ def replay_transcript(transcript: Transcript):
 
     The initial structure is checked here with the full membership
     predicate.  Every later stage is an amalgam of the current stage
-    with an arm read from the transcript: the amalgamator checks the
-    amalgam through every element of that arm, raising
-    ``AmalgamationError`` for a non-member arm, so every stage is a
+    with an arm read from the transcript: the amalgamator checks it
+    through the arm's new elements, raising ``AmalgamationError`` when
+    that fails, and the rest lies inside the stage, so every stage is a
     member.  An event whose ``base`` ids are not exactly the ids its arm
     shares with the current stage raises ``FileFormatError``.
     """

@@ -667,7 +667,8 @@ def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructur
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise FileFormatError("empty structure file")
-    head = lines[0].split()
+    # The chain reference is the rest of the line: a chain file's path may hold spaces.
+    head = lines[0].split(maxsplit=2)
     if len(head) != 3 or head[0] != "structure" or not head[2].startswith("chain="):
         raise FileFormatError(f"bad structure header: {lines[0]!r}")
     name = head[1]

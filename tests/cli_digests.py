@@ -101,6 +101,26 @@ def _files() -> dict[str, str]:
     return found
 
 
+def prepare() -> None:
+    """Write the input files that ``COMMANDS`` read to the working directory."""
+    with open("u3.chain", "w", encoding="utf-8") as fh:
+        fh.write(U3_CHAIN)
+
+
+def run_command(cli, command: list[str]) -> tuple[int, str, str]:
+    """Run one command of ``COMMANDS`` through ``cli.main`` in the working
+    directory, after those before it: its exit code, standard output and
+    standard error.  The output of ``randgraph build`` is saved for
+    ``randgraph check``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(command)
+    if command[:2] == ["randgraph", "build"]:
+        with open(_randgraph_file(command[3]), "w", encoding="utf-8") as fh:
+            fh.write(out.getvalue())
+    return rc, out.getvalue(), err.getvalue()
+
+
 def main() -> int:
     sys.path.insert(0, os.path.abspath("src"))
     from gradedmodels import cli
@@ -109,18 +129,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as folder:
         os.chdir(folder)
         try:
-            with open("u3.chain", "w", encoding="utf-8") as fh:
-                fh.write(U3_CHAIN)
+            prepare()
             seen = _files()
             for command in COMMANDS:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    rc = cli.main(command)
-                if command[:2] == ["randgraph", "build"]:
-                    with open(_randgraph_file(command[3]), "w", encoding="utf-8") as fh:
-                        fh.write(out.getvalue())
-                print(rc, _sha(out.getvalue().encode()), _sha(err.getvalue().encode()),
-                      " ".join(command))
+                rc, out, err = run_command(cli, command)
+                print(rc, _sha(out.encode()), _sha(err.encode()), " ".join(command))
                 now = _files()
                 for path in sorted(now):
                     if seen.get(path) != now[path]:

@@ -491,3 +491,23 @@ def test_reports_depend_only_on_size_and_one(point):
             report = check(spec, chain, 2)
             assert report.ok
             assert dataclasses.replace(check(spec, other, 2), chain_name=name) == report
+
+
+# The hp, jep and ap instances at k=2 of k0-k3 together, on the uninorm
+# chain of each (size, one) with size at most 4 and one >= 1: 31,094 in
+# all.  At (3, 1), (4, 1) and (4, 2) ``one`` is below the top, so the
+# filter holds more than one rank.
+CENSUS_INSTANCES = {(2, 1): 185, (3, 1): 2382, (3, 2): 745,
+                    (4, 1): 18019, (4, 2): 7338, (4, 3): 2425}
+
+
+@pytest.mark.parametrize("point", sorted(CENSUS_INSTANCES), ids=str)
+def test_size_and_one_census_at_k2(point):
+    chain = uninorm_chain(*point)
+    checked = 0
+    for klass in classes.class_names():
+        for check in (check_hp, check_jep, check_ap):
+            report = check(get_class(klass), chain, 2)
+            assert report.ok, report.render()
+            checked += report.checked
+    assert checked == CENSUS_INSTANCES[point]

@@ -206,6 +206,46 @@ def test_limit_build_k3_luk4_third_stage_digests(tmp_path, capsys):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
 
 
+# sha256 of the files of ``limit build --class k0 --chain luk:4 --stages 3
+# --budget 2``, whose stages have dense rows and columns: recorded when
+# amalgams were still checked through the second arm's base elements.
+K0_LUK4_STAGE3_SHA256 = {
+    "stage003.gs": "d9ee4861c244b1077cb6fce69e1e3c7347504acba4eab1e1b9449e8339fb90f9",
+    "transcript.json": "a848b3a5840d994e01fb9c546271a7ce7beefb78ff479ee8d19f9115ab171374",
+}
+
+
+def test_limit_build_k0_luk4_third_stage_digests(tmp_path, capsys):
+    out = tmp_path / "built"
+    rc, _ = run(["limit", "build", "--class", "k0", "--chain", "luk:4", "--stages", "3",
+                 "--budget", "2", "--out", str(out)], capsys)
+    assert rc == 0
+    for name, want in K0_LUK4_STAGE3_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+
+
+def test_limit_on_a_chain_file_whose_path_has_a_space(tmp_path, capsys):
+    """Every stage file names its chain by the path given; the path is
+    the rest of the header line, so check and replay read it back."""
+    folder = tmp_path / "sp ace"
+    folder.mkdir()
+    chain = folder / "u3.chain"
+    chain.write_text("chain u3 3 one=1 zero=0\n0 0 0\n0 1 2\n0 2 2\n")
+    built, replayed = folder / "built", folder / "replayed"
+    rc, _ = run(["limit", "build", "--class", "k0", "--chain", str(chain), "--stages", "2",
+                 "--budget", "2", "--out", str(built)], capsys)
+    assert rc == 0
+    assert (built / "stage002.gs").read_text().splitlines()[0].endswith(f" chain={chain}")
+    rc, out = run(["limit", "check", "--stage", str(built / "stage002.gs"), "--class", "k0",
+                   "--budget", "1"], capsys)
+    assert (rc, out) == (0, "defects 0\n")
+    rc, _ = run(["limit", "replay", "--transcript", str(built / "transcript.json"),
+                 "--out", str(replayed)], capsys)
+    assert rc == 0
+    assert len(stage_files(built)) == 3
+    assert stage_files(built) == stage_files(replayed)
+
+
 def seeded_graph_text(seed, size):
     """A ``luk:3`` structure with a random rank on every pair, loops included."""
     rng = random.Random(seed)

@@ -1,11 +1,13 @@
 """The class checks through a set of positions against reference membership.
 
-``classes._amalgamate`` runs a class's cell check through the positions
-of the second arm's elements only, which decides membership when the
-first arm is a member.  The library's membership runs the same check
-through every position, so these tests compare the checks through part
-of a structure with the rank loops of ``membership_reference`` instead,
-on tables whose rest is a member.
+``classes._amalgamate`` runs a class's cell check through the amalgam's
+new elements only, the second arm's elements that the first arm lacks:
+every loop, cell and triple that avoids them lies inside the first arm,
+so the check decides membership when the first arm is a member.  The
+library's membership runs the same check through every position, so
+these tests compare the checks through part of a structure with the
+rank loops of ``membership_reference`` instead, on tables whose rest is
+a member.
 """
 
 import itertools
@@ -56,7 +58,7 @@ def test_delta_check_agrees_with_membership_on_small_v_formations(name, chain):
                     if len(universe) > 3:
                         continue
                     new1 = new_first_arm_positions(v)
-                    news = [p for p, _ in v.shared] + list(range(len(m1), len(universe)))
+                    news = range(len(m1), len(universe))
                     cells = 2 * len(new1) * len(ext2)
                     for combo in itertools.product(chain.ranks(), repeat=cells):
                         columns = _cross_columns(v, new1, ext2, combo)
@@ -102,7 +104,9 @@ def _random_member(data, name, chain, n) -> GradedStructure:
 @given(st.sampled_from(sorted(THROUGH)), st.sampled_from(FIVE_CHAINS), st.data())
 def test_delta_check_agrees_with_membership_one_cross_cell_from_a_member(name, chain, data):
     """A random member of up to 7 elements, split into a base and two
-    arms' new parts, with one cross cell set to a random value."""
+    arms' new parts, with one cross cell set to a random value: the
+    first arm is still a member, so the check through the second arm's
+    new part decides membership."""
     member = REFERENCE[name]
     n = data.draw(st.integers(2, 7))
     m = _random_member(data, name, chain, n)
@@ -119,8 +123,7 @@ def test_delta_check_agrees_with_membership_one_cross_cell_from_a_member(name, c
     out = GradedStructure(chain, SIG_LT, m.universe, (tuple(table),))
     for arm in ("b1", "b2"):
         assert member(restrict(out, [e for e, s in zip(m.universe, sides) if s in arm]))
-    news = [p for p, side in enumerate(sides) if side != "1"]
-    assert classes._through(out, news, *THROUGH[name]) == member(out)
+    assert classes._through(out, ys, *THROUGH[name]) == member(out)
 
 
 @pytest.mark.parametrize("make_chain", [lambda: make_lukasiewicz(12), godel257],
@@ -142,7 +145,7 @@ def test_delta_check_past_eight_levels(make_chain):
     arm1, arm2 = three("a", "m", "b"), three("c", "m", "d")
     v = classes.VFormation(arm1, arm2)
     universe = classes._amalgam_frame(v)[0]
-    news = [p for p, _ in v.shared] + list(range(len(arm1), len(universe)))
+    news = range(len(arm1), len(universe))
     for name in ("k0", "k3"):
         spec = get_class(name)
         out = spec.amalgamate(v)
@@ -228,3 +231,25 @@ def test_amalgamator_rejects_every_small_non_member_second_arm(name, chain):
                             spec.amalgamate(classes.align_v_formation(m1, arm2, g))
                         rejected += 1
     assert rejected
+
+
+@pytest.mark.parametrize("name", sorted(THROUGH))
+@pytest.mark.parametrize("chain", FIVE_CHAINS, ids=lambda c: c.name)
+def test_second_arm_inside_the_base_gives_the_first_arm(name, chain):
+    """A second arm that lies inside the first, as in ``check_ap``'s
+    instances over a whole member, adds no element: the amalgam has the
+    first arm's table and is a member, the check through no position
+    passes, and membership still rejects the empty structure."""
+    spec = get_class(name)
+    count = 0
+    for m1 in enumerate_class(spec, chain, 3):
+        for size in range(1, len(m1) + 1):
+            for subset in itertools.combinations(m1.universe, size):
+                out = spec.amalgamate(classes.VFormation(m1, restrict(m1, subset)))
+                assert out.universe == m1.universe and out.pred_tables == m1.pred_tables
+                assert spec.membership(out)
+                count += 1
+    assert count
+    empty = GradedStructure(chain, SIG_LT, (), (b"",))
+    assert classes._through(empty, (), *THROUGH[name])
+    assert not spec.membership(empty) and not REFERENCE[name](empty)

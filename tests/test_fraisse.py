@@ -570,7 +570,17 @@ def test_random_graph_checker_agrees_with_the_vertex_by_vertex_reference(name, s
             assert defects
 
 
-def test_amalgamate_k1_rejects_arms_outside_the_class(bool_chain):
-    loop = binary_structure(bool_chain, ["a"], {("a", "a"): 1})
+@pytest.mark.parametrize("values", [
+    {("b", "b"): 1},
+    {("a", "b"): 1},
+], ids=["loop-in-the-filter", "asymmetric-cell-against-the-base"])
+def test_amalgamate_k1_rejects_a_second_arm_whose_new_element_breaks_k1(bool_chain, values):
+    """The first arm is a member, as the amalgamator asks; the second arm
+    shares its vertex a and adds b, whose loop or cell against a breaks
+    k1."""
+    vertex = binary_structure(bool_chain, ["a"], default=0)
+    assert k1_member(vertex)
+    arm2 = binary_structure(bool_chain, ["a", "b"], values, default=0)
+    assert not k1_member(arm2)
     with pytest.raises(AmalgamationError):
-        amalgamate_k1(VFormation(loop, loop))
+        amalgamate_k1(VFormation(vertex, arm2))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedmodels import structure as structure_module
-from gradedmodels.algebra import boolean_chain, chain_from_text
+from gradedmodels.algebra import boolean_chain, chain_from_text, resolve_chain
 from gradedmodels.classes import VFormation, enumerate_class, get_class
 from gradedmodels.errors import BudgetError, ChainTableError, FileFormatError
 from gradedmodels.logic import SIG_LT, Signature
@@ -432,6 +432,17 @@ def test_structure_file_rejects_bad_input(luk3):
         structure_from_text("structure g chain=luk:3\nelements a\ndefault 0\nQ a a = 1\n")
 
 
+def test_structure_file_chain_reference_is_the_rest_of_the_header(tmp_path):
+    path = tmp_path / "a b" / "c3.chain"
+    path.parent.mkdir()
+    path.write_text("chain c3 3 one=2 zero=0\n0 0 0\n0 0 1\n0 1 2\n")
+    m = binary_structure(resolve_chain(str(path)), ["a"], {("a", "a"): 2}, name="g")
+    text = structure_to_text(m)
+    assert text.startswith(f"structure g chain={path}\n")
+    back = structure_from_text(text)
+    assert back == m and back.chain.name == str(path)
+
+
 @pytest.mark.parametrize("header", [
     "predicatesR:1\nelements a\ndefault 0\n",
     "elements a\ndefault 0 7 junk\n",
@@ -449,8 +460,14 @@ def test_structure_file_rejects_malformed_header_lines(header):
     "structure g chain=bool\nelements a\ndefault 0\n< a a = 9\n",
     "structure g chain=luk:1\nelements a\ndefault 0\n",
     "structure g chain=godel:0\nelements a\ndefault 0\n",
+    "structure g chain=luk:3 extra\nelements a\ndefault 0\n",
+    "structure g chain=bool extra\nelements a\ndefault 0\n",
+    "structure g extra chain=luk:3\nelements a\ndefault 0\n",
+    "structure chain=luk:3\nelements a\ndefault 0\n",
 ], ids=["repeated-predicate", "predicate-arity-zero", "repeated-element",
-        "default-outside-chain", "value-outside-chain", "one-rank-chain", "no-rank-chain"])
+        "default-outside-chain", "value-outside-chain", "one-rank-chain", "no-rank-chain",
+        "header-field-after-a-chain-name", "header-field-after-bool", "header-field-before-chain",
+        "header-without-name"])
 def test_structure_file_errors_are_file_format_errors(text):
     with pytest.raises(FileFormatError):
         structure_from_text(text)
