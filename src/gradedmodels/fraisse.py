@@ -226,7 +226,11 @@ def replay_transcript(transcript: Transcript):
     through the arm's new elements, raising ``AmalgamationError`` when
     that fails, and the rest lies inside the stage, so every stage is a
     member.  An event whose ``base`` ids are not exactly the ids its arm
-    shares with the current stage raises ``FileFormatError``.
+    shares with the current stage, or whose arm adds no element to it,
+    raises ``FileFormatError``: ``build_limit`` writes an event only for
+    a task whose member extension has elements the stage lacks.  So does
+    an arm or initial structure whose header names another chain than
+    the transcript's.
     """
     spec = get_class(transcript.class_name)
     chain = transcript.chain
@@ -237,10 +241,14 @@ def replay_transcript(transcript: Transcript):
     events = list(transcript.events)
     for stage in range(transcript.stages):
         for event in (e for e in events if e.stage == stage):
-            v = VFormation(current, structure_from_text(event.arm_text, chain=chain))
+            arm = structure_from_text(event.arm_text, chain=chain)
+            v = VFormation(current, arm)
             if {current.universe[p] for p, _ in v.shared} != set(event.base_ids):
                 raise FileFormatError(f"transcript event at stage {stage}: its base ids are "
                                       "not the ids its arm shares with the stage")
+            if len(v.shared) == len(arm.universe):
+                raise FileFormatError(f"transcript event at stage {stage}: its arm adds no "
+                                      "element to the stage")
             current = spec.amalgamate(v)
         stage_list.append(current)
     return stage_list
@@ -332,6 +340,14 @@ class WitnessDefect:
         return f"witness defect: no vertex matching {pairs}"
 
 
+def _cut(line, gaps):
+    """The places of ``line`` inside the (start, stop) ``gaps``, in order."""
+    cut = line[:0]
+    for lo, hi in gaps:
+        cut += line[lo:hi]
+    return cut
+
+
 def check_random_graph_property(m: GradedStructure, max_x: int) -> list[WitnessDefect]:
     """Subset-map demands with no matching witness vertex.
 
@@ -341,39 +357,52 @@ def check_random_graph_property(m: GradedStructure, max_x: int) -> list[WitnessD
     universe order, then the map in ``itertools.product`` order.
 
     A member is symmetric, so the row of a in X holds a's value against
-    every vertex.  With X's own places cut out of those rows (``cols``),
-    the witnesses' value tuples are ``set(zip(*cols))``: a few passes in
-    C per subset, whatever the container of the table, with the same
-    defects as a loop over every vertex outside X.
+    every vertex; the check reads those rows with X's own places cut out.
+    On a chain of k ranks, when X's k ** s maps fit in a byte
+    (k ** s <= 256), each vertex's values against a_0, ..., a_(s-1) are
+    coded as the base-k numeral of one byte: the code line is
+    ``sum(int(row(a_i)) * k ** (s - 1 - i))``, computed as big ints, with
+    no lane carrying since every code is below k ** s.  The witnesses
+    met are the set of the line's bytes outside X, and a map's code is
+    its own numeral, so codes in increasing order are the maps in
+    ``itertools.product`` order.  For larger k ** s the witnesses' value
+    tuples are ``set(zip(*cols))`` of the cut rows.  Either way a subset
+    costs a few passes in C, with the same defects as a loop over every
+    vertex outside X.
     """
     if max_x < 0:
         raise ValueError("max_x must be non-negative")
     if not k1_member(m):
         raise ValueError("structure is not a weighted graph (loopless symmetric)")
-    chain = m.chain
+    k = m.chain.size
     n = len(m.universe)
-    total = sum(comb(n, s) * chain.size ** s for s in range(max_x + 1))
+    total = sum(comb(n, s) * k ** s for s in range(max_x + 1))
     if total > _RANDGRAPH_CAP:
         raise BudgetError(f"{total} demands exceed the cap of {_RANDGRAPH_CAP}")
     lt = m.pred_tables[0]
     rows = [lt[w * n:(w + 1) * n] for w in range(n)]
+    # Each row as one int, for the subsets whose maps fit in a byte; above
+    # 256 ranks only the empty X does, and it reads no row.
+    codes = [int.from_bytes(row, "big") for row in rows] if k <= 256 else None
     defects = []
     for s in range(max_x + 1):
-        demands = chain.size ** s
+        demands = k ** s
+        lanes = demands <= 256
         for xs in itertools.combinations(range(n), s):
             gaps = list(zip((0, *[x + 1 for x in xs]), (*xs, n)))  # the places outside X
-            cols = []
-            for a in xs:
-                col = rows[a][:0]
-                for lo, hi in gaps:
-                    col += rows[a][lo:hi]
-                cols.append(col)
-            # A member is nonempty, so some vertex is outside the empty X.
-            met = set(zip(*cols)) if s else {()}
+            if lanes:
+                # The empty X codes every vertex as 0, and a member is
+                # nonempty, so some vertex outside it is met.
+                code = 0
+                for a in xs:
+                    code = code * k + codes[a]
+                met = set(_cut(code.to_bytes(n, "big"), gaps))
+            else:
+                met = set(zip(*(_cut(rows[a], gaps) for a in xs)))
             if len(met) == demands:
                 continue
             X = tuple(m.universe[a] for a in xs)
-            for fv in itertools.product(range(chain.size), repeat=s):
-                if fv not in met:
+            for numeral, fv in enumerate(itertools.product(range(k), repeat=s)):
+                if (numeral if lanes else fv) not in met:
                     defects.append(WitnessDefect(X, fv))
     return defects

@@ -8,12 +8,18 @@ is join, ``*`` is the monoidal conjunction, ``->`` is the residuum.
 ``evaluate`` compiles a formula once per call into closures over a list
 of element positions, one slot per assigned variable and one per
 quantifier.  A quantifier's body is compiled as a vector over the bound
-variable: its values at every position at once, read as strided slices
-of the predicate tables and combined through rows of the chain's
+variable: a line of its values at every position at once, read as
+strided slices of the predicate tables and combined through the chain's
 operation tables, then folded with ``min`` (``forall``) or ``max``
-(``exists``).  The module reads structures only through their
-attributes (``chain``, ``signature``, ``universe``, ``pred_tables``,
-``positions``) and imports nothing else from the package but ``errors``.
+(``exists``).  Over a chain of at most 16 ranks a line is ``bytes`` with
+one rank per byte lane, and a connective is one ``translate``, or for
+two lines one big-int sum L * k + R translated through the k×k table;
+no lane carries, since (k - 1) * k + (k - 1) < 256 when k <= 16.  Wider
+chains keep lazy lines, ``map`` chains through the tables.  The choice
+rests on the chain's size alone.  The module reads structures only
+through their attributes (``chain``, ``signature``, ``universe``,
+``pred_tables``, ``positions``) and imports nothing else from the
+package but ``errors``.
 """
 
 from __future__ import annotations
@@ -328,9 +334,12 @@ def evaluate(structure, formula, assignment=None) -> int:
     The formula is compiled once per call into closures over one list
     of positions: a slot per assigned variable, then a slot per
     quantifier, so a variable bound twice gets two slots.  Each
-    quantifier's body is compiled as a vector of its values at every
+    quantifier's body is compiled as a line of its values at every
     position of the bound variable, which the quantifier folds with
-    ``min`` or ``max``; nothing longer than the universe is built.
+    ``min`` or ``max``; nothing longer than the universe is built.  Over
+    a chain of at most 16 ranks a line is ``bytes``, one rank per byte,
+    and each connective over it is a few calls in C; over a wider chain
+    it is a lazy ``map`` chain (see ``_Compiler``).
     Every atom is checked against the signature while compiling: an
     uninterpreted symbol or a wrong argument count raises
     ``ValueError`` whatever the universe size.  So does a constant,
@@ -353,17 +362,36 @@ def evaluate(structure, formula, assignment=None) -> int:
     return run(env)
 
 
+# The most ranks a chain may have for its lines to be byte lanes: k * k
+# lane values must fit in a byte (see ``_Compiler``).
+_LANE_RANKS = 16
+
+
 class _Compiler:
     """Turns formulas over one structure into closures over ``env``.
 
     ``scalar`` gives a closure returning the formula's rank.  ``vector``
-    gives, for a variable in scope, a closure returning an iterable of
-    the ranks at each position of that variable, the other slots fixed:
-    an atom is a strided slice of its table, a part without the variable
-    is computed once and repeated, and a connective maps a row of its
-    operation table over the vectors.  The iterables stay lazy, so the
-    enclosing quantifier's ``min`` or ``max`` consumes them without
-    building anything longer than the universe.
+    gives, for a variable in scope, a closure returning the line of the
+    ranks at each position of that variable, the other slots fixed: an
+    atom is a strided slice of its table, a part without the variable is
+    computed once and repeated, a connective with one side free of the
+    variable sends the other side's line through a row or a column of its
+    operation table, a connective of two lines combines them position by
+    position, and a nested quantifier runs at each position.
+
+    Over a chain of at most ``_LANE_RANKS`` ranks a line is ``bytes``, one
+    rank per byte lane, so each step is a call in C: a repeat is
+    ``bytes((v,)) * n``, a connective with a scalar side is one
+    ``translate`` of the line through that rank's row or column of the
+    operation table, padded to 256 entries, and lines L and R of a
+    k-rank chain become ``(int(L) * k + int(R)).to_bytes(n)`` translated
+    through the k×k table read row by row, where no lane carries since
+    (k - 1) * k + (k - 1) < 256.  A nested quantifier fills a
+    ``bytearray``.  Over a wider chain a line is a lazy iterable, a
+    ``repeat``, a ``map`` through the table, or a generator, which the
+    enclosing quantifier's ``min`` or ``max`` consumes without building
+    anything longer than the universe.  Only the leaf combinators
+    ``repeated``, ``through``, ``paired`` and ``each`` tell the two apart.
     """
 
     def __init__(self, structure, slots: int):
@@ -371,6 +399,7 @@ class _Compiler:
         k = chain.size
         self.n = len(structure.universe)
         self.slots = slots
+        self.lanes = k <= _LANE_RANKS
         self.tables = {name: (arity, table) for (name, arity), table
                        in zip(structure.signature.predicates, structure.pred_tables)}
         self.consts = {"0": chain.zero, "1": chain.one, "bot": chain.bot, "top": chain.top}
@@ -430,15 +459,13 @@ class _Compiler:
         raise TypeError(f"not a formula: {f!r}")
 
     def vector(self, f, scope, var):
-        n = self.n
         if var not in free_vars(f):
-            value = self.scalar(f, scope)
-            return lambda env: repeat(value(env), n)
+            return self.repeated(self.scalar(f, scope))
         slot = scope[var]
         if isinstance(f, Atom):
             table, weights = self.atom(f, scope)
             stride = weights.pop(slot)
-            span = stride * (n - 1) + 1
+            span = stride * (self.n - 1) + 1
             pairs = tuple(weights.items())
 
             def strided(env):
@@ -449,19 +476,56 @@ class _Compiler:
             tab = self.op(f)
             if var not in free_vars(f.left):
                 left, right = self.scalar(f.left, scope), self.vector(f.right, scope, var)
-                return lambda env: map(tab[left(env)].__getitem__, right(env))
+                return self.through(tab, left, right)
             if var not in free_vars(f.right):
-                cols = tuple(zip(*tab))
                 left, right = self.vector(f.left, scope, var), self.scalar(f.right, scope)
-                return lambda env: map(cols[right(env)].__getitem__, left(env))
+                return self.through(tuple(zip(*tab)), right, left)
             left, right = self.vector(f.left, scope, var), self.vector(f.right, scope, var)
-            rows = tab.__getitem__
-            return lambda env: map(getitem, map(rows, left(env)), right(env))
+            return self.paired(tab, left, right)
         # A quantifier whose body mentions var: run it at each position.
-        inner = self.scalar(f, scope)
+        return self.each(self.scalar(f, scope), slot)
 
-        def each(env):
+    def repeated(self, value):
+        """The line of ``n`` copies of the rank ``value`` gives."""
+        n = self.n
+        if self.lanes:
+            return lambda env: bytes((value(env),)) * n
+        return lambda env: repeat(value(env), n)
+
+    def through(self, tab, scalar, line):
+        """The line of ``tab[a][b]``, for a the rank ``scalar`` gives and
+        b each rank of ``line``."""
+        if self.lanes:
+            rows = tuple(bytes(row).ljust(256, b"\0") for row in tab)
+            return lambda env: line(env).translate(rows[scalar(env)])
+        rows = tuple(row.__getitem__ for row in tab)
+        return lambda env: map(rows[scalar(env)], line(env))
+
+    def paired(self, tab, left, right):
+        """The line of ``tab[a][b]``, for a and b the ranks of ``left``
+        and ``right`` at the same position."""
+        if self.lanes:
+            k, n = len(tab), self.n
+            flat = bytes(v for row in tab for v in row).ljust(256, b"\0")
+            return lambda env: (int.from_bytes(left(env), "big") * k
+                                + int.from_bytes(right(env), "big")).to_bytes(n, "big").translate(flat)
+        rows = tab.__getitem__
+        return lambda env: map(getitem, map(rows, left(env)), right(env))
+
+    def each(self, inner, slot):
+        """The line of the ranks ``inner`` gives with ``slot`` at each position."""
+        n = self.n
+        if self.lanes:
+            def filled(env):
+                line = bytearray(n)
+                for p in range(n):
+                    env[slot] = p
+                    line[p] = inner(env)
+                return line
+            return filled
+
+        def lazy(env):
             for p in range(n):
                 env[slot] = p
                 yield inner(env)
-        return each
+        return lazy

@@ -659,10 +659,12 @@ def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructur
     """Parse the structure line format.
 
     The chain is resolved from the header reference unless one is passed
-    in directly.  Every malformed input raises ``FileFormatError``:
-    unknown line shapes, a bad predicate declaration, a repeated or
-    malformed element id, a rank outside the chain, values for
-    undeclared elements and a second value for the same tuple.
+    in directly; then the reference must be that chain's name.  Every
+    malformed input raises ``FileFormatError``: a header that names
+    another chain than the one passed, unknown line shapes, a bad
+    predicate declaration, a repeated or malformed element id, a rank
+    outside the chain, values for undeclared elements and a second value
+    for the same tuple.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -675,6 +677,8 @@ def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructur
     ref = head[2][len("chain="):]
     if chain is None:
         chain = resolve_chain(ref)
+    elif ref != chain.name:
+        raise FileFormatError(f"structure header names chain {ref!r}, expected {chain.name!r}")
     idx = 1
     signature = SIG_LT
     if idx < len(lines) and lines[idx].split()[0] == "predicates":

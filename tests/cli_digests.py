@@ -37,6 +37,10 @@ U3_CHAIN = "chain u3 3 one=1 zero=0\n0 0 0\n0 1 2\n0 2 2\n"
 
 TRANSITIVITY = "forall x forall y forall z (((x < y) & (y < z)) -> (x < z))"
 
+# Every connective, both quantifiers, and a quantifier nested inside a
+# connective, with the bound variable on either side of it.
+MIXED = "forall x exists y ((x < y) | ((exists z ((y < z) * (z < x))) -> (y < x)))"
+
 CHECKS = [("bool", 2), ("bool", 3), ("u3.chain", 2), ("luk:4", 2), ("luk:3", 2), ("luk:3", 3),
           ("godel:3", 2)]
 
@@ -62,6 +66,9 @@ def _commands() -> list[list[str]]:
         commands.append(["randgraph", "build", "--chain", chain, "--rounds", "2"])
         commands.append(["randgraph", "check", "--structure", _randgraph_file(chain),
                          "--max-x", "1"])
+    graph = _randgraph_file("luk:3")
+    commands += [["randgraph", "check", "--structure", graph, "--max-x", "2"],
+                 ["eval", "--structure", graph, "--formula", MIXED]]
     stage, replayed = "k3-luk:4/stage002.gs", "k3-luk:4-replay/stage002.gs"
     commands += [
         ["algebra", "validate", "u3.chain"],

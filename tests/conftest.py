@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from gradedmodels.algebra import Chain, boolean_chain, make_godel, make_lukasiewicz
+from gradedmodels.algebra import Chain, boolean_chain, make_godel, make_lukasiewicz, resolve_chain
 
 U3_ROWS = ((0, 0, 0), (0, 1, 2), (0, 2, 2))
 
@@ -35,8 +35,11 @@ def uninorm_chain(size, one, zero=0, name=None):
 
 
 def chain_named(name):
-    """One of ``FIVE_CHAINS``, or ``godel:257``, by name."""
-    return godel257() if name == "godel:257" else {c.name: c for c in FIVE_CHAINS}[name]
+    """One of ``FIVE_CHAINS``, ``godel:257``, or any chain that
+    ``resolve_chain`` names, such as ``luk:16``, by name."""
+    if name == "godel:257":
+        return godel257()
+    return {c.name: c for c in FIVE_CHAINS}.get(name) or resolve_chain(name)
 
 
 @pytest.fixture(scope="session")

@@ -467,6 +467,36 @@ def test_replay_rejects_an_event_base_other_than_the_shared_ids(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+# Transcripts that ``build_limit`` never writes: an event whose arm adds
+# no element to the stage, and an arm or initial structure whose header
+# names another chain than the transcript's.
+UNWRITTEN_TRANSCRIPTS = {
+    "arm without elements": {**GOOD_TRANSCRIPT, "events": GOOD_TRANSCRIPT["events"] + [
+        {"stage": 0, "base": [], "arm": "structure e chain=bool\nelements\ndefault 0\n"}]},
+    "arm of base elements only": {**GOOD_TRANSCRIPT, "events": [
+        {"stage": 0, "base": ["x0"], "arm": "structure e chain=bool\nelements x0\ndefault 0\n"}]},
+    "arm over another chain": {**GOOD_TRANSCRIPT, "events": [
+        {"stage": 0, "base": [], "arm": "structure a chain=luk:7\nelements n0\ndefault 0\n"}]},
+    "initial structure over another chain": {
+        **GOOD_TRANSCRIPT, "initial": "structure k1_1 chain=luk:7\nelements x0\ndefault 0\n"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITTEN_TRANSCRIPTS))
+def test_replay_rejects_transcripts_the_builder_never_writes(case, tmp_path, capsys):
+    payload = UNWRITTEN_TRANSCRIPTS[case]
+    with pytest.raises(FileFormatError):
+        replay_transcript(Transcript.from_json(json.dumps(payload)))
+    path = tmp_path / "transcript.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["limit", "replay", "--transcript", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--class", "k0", "--chain", "bool", "--k", "2", "--property", "ap", "--jobs", "2"],
     ["check", "--class", "k0", "--chain", "bool", "--k", "2", "--property", "ap", "--seed", "1"],

@@ -550,16 +550,21 @@ def random_graph_member(chain, size, seed):
 
 # (chain, vertices, max_x): every max_x from 0 to 3 on the byte chains,
 # and up to 2 on the 257-rank chain, whose tuple tables give 257**3
-# demands per triple.
+# demands per triple.  A subset's k**s maps are coded in one byte lane
+# while k**s <= 256: on luk:7 pairs are (49 maps) and triples are not
+# (343); on luk:16 pairs take every byte value, and on luk:20 they do not
+# fit (400).
 WITNESS_CASES = [(c, n, x) for c in ("bool", "luk:3", "u3") for n in (1, 3, 6) for x in range(4)]
 WITNESS_CASES += [("godel:257", n, x) for n in (1, 3) for x in range(3)]
+WITNESS_CASES += [("luk:7", n, 3) for n in (3, 6)] + [(c, 4, 2) for c in ("luk:16", "luk:20")]
 
 
 @pytest.mark.parametrize("name, size, max_x", WITNESS_CASES)
 def test_random_graph_checker_agrees_with_the_vertex_by_vertex_reference(name, size, max_x):
     """Equal defects in equal order, with X as large as the universe or
     larger, loops off bottom, and defects in every case with 3 or more
-    vertices and max_x >= 2."""
+    vertices and max_x >= 2.  They include defects at pairs whenever
+    fewer vertices lie outside a pair than there are maps on it."""
     chain = chain_named(name)
     for seed in range(3):
         g = random_graph_member(chain, size, seed)
@@ -568,6 +573,8 @@ def test_random_graph_checker_agrees_with_the_vertex_by_vertex_reference(name, s
         assert defects == witness_defects_reference(g, max_x)
         if size >= 3 and max_x >= 2:
             assert defects
+        if 2 <= size and size - 2 < chain.size ** 2 and max_x >= 2:
+            assert any(len(d.subset) == 2 for d in defects)
 
 
 @pytest.mark.parametrize("values", [

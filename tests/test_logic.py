@@ -22,7 +22,7 @@ from gradedmodels.logic import (
 )
 from gradedmodels.structure import GradedStructure, binary_structure
 
-from conftest import FIVE_CHAINS, godel257
+from conftest import FIVE_CHAINS, chain_named, godel257
 from evaluate_reference import evaluate_reference
 
 
@@ -194,9 +194,11 @@ def test_signature_validation():
 
 
 # Every arity up to three, so atoms read rows, columns, diagonals and
-# general strided runs of their tables.
+# general strided runs of their tables.  Lines are byte lanes up to 16
+# ranks (luk:16), lazy with bytes tables up to 256 (luk:20) and lazy
+# with tuple tables above (godel:257).
 SIG_P_LT_R = Signature(predicates=(("P", 1), ("<", 2), ("R", 3)))
-CHAINS = FIVE_CHAINS + (godel257(),)
+CHAINS = FIVE_CHAINS + (chain_named("luk:16"), chain_named("luk:20"), godel257())
 
 
 def graded_formulas():
@@ -307,3 +309,38 @@ def test_evaluate_rejects_unknown_kinds_while_compiling(luk3, formula):
     m = binary_structure(luk3, ["a"], {("a", "a"): 1})
     with pytest.raises(ValueError):
         evaluate(m, formula)
+
+
+# Closed formulas that put a connective in each position of a vector
+# over x: scalar-vector, vector-scalar and vector-vector, a quantifier as
+# the scalar side, quantifiers nested inside connectives, and a part
+# without x repeated along it.  The outer quantifier over y runs the
+# inner one at each position.
+LINE_SHAPES = [
+    "forall y exists x ((y < y) {op} (x < y))",
+    "exists y forall x ((x < y) {op} (y < y))",
+    "forall y exists x ((x < y) {op} (y < x))",
+    "exists y forall x ((forall z (z < y)) {op} (x < y))",
+    "forall y exists x ((x < x) {op} (exists z (y < z)))",
+    "forall y exists x ((exists z ((x < z) {op} (z < y))) {op} (forall z (z < x)))",
+    "exists y forall x ((y < y) {op} (y < y))",
+]
+
+
+@pytest.mark.parametrize("name", ["luk:16", "luk:20"])
+@pytest.mark.parametrize("op", ["&", "|", "*", "->"])
+@pytest.mark.parametrize("shape", LINE_SHAPES)
+def test_evaluate_lines_match_reference(name, op, shape):
+    """``luk:16`` is the widest chain whose lines are byte lanes: with
+    every cell at top, a vector-vector lane reads 15 * 16 + 15 = 255, the
+    last entry of its table.  ``luk:20`` has ``bytes`` tables but lazy
+    lines.  The empty universe folds nothing."""
+    chain = chain_named(name)
+    f = parse_formula(shape.format(op=op))
+    ids = ["a", "b", "c", "d"]
+    structures = [random_structure(random.Random(seed), chain, 5) for seed in range(3)]
+    structures += [binary_structure(chain, ids, default=chain.top),
+                   binary_structure(chain, ids, default=chain.bot),
+                   binary_structure(chain, [])]
+    for m in structures:
+        assert evaluate(m, f) == evaluate_reference(m, f)

@@ -473,6 +473,13 @@ def test_structure_file_errors_are_file_format_errors(text):
         structure_from_text(text)
 
 
+@pytest.mark.parametrize("ref", ["luk:7", "luk:7 junk", "bool junk", "boolean"])
+def test_structure_file_header_must_name_the_chain_passed(bool_chain, ref):
+    """A chain passed in is not resolved, but the header must still name it."""
+    with pytest.raises(FileFormatError, match="names chain"):
+        structure_from_text(f"structure g chain={ref}\nelements a\ndefault 0\n", chain=bool_chain)
+
+
 # A chain file named in a structure header whose table the ``Chain``
 # constructor rejects: (file text, message, what ``chain_from_text`` raises).
 BAD_CHAIN_FILES = {
