@@ -9,10 +9,21 @@ Four classes over the one-binary-predicate signature are built in:
 * ``k3`` threshold partial orders: the filter cut of the relation is a
   partial order; values below the filter are unconstrained.
 
-Each class is stated once: a condition on the loops plus a cell check,
-the conditions on every cell and every triple of positions through a
-given set of positions, as rank comparisons in the ``<`` table.
-Membership is that check through every position of a nonempty structure.
+Each class is stated once, as one row of ``_CLASSES``: a condition on
+the loops (``ClassSpec.loops_in_filter``: every loop at or above ``one``,
+or every loop below it), a cell check, the conditions on every cell and
+every triple of positions through a given set of positions, as rank
+comparisons in the ``<`` table, and a cross rule for amalgamation.
+Membership is the loop condition and the cell check through every
+position of a nonempty structure.
+
+The classes compare ranks with each other and with ``one`` alone, and
+k0-k3 need no condition on the chain for hp, jep and ap to hold.  Every
+valid chain has ``one`` at least 1: a neutral bottom would make
+top * bottom the top, while residuation makes bottom absorbing.  So
+both sides of ``one`` hold a rank.  This is checked, not proved, by
+``test_size_and_one_census_at_k2``: hp, jep and ap at k=2 for k0-k3 on
+every (size, one) with size at most 4, with no counterexample.
 
 A v-formation is two structures; its base is the set of ids they share,
 on which they must agree.  Every built-in class amalgamates through one
@@ -33,7 +44,8 @@ the first arm's, so a limit stage that grows by one element at a time
 does not rebuild them from its whole table.
 
 The property checkers run over bounded exhaustive enumerations of
-isomorphism types and report counterexamples.  The joint-embedding and
+isomorphism types, which walk only the tables whose loops the class
+admits, and report counterexamples.  The joint-embedding and
 amalgamation checkers verify the class amalgamator's witness for every
 instance, so they need a class that has one.  The Fraisse limits built
 from these classes live in ``fraisse``.
@@ -43,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import struct
 import sys
 from collections import ChainMap
@@ -102,11 +115,20 @@ class ClassSpec:
     The amalgamator is optional only for ``enumerate_class`` and
     ``check_hp``: ``check_jep``, ``check_ap`` and the limit builder
     refuse a class without one.  Specs compare by value.
+
+    ``loops_in_filter`` states where a member's loops lie: ``True`` when
+    every loop is at or above ``one``, ``False`` when every loop is
+    below it, and ``None`` when the class says nothing, so any rank may
+    be a loop.  ``enumerate_class`` walks only the tables whose loops
+    the flag admits, so a flag that ``membership`` does not imply loses
+    members; ``None`` is always safe.  Each built-in class states it
+    once, and its membership and amalgamator read that value.
     """
 
     name: str
     membership: object
     amalgamate: object = None
+    loops_in_filter: bool | None = None
 
 
 # Ranks are read from validated tables and compared as plain ints.
@@ -246,19 +268,30 @@ def _cuts_transitive(m: GradedStructure, news, levels, antisymmetric=False) -> b
 
 
 def _k0_cells_ok(m: GradedStructure, news) -> bool:
-    """k0 through ``news``: every cut above bottom is transitive."""
+    """k0, graded preorders, through ``news``: every cut above bottom is
+    transitive.
+
+    A transitivity instance res(min(v(a,b), v(b,c)), v(a,c)) is in the
+    filter exactly when min(v(a,b), v(b,c)) <= v(a,c), that is, when
+    every cut above bottom is transitive.
+    """
     return _cuts_transitive(m, news, range(1, m.chain.size))
 
 
 def _k1_cells_ok(m: GradedStructure, news) -> bool:
-    """k1 through ``news``: each row equals its column."""
+    """k1, weighted graphs, through ``news``: each row equals its column.
+
+    res(v(a,b), v(b,a)) is in the filter for all a, b exactly when
+    v(a,b) <= v(b,a) for all a, b, that is, when v is symmetric.
+    """
     lt = m.pred_tables[0]
     n = len(m.universe)
     return all(lt[c * n:(c + 1) * n] == lt[c::n] for c in news)
 
 
 def _k2_cells_ok(m: GradedStructure, news) -> bool:
-    """k2 through ``news``: totality at ``one``, then k0."""
+    """k2, graded total preorders, through ``news``: totality at ``one``,
+    then k0."""
     lt = m.pred_tables[0]
     n = len(m.universe)
     return (all(min(map(max, lt[c * n:(c + 1) * n], lt[c::n])) >= m.chain.one for c in news)
@@ -266,39 +299,10 @@ def _k2_cells_ok(m: GradedStructure, news) -> bool:
 
 
 def _k3_cells_ok(m: GradedStructure, news) -> bool:
-    """k3 through ``news``: the cut at ``one`` is transitive and antisymmetric."""
+    """k3, threshold partial orders, through ``news``: the cut at ``one``
+    is transitive and antisymmetric; these are conditionals on filter
+    membership, not graded formulas."""
     return _cuts_transitive(m, news, (m.chain.one,), antisymmetric=True)
-
-
-def k0_member(m: GradedStructure) -> bool:
-    """Graded preorder: loops and all transitivity instances in the filter.
-
-    A transitivity instance res(min(v(a,b), v(b,c)), v(a,c)) is in the
-    filter exactly when min(v(a,b), v(b,c)) <= v(a,c), that is, when
-    every cut above bottom is transitive.
-    """
-    return _member(m, True, _k0_cells_ok)
-
-
-def k1_member(m: GradedStructure) -> bool:
-    """Weighted graph: every loop below the filter, symmetric edge values.
-
-    res(v(a,b), v(b,a)) is in the filter for all a, b exactly when
-    v(a,b) <= v(b,a) for all a, b, that is, when v is symmetric.
-    """
-    return _member(m, False, _k1_cells_ok)
-
-
-def k2_member(m: GradedStructure) -> bool:
-    """Graded total preorder: preorder conditions plus totality."""
-    return _member(m, True, _k2_cells_ok)
-
-
-def k3_member(m: GradedStructure) -> bool:
-    """Threshold partial order: the filter cut is reflexive, transitive,
-    and antisymmetric; these are conditionals on filter membership, not
-    graded formulas."""
-    return _member(m, True, _k3_cells_ok)
 
 
 # --- amalgamation ---
@@ -459,7 +463,11 @@ def _amalgamate(v: VFormation, cross, name: str, loops_in_filter: bool, cells_ok
 
 
 def _bottom_cross(v: VFormation, ext2):
-    """Bottom in both directions for every cross pair, as fresh lists."""
+    """Bottom in both directions for every cross pair, as fresh lists.
+
+    This is k1's cross rule, the simple union of two weighted graphs
+    over their shared part, which keeps the amalgam's loops and symmetry.
+    """
     bottom = [v.arm1.chain.bot] * len(v.arm1.universe)
     return [bottom[:] for _ in ext2], [bottom[:] for _ in ext2]
 
@@ -475,6 +483,10 @@ def _composition(v: VFormation, ext2):
     its row, v1(b, x) over x, clipped at v2(y, b); one ``map(max, ...)``
     over those of every base element gives the columns.  Both are bottom
     over an empty base.
+
+    This is k0's cross rule.  Since ``one`` is neutral, k0 membership is
+    min-transitivity plus loops at or above ``one``, and the composition
+    through the base is the whole sup-min closure of the union.
     """
     if not v.shared:
         return _bottom_cross(v, ext2)
@@ -491,27 +503,6 @@ def _composition(v: VFormation, ext2):
     backward = [sup([map(min, row, itertools.repeat(lt2[y * n2 + b2])) for row, b2 in out_of])
                 for y in ext2]
     return forward, backward
-
-
-def amalgamate_k0(v: VFormation) -> GradedStructure:
-    """Close two graded preorders through their shared base.
-
-    Since ``one`` is neutral, membership is min-transitivity plus loops
-    at or above ``one``; each cross pair takes the composition through
-    the base, which is the whole sup-min closure of the union.  The
-    first arm must be a member (see ``_amalgamate``).
-    """
-    return _amalgamate(v, _composition, "k0", True, _k0_cells_ok)
-
-
-def amalgamate_k1(v: VFormation) -> GradedStructure:
-    """Simple union of two weighted graphs over their shared part.
-
-    Mixed pairs get the bottom value in both directions, which keeps
-    the result loopless and symmetric.  The first arm must be a member
-    (see ``_amalgamate``).
-    """
-    return _amalgamate(v, _bottom_cross, "k1", False, _k1_cells_ok)
 
 
 def _k2_key(arm: GradedStructure, base, z: int, levels) -> tuple[int, ...]:
@@ -532,28 +523,8 @@ def _k2_key(arm: GradedStructure, base, z: int, levels) -> tuple[int, ...]:
 
 
 def _k2_cross(v: VFormation, ext2):
-    """The cross columns of ``amalgamate_k2``: per pair, the largest level
-    at which the key prefixes order it, or the composition if larger."""
-    chain = v.arm1.chain
-    levels = range(1, chain.one + 1)
-    base1, base2 = [p for p, _ in v.shared], [q for _, q in v.shared]
-    keys1 = {x: _k2_key(v.arm1, base1, x, levels)
-             for x, e in enumerate(v.arm1.universe) if e not in v.arm2.positions}
-    forward, backward = _composition(v, ext2)
-    for y, fcol, bcol in zip(ext2, forward, backward):
-        ky = _k2_key(v.arm2, base2, y, levels)
-        for x, kx in keys1.items():
-            up = max((a for a in levels if kx[:a] <= ky[:a]), default=chain.bot)
-            down = max(
-                (a for a in levels if ky[:a] < kx[:a] or (ky[:a] == kx[:a] and kx[a - 1] % 2)),
-                default=chain.bot,
-            )
-            fcol[x], bcol[x] = max(fcol[x], up), max(bcol[x], down)
-    return forward, backward
-
-
-def amalgamate_k2(v: VFormation) -> GradedStructure:
-    """Interleave two graded total preorders around their shared base.
+    """k2's cross rule: interleave two graded total preorders around
+    their shared base.
 
     Every a-cut (a <= ``one``) of a member is a weak order.  At level a
     a new element sits in a gap between base blocks (even position) or
@@ -563,7 +534,7 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
     same block.  A cross pair takes the largest level at which it holds,
     or the composition through the base when that is larger.  Comparing
     whole key prefixes, not the level's position alone, keeps the cuts
-    nested.  The first arm must be a member (see ``_amalgamate``).
+    nested.
 
     Why the result is a member (proof sketch).  Write R_a for the a-cut
     {(p, q) : v(p, q) >= a}.  A structure is in k2 exactly when its
@@ -592,29 +563,38 @@ def amalgamate_k2(v: VFormation) -> GradedStructure:
        through the base, so, as for ``amalgamate_k0``, the composition
        closes the union of the arms' cuts transitively.
     """
-    return _amalgamate(v, _k2_cross, "k2", True, _k2_cells_ok)
+    chain = v.arm1.chain
+    levels = range(1, chain.one + 1)
+    base1, base2 = [p for p, _ in v.shared], [q for _, q in v.shared]
+    keys1 = {x: _k2_key(v.arm1, base1, x, levels)
+             for x, e in enumerate(v.arm1.universe) if e not in v.arm2.positions}
+    forward, backward = _composition(v, ext2)
+    for y, fcol, bcol in zip(ext2, forward, backward):
+        ky = _k2_key(v.arm2, base2, y, levels)
+        for x, kx in keys1.items():
+            up = max((a for a in levels if kx[:a] <= ky[:a]), default=chain.bot)
+            down = max(
+                (a for a in levels if ky[:a] < kx[:a] or (ky[:a] == kx[:a] and kx[a - 1] % 2)),
+                default=chain.bot,
+            )
+            fcol[x], bcol[x] = max(fcol[x], up), max(bcol[x], down)
+    return forward, backward
 
 
 def _k3_cross(v: VFormation, ext2):
     """The composition's columns, each rank sent to ``one`` when it is at
-    least ``one`` and to bottom otherwise."""
+    least ``one`` and to bottom otherwise.
+
+    This is k3's cross rule: a mixed pair takes ``one`` when some base
+    element sits between its endpoints at the filter level; otherwise
+    it takes bottom, which is below the filter on every chain (``zero``
+    may not be).
+    """
     chain = v.arm1.chain
     cut = [chain.one if r >= chain.one else chain.bot for r in range(chain.size)]
     forward, backward = _composition(v, ext2)
     return ([list(map(cut.__getitem__, col)) for col in forward],
             [list(map(cut.__getitem__, col)) for col in backward])
-
-
-def amalgamate_k3(v: VFormation) -> GradedStructure:
-    """Cross rule for threshold partial orders.
-
-    A mixed pair takes ``one`` when its composition through the base is
-    at least ``one``, that is, when some base element sits between its
-    endpoints at the filter level; otherwise it takes bottom, which is
-    below the filter on every chain (``zero`` may not be).  The first
-    arm must be a member (see ``_amalgamate``).
-    """
-    return _amalgamate(v, _k3_cross, "k3", True, _k3_cells_ok)
 
 
 # --- enumeration ---
@@ -623,23 +603,41 @@ def amalgamate_k3(v: VFormation) -> GradedStructure:
 _ENUM_BUDGET = 10**7
 
 
-def _orbit_representatives(size: int, s: int):
+def _orbit_representatives(size: int, s: int, loops=None):
     """The lex-least table of each orbit of S_s on the tables over s
-    elements with ranks below ``size``, in increasing lex order.
+    elements with ranks below ``size`` and every loop in ``loops``, in
+    increasing lex order.
 
-    A table's code is its value read as a base-``size`` numeral, first
-    entry most significant, so codes follow lex order.  A flag per code
-    says whether some representative already reached it: the next
-    unflagged code is the least of a new orbit, whose images under every
-    permutation are then flagged.  An image's code is the table's dot
-    product with that permutation's weights, the place value each entry
-    moves to.  The weights of all permutations are packed into one int
-    per entry, a fixed-width field per permutation, so one dot product
-    gives every image's code, read back as an array of machine ints.
+    ``loops`` is an increasing sequence of ranks; None admits every
+    rank.  ``enumerate_class`` passes the ranks on one side of ``one``,
+    which are never empty, so no cell has radix 0: a chain of two or
+    more ranks with ``one`` at bottom fails residuation, so ``one`` is
+    at least 1.
+
+    A table's code is a mixed-radix numeral, first entry most
+    significant: a loop cell is a digit d in base ``len(loops)`` that
+    stands for rank loops[d], every other cell a digit in base ``size``
+    that stands for itself.  Each digit's rank grows with the digit, so
+    codes follow lex order.  A permutation sends loop cells to loop
+    cells, so it permutes the admitted tables, and their orbits are
+    whole orbits of S_s.  A flag per code says whether some
+    representative already reached it: the next unflagged code is the
+    least of a new orbit, whose images under every permutation are then
+    flagged.  An image's code is the digits' dot product with that
+    permutation's weights, the place value each entry moves to.  The
+    weights of all permutations are packed into one int per entry, a
+    fixed-width field per permutation, so one dot product gives every
+    image's code, read back as an array of machine ints.  The dot
+    product is taken once per head and per tail numeral of the code, and
+    a code's is the sum of its head's and its tail's.
     """
     cells = s * s
-    count = size ** cells
-    place = [size ** (cells - 1 - k) for k in range(cells)]
+    if loops is None:
+        loops = range(size)
+    # Cell k is the loop of element k // s when k is a multiple of s + 1.
+    values = [range(size) if k % (s + 1) else loops for k in range(cells)]
+    place = [math.prod(map(len, values[k + 1:])) for k in range(cells)]
+    count = place[0] * len(values[0])
     # The identity comes first; the walk moves past its image anyway.
     perms = list(itertools.permutations(range(s)))[1:]
     fmt = next(f for f in "HIQ" if count <= 1 << 8 * struct.calcsize(f))
@@ -647,19 +645,27 @@ def _orbit_representatives(size: int, s: int):
     packed = [sum(place[p[k // s] * s + p[k % s]] << bits * i for i, p in enumerate(perms))
               for k in range(cells)]
     nbytes = len(perms) * bits // 8
+
+    def decoded(part, weights):
+        """Each numeral over the cells of ``part``, in order: its ranks
+        and the packed images of its digits."""
+        return [(ranks, sum(map(mul, digits, weights)))
+                for ranks, digits in zip(itertools.product(*part),
+                                         itertools.product(*(range(len(r)) for r in part)))]
+
     # A code splits into a head and a tail numeral, each decoded by lookup.
     low = cells // 2
-    heads = list(itertools.product(range(size), repeat=cells - low))
-    tails = list(itertools.product(range(size), repeat=low))
+    heads = decoded(values[:cells - low], packed[:cells - low])
+    tails = decoded(values[cells - low:], packed[cells - low:])
     seen = bytearray(count)
     code = 0
     while code != -1:
-        head, tail = divmod(code, size ** low)
-        table = heads[head] + tails[tail]
-        images = sum(map(mul, table, packed)).to_bytes(nbytes, sys.byteorder)
+        h, t = divmod(code, len(tails))
+        (head, head_images), (tail, tail_images) = heads[h], tails[t]
+        images = (head_images + tail_images).to_bytes(nbytes, sys.byteorder)
         for image in memoryview(images).cast(fmt):
             seen[image] = 1
-        yield table
+        yield head + tail
         code = seen.find(0, code + 1)
 
 
@@ -668,21 +674,25 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[Graded
 
     Each type is given by its lex-least table of ``<`` on the universe
     x0, x1, ...; the result is ordered by size then canonical form.
-    Each size visits one table per orbit of the symmetric group, the
-    least one, and asks ``spec.membership`` about it alone, so the
-    membership predicate must be isomorphism-invariant.  Rejects runs
-    whose raw table count, every table of every size, exceeds
-    ``_ENUM_BUDGET`` before building any.
+    Each size visits one table per orbit of the symmetric group among
+    the tables whose loops ``spec.loops_in_filter`` admits, the least
+    one, builds and validates it, and asks ``spec.membership`` about it
+    alone, loops included, so the membership predicate must be
+    isomorphism-invariant.  Rejects runs whose raw table count, every
+    table of every size whatever its loops, exceeds ``_ENUM_BUDGET``
+    before building any.
     """
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
     total = sum(chain.size ** (s * s) for s in range(1, max_size + 1))
     if total > _ENUM_BUDGET:
         raise BudgetError(f"{total} candidates exceed the budget of {_ENUM_BUDGET}")
+    loops = None if spec.loops_in_filter is None else (
+        range(chain.one, chain.size) if spec.loops_in_filter else range(chain.one))
     found: list[tuple[int, bytes, GradedStructure]] = []
     for s in range(1, max_size + 1):
         elems = tuple(f"x{i}" for i in range(s))
-        for table in _orbit_representatives(chain.size, s):
+        for table in _orbit_representatives(chain.size, s, loops):
             m = GradedStructure(chain, SIG_LT, elems, (table,), name=f"{spec.name}_{s}")
             if spec.membership(m):
                 found.append((s, canonical_form(m), m))
@@ -796,12 +806,33 @@ def check_ap(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
         for j, m2 in enumerate(members) for g in find_embeddings(base, m2)))
 
 
+def _builtin(name: str, loops_in_filter: bool, cells_ok, cross) -> ClassSpec:
+    """The spec of a built-in class from its row: where its loops lie,
+    its cell check and its cross rule, which its membership and its
+    amalgamator both read."""
+
+    def membership(m: GradedStructure) -> bool:
+        """Whether m is nonempty, its loops lie on the class's side of
+        ``one`` and the class's cell check holds through every position."""
+        return _member(m, loops_in_filter, cells_ok)
+
+    def amalgamate(v: VFormation) -> GradedStructure:
+        """The class's amalgam of v by its cross rule; the first arm must
+        be a member (see ``_amalgamate``)."""
+        return _amalgamate(v, cross, name, loops_in_filter, cells_ok)
+
+    return ClassSpec(name, membership, amalgamate, loops_in_filter)
+
+
 _CLASSES = {spec.name: spec for spec in (
-    ClassSpec("k0", k0_member, amalgamate_k0),
-    ClassSpec("k1", k1_member, amalgamate_k1),
-    ClassSpec("k2", k2_member, amalgamate_k2),
-    ClassSpec("k3", k3_member, amalgamate_k3),
+    _builtin("k0", True, _k0_cells_ok, _composition),
+    _builtin("k1", False, _k1_cells_ok, _bottom_cross),
+    _builtin("k2", True, _k2_cells_ok, _k2_cross),
+    _builtin("k3", True, _k3_cells_ok, _k3_cross),
 )}
+k0_member, k1_member, k2_member, k3_member = (spec.membership for spec in _CLASSES.values())
+amalgamate_k0, amalgamate_k1, amalgamate_k2, amalgamate_k3 = (
+    spec.amalgamate for spec in _CLASSES.values())
 
 
 def get_class(name: str) -> ClassSpec:

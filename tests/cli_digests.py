@@ -60,8 +60,8 @@ def _commands() -> list[list[str]]:
                          "--budget", "3", "--out", f"{name}-bool-budget3"])
     commands.append(["limit", "build", "--class", "k0", "--chain", "luk:3", "--stages", "2",
                      "--budget", "2", "--seed-order", "5", "--out", "k0-luk3-seed5"])
-    commands += [["enumerate", "--class", name, "--chain", "bool", "--max-size", "3"]
-                 for name in CLASSES]
+    commands += [["enumerate", "--class", name, "--chain", chain, "--max-size", size]
+                 for chain, size in (("bool", "3"), ("bool", "4"), ("luk:3", "3")) for name in CLASSES]
     for chain in ("bool", "luk:3"):
         commands.append(["randgraph", "build", "--chain", chain, "--rounds", "2"])
         commands.append(["randgraph", "check", "--structure", _randgraph_file(chain),

@@ -106,6 +106,21 @@ def test_direct_construction_validates():
     assert built.res_table[1][0] == 0
 
 
+@pytest.mark.parametrize("size", [2, 3])
+def test_one_at_bottom_is_not_a_chain(size):
+    """Every table with ``one`` at bottom is refused: neutrality makes
+    top * bottom the top, while residuation needs a * bottom = bottom.
+    So ``one`` is at least 1, and the ranks below it are never empty."""
+    for flat in itertools.product(range(size), repeat=size * size):
+        with pytest.raises(ChainTableError):
+            Chain(size, [flat[a * size:(a + 1) * size] for a in range(size)], one=0, zero=0)
+    # max is a monotone commutative monoid with neutral bottom: only
+    # residuation fails.
+    with pytest.raises(ChainTableError) as err:
+        Chain(size, [[max(a, b) for b in range(size)] for a in range(size)], one=0, zero=0)
+    assert err.value.axiom == "residuation"
+
+
 def test_too_small_chain_rejected():
     with pytest.raises(ValueError):
         make_lukasiewicz(1)

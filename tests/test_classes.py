@@ -282,10 +282,21 @@ def listed(members):
 ])
 @pytest.mark.parametrize("name", ["k0", "k1", "k2", "k3"])
 def test_enumeration_equals_the_product_reference(name, chain_name, max_size):
+    """The walk of the tables whose loops the class admits and the walk
+    of every table both list exactly the reference's types."""
     chain = CHAINS[chain_name]
     spec = get_class(name)
-    assert listed(enumerate_class(spec, chain, max_size)) == \
-        listed(enumerate_reference(spec, chain, max_size))
+    got = listed(enumerate_class(spec, chain, max_size))
+    assert got == listed(enumerate_reference(spec, chain, max_size))
+    assert got == listed(enumerate_class(dataclasses.replace(spec, loops_in_filter=None), chain, max_size))
+
+
+@pytest.mark.parametrize("name, count", [("k0", 46), ("k1", 18), ("k2", 15), ("k3", 24)])
+def test_bool_size_4_types_are_those_of_the_walk_over_every_rank(bool_chain, name, count):
+    spec = get_class(name)
+    got = listed(enumerate_class(spec, bool_chain, 4))
+    assert len(got) == count
+    assert got == listed(enumerate_class(dataclasses.replace(spec, loops_in_filter=None), bool_chain, 4))
 
 
 def orbit(table, s):
@@ -294,21 +305,30 @@ def orbit(table, s):
             for p in itertools.permutations(range(s))]
 
 
-@pytest.mark.parametrize("size, s, count", [
-    (2, 1, 2), (2, 2, 10), (2, 3, 104), (2, 4, 3044),
+@pytest.mark.parametrize("size, s, loops, count", [
+    (2, 1, None, 2), (2, 2, None, 10), (2, 3, None, 104), (2, 4, None, 3044),
     # Burnside: the identity fixes size**(s*s) tables, a transposition
     # size**(s*s - s), a 3-cycle 3**3.
-    (3, 2, (3**4 + 3**2) // 2),
-    (4, 2, (4**4 + 4**2) // 2),
-    (3, 3, (3**9 + 3 * 3**5 + 2 * 3**3) // 6),
+    (3, 2, None, (3**4 + 3**2) // 2),
+    (4, 2, None, (4**4 + 4**2) // 2),
+    (3, 3, None, (3**9 + 3 * 3**5 + 2 * 3**3) // 6),
+    # A permutation with c cycles and o orbits on the cells fixes
+    # len(loops)**c * size**(o - c) tables whose loops lie in ``loops``.
+    (2, 4, (1,), 218), (2, 4, (0,), 218), (3, 2, (2,), 6), (4, 2, (1, 2, 3), 78),
+    (3, 3, (1, 2), 1032),
 ])
-def test_orbit_walk_gives_the_least_table_of_each_orbit(size, s, count):
+def test_orbit_walk_gives_the_least_table_of_each_orbit(size, s, loops, count):
     """Least of its orbit and strictly increasing, so one per orbit; as
-    many as there are orbits, so every orbit."""
-    reps = list(classes._orbit_representatives(size, s))
+    many as there are orbits, so every orbit.  With every rank as a loop
+    that pins the list; with fewer, the list is that one's tables whose
+    loops lie in ``loops``."""
+    reps = list(classes._orbit_representatives(size, s, loops))
     assert len(reps) == count
     assert all(a < b for a, b in zip(reps, reps[1:]))
     assert all(t == min(orbit(t, s)) for t in reps)
+    if loops is not None:
+        every = classes._orbit_representatives(size, s)
+        assert reps == [t for t in every if set(t[::s + 1]) <= set(loops)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -511,3 +531,17 @@ def test_size_and_one_census_at_k2(point):
             assert report.ok, report.render()
             checked += report.checked
     assert checked == CENSUS_INSTANCES[point]
+
+
+@pytest.mark.parametrize("chain", FIVE_CHAINS + tuple(uninorm_chain(*p) for p in sorted(CENSUS_INSTANCES)),
+                         ids=lambda c: c.name)
+def test_loop_flag_agrees_with_membership(chain):
+    """The one-element structure with loop r is a member exactly when
+    the class's ``loops_in_filter`` admits r; with hereditariness, every
+    loop of a member is admitted, so the walk of the admitted loops loses
+    no member."""
+    for name in classes.class_names():
+        spec = get_class(name)
+        for r in chain.ranks():
+            single = GradedStructure(chain, SIG_LT, ("x0",), ((r,),))
+            assert spec.membership(single) == ((r >= chain.one) == spec.loops_in_filter), (name, r)
