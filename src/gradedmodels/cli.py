@@ -177,101 +177,105 @@ def _cmd_randgraph(args, out) -> int:
     return _report_defects(fraisse.check_random_graph_property(m, args.max_x), out)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Offered only by the commands that read it.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "tsv"), default="text")
-
-    parser = argparse.ArgumentParser(prog="gradedmodels",
-                                     description="graded structures over finite residuated chains")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_algebra = subs.add_parser("algebra", help="validate or print chains")
-    alg_subs = p_algebra.add_subparsers(dest="action", required=True)
-    p_val = alg_subs.add_parser("validate")
-    p_val.add_argument("file")
-    p_show = alg_subs.add_parser("show", parents=[common])
-    p_show.add_argument("ref")
-
-    p_eval = subs.add_parser("eval", parents=[common], help="evaluate a formula in a structure")
-    p_eval.add_argument("--structure", required=True)
-    p_eval.add_argument("--formula", required=True)
-    p_eval.add_argument("--assign", default="")
-
-    p_iso = subs.add_parser("iso", help="isomorphism between two structure files")
-    p_iso.add_argument("file_a")
-    p_iso.add_argument("file_b")
-
-    p_age = subs.add_parser("age", help="isomorphism types generated by small subsets")
-    p_age.add_argument("file")
-    p_age.add_argument("--k", type=int, required=True)
-
-    p_sub = subs.add_parser("sub", help="substructure test between two files")
-    p_sub.add_argument("file_a")
-    p_sub.add_argument("file_b")
-
-    p_enum = subs.add_parser("enumerate", help="isomorphism types of a class")
-    p_enum.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
-    p_enum.add_argument("--chain", required=True)
-    p_enum.add_argument("--max-size", type=int, required=True)
-    p_enum.add_argument("--count-only", action="store_true")
-
-    p_check = subs.add_parser("check", parents=[common], help="hereditary/joint-embedding/amalgamation checks")
-    p_check.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
-    p_check.add_argument("--chain", required=True)
-    p_check.add_argument("--k", type=int, required=True)
-    p_check.add_argument("--property", required=True, choices=("hp", "jep", "ap"))
-
-    p_limit = subs.add_parser("limit", help="stage-wise limit construction")
-    limit_subs = p_limit.add_subparsers(dest="action", required=True)
-    # No abbreviations, so that ``--seed`` is an error rather than ``--seed-order``.
-    p_lb = limit_subs.add_parser("build", parents=[common], allow_abbrev=False)
-    p_lb.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
-    p_lb.add_argument("--chain", required=True)
-    p_lb.add_argument("--stages", type=int, required=True)
-    p_lb.add_argument("--budget", type=int, required=True)
-    p_lb.add_argument("--out", required=True)
-    p_lb.add_argument("--seed-order", type=int, default=None,
-                      help="permute the member enumeration order")
-    p_lc = limit_subs.add_parser("check")
-    p_lc.add_argument("--stage", required=True)
-    p_lc.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
-    p_lc.add_argument("--budget", type=int, required=True)
-    p_lr = limit_subs.add_parser("replay", parents=[common])
-    p_lr.add_argument("--transcript", required=True)
-    p_lr.add_argument("--out", required=True)
-
-    p_rand = subs.add_parser("randgraph", help="random weighted graph")
-    rand_subs = p_rand.add_subparsers(dest="action", required=True)
-    p_rb = rand_subs.add_parser("build")
-    p_rb.add_argument("--chain", required=True)
-    p_rb.add_argument("--rounds", type=int, required=True)
-    p_rc = rand_subs.add_parser("check")
-    p_rc.add_argument("--structure", required=True)
-    p_rc.add_argument("--max-x", type=int, required=True)
-
-    return parser
-
-
-_HANDLERS = {
-    "algebra": _cmd_algebra,
-    "eval": _cmd_eval,
-    "iso": _cmd_iso,
-    "age": _cmd_age,
-    "sub": _cmd_sub,
-    "enumerate": _cmd_enumerate,
-    "check": _cmd_check,
-    "limit": _cmd_limit,
-    "randgraph": _cmd_randgraph,
+# Per command: its handler and its help line in the top-level usage.
+_COMMANDS = {
+    "algebra": (_cmd_algebra, "validate or print chains"),
+    "eval": (_cmd_eval, "evaluate a formula in a structure"),
+    "iso": (_cmd_iso, "isomorphism between two structure files"),
+    "age": (_cmd_age, "isomorphism types generated by small subsets"),
+    "sub": (_cmd_sub, "substructure test between two files"),
+    "enumerate": (_cmd_enumerate, "isomorphism types of a class"),
+    "check": (_cmd_check, "hereditary/joint-embedding/amalgamation checks"),
+    "limit": (_cmd_limit, "stage-wise limit construction"),
+    "randgraph": (_cmd_randgraph, "random weighted graph"),
 }
 
 
+def _with_format(p):
+    """``p`` with ``--format``, which only the commands that read it offer."""
+    p.add_argument("--format", choices=("text", "tsv"), default="text")
+    return p
+
+
+def _add_arguments(command: str, p) -> None:
+    """Give the parser ``p`` of ``command`` its arguments and subcommands."""
+    if command == "algebra":
+        actions = p.add_subparsers(dest="action", required=True)
+        actions.add_parser("validate").add_argument("file")
+        _with_format(actions.add_parser("show")).add_argument("ref")
+    elif command == "eval":
+        _with_format(p)
+        p.add_argument("--structure", required=True)
+        p.add_argument("--formula", required=True)
+        p.add_argument("--assign", default="")
+    elif command in ("iso", "sub"):
+        p.add_argument("file_a")
+        p.add_argument("file_b")
+    elif command == "age":
+        p.add_argument("file")
+        p.add_argument("--k", type=int, required=True)
+    elif command == "enumerate":
+        p.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
+        p.add_argument("--chain", required=True)
+        p.add_argument("--max-size", type=int, required=True)
+        p.add_argument("--count-only", action="store_true")
+    elif command == "check":
+        _with_format(p)
+        p.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
+        p.add_argument("--chain", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--property", required=True, choices=("hp", "jep", "ap"))
+    elif command == "limit":
+        actions = p.add_subparsers(dest="action", required=True)
+        # No abbreviations, so that ``--seed`` is an error rather than ``--seed-order``.
+        p_lb = _with_format(actions.add_parser("build", allow_abbrev=False))
+        p_lb.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
+        p_lb.add_argument("--chain", required=True)
+        p_lb.add_argument("--stages", type=int, required=True)
+        p_lb.add_argument("--budget", type=int, required=True)
+        p_lb.add_argument("--out", required=True)
+        p_lb.add_argument("--seed-order", type=int, default=None,
+                          help="permute the member enumeration order")
+        p_lc = actions.add_parser("check")
+        p_lc.add_argument("--stage", required=True)
+        p_lc.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
+        p_lc.add_argument("--budget", type=int, required=True)
+        p_lr = _with_format(actions.add_parser("replay"))
+        p_lr.add_argument("--transcript", required=True)
+        p_lr.add_argument("--out", required=True)
+    elif command == "randgraph":
+        actions = p.add_subparsers(dest="action", required=True)
+        p_rb = actions.add_parser("build")
+        p_rb.add_argument("--chain", required=True)
+        p_rb.add_argument("--rounds", type=int, required=True)
+        p_rc = actions.add_parser("check")
+        p_rc.add_argument("--structure", required=True)
+        p_rc.add_argument("--max-x", type=int, required=True)
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of the command line for ``command``.  Every command is
+    registered with its help line, so the top-level help and usage errors
+    list them all, but only ``command`` gets its arguments, since a parse
+    reaches no other command's parser.  With None no command gets any; a
+    parse of arguments that name no command stops at the top level."""
+    parser = argparse.ArgumentParser(prog="gradedmodels",
+                                     description="graded structures over finite residuated chains")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_line)
+        if name == command:
+            _add_arguments(name, p)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The command is the first word that names one: only options, which
+    # never do, come before it.
+    args = build_parser(next(filter(_COMMANDS.__contains__, argv), None)).parse_args(argv)
     try:
-        return handler(args, sys.stdout)
+        return _COMMANDS[args.command][0](args, sys.stdout)
     except (GradedModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,12 +10,15 @@ of element positions, one slot per assigned variable and one per
 quantifier.  A quantifier's body is compiled as a vector over the bound
 variable: a line of its values at every position at once, read as
 strided slices of the predicate tables and combined through the chain's
-operation tables, then folded with ``min`` (``forall``) or ``max``
-(``exists``).  Over a chain of at most 16 ranks a line is ``bytes`` with
-one rank per byte lane, and a connective is one ``translate``, or for
-two lines one big-int sum L * k + R translated through the k×k table;
-no lane carries, since (k - 1) * k + (k - 1) < 256 when k <= 16.  Wider
-chains keep lazy lines, ``map`` chains through the tables.  The choice
+operation tables, then folded to its least (``forall``) or greatest
+(``exists``) rank.  Over a chain of at most 16 ranks a line is ``bytes``
+with one rank per byte lane, a connective is one ``translate``, or for
+two lines one big-int sum L * k + R translated through the k×k table
+(no lane carries, since (k - 1) * k + (k - 1) < 256 when k <= 16), and
+a fold asks the line for each rank in turn, from the bottom for
+``forall`` and from the top for ``exists``, and stops at the first one
+present.  Wider chains keep lazy lines, ``map`` chains through the
+tables, which ``min`` and ``max`` fold.  The choice
 rests on the chain's size alone.  The module reads structures only
 through their attributes (``chain``, ``signature``, ``universe``,
 ``pred_tables``, ``positions``) and imports nothing else from the
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import getitem
+from operator import getitem, mul
 
 from .errors import FormulaParseError
 
@@ -335,11 +338,13 @@ def evaluate(structure, formula, assignment=None) -> int:
     of positions: a slot per assigned variable, then a slot per
     quantifier, so a variable bound twice gets two slots.  Each
     quantifier's body is compiled as a line of its values at every
-    position of the bound variable, which the quantifier folds with
-    ``min`` or ``max``; nothing longer than the universe is built.  Over
-    a chain of at most 16 ranks a line is ``bytes``, one rank per byte,
-    and each connective over it is a few calls in C; over a wider chain
-    it is a lazy ``map`` chain (see ``_Compiler``).
+    position of the bound variable, which the quantifier folds to its
+    least or greatest rank; nothing longer than the universe is built.
+    Over a chain of at most 16 ranks a line is ``bytes``, one rank per
+    byte, each connective over it is a few calls in C, and the fold is
+    the first rank, from the bottom or the top, that the line contains;
+    over a wider chain a line is a lazy ``map`` chain folded by ``min``
+    or ``max`` (see ``_Compiler``).
     Every atom is checked against the signature while compiling: an
     uninterpreted symbol or a wrong argument count raises
     ``ValueError`` whatever the universe size.  So does a constant,
@@ -360,6 +365,21 @@ def evaluate(structure, formula, assignment=None) -> int:
     run = compiler.scalar(formula, scope)
     env += [0] * (compiler.slots - len(env))
     return run(env)
+
+
+def _index(weights: dict):
+    """The closure ``env -> sum(env[s] * w)`` over the slot-weight pairs
+    of ``weights``: spelled out for one or two slots, as every unary and
+    binary atom has, and a sum over ``map`` calls otherwise."""
+    pairs = tuple(weights.items())
+    if len(pairs) == 1:
+        (a, wa), = pairs
+        return lambda env: env[a] * wa
+    if len(pairs) == 2:
+        (a, wa), (b, wb) = pairs
+        return lambda env: env[a] * wa + env[b] * wb
+    slots, ws = tuple(weights), tuple(weights.values())
+    return lambda env: sum(map(mul, map(env.__getitem__, slots), ws))
 
 
 # The most ranks a chain may have for its lines to be byte lanes: k * k
@@ -387,11 +407,15 @@ class _Compiler:
     k-rank chain become ``(int(L) * k + int(R)).to_bytes(n)`` translated
     through the k×k table read row by row, where no lane carries since
     (k - 1) * k + (k - 1) < 256.  A nested quantifier fills a
-    ``bytearray``.  Over a wider chain a line is a lazy iterable, a
+    ``bytearray``.  A quantifier folds a byte line by rank presence:
+    ``forall`` returns the first rank upward from bot that the line
+    contains, ``exists`` the first downward from top, one ``in`` test in
+    C per rank.  Over a wider chain a line is a lazy iterable, a
     ``repeat``, a ``map`` through the table, or a generator, which the
     enclosing quantifier's ``min`` or ``max`` consumes without building
-    anything longer than the universe.  Only the leaf combinators
-    ``repeated``, ``through``, ``paired`` and ``each`` tell the two apart.
+    anything longer than the universe.  Besides the folds, only the leaf
+    combinators ``repeated``, ``through``, ``paired`` and ``each`` tell
+    the two apart.  An atom's table index is a closure of ``_index``.
     """
 
     def __init__(self, structure, slots: int):
@@ -434,8 +458,8 @@ class _Compiler:
     def scalar(self, f, scope):
         if isinstance(f, Atom):
             table, weights = self.atom(f, scope)
-            pairs = tuple(weights.items())
-            return lambda env: table[sum(env[s] * w for s, w in pairs)]
+            index = _index(weights)
+            return lambda env: table[index(env)]
         if isinstance(f, Const):
             if f.kind not in self.consts:
                 raise ValueError(f"unknown constant {f.kind!r}")
@@ -451,10 +475,15 @@ class _Compiler:
             slot = self.slots
             self.slots += 1
             body = self.vector(f.body, {**scope, f.var: slot}, f.var)
+            top, bot = self.consts["top"], self.consts["bot"]
+            if self.lanes:
+                # The least or greatest rank present, by one search in C per rank.
+                up, down = range(top + 1), range(top, -1, -1)
+                if f.kind == "forall":
+                    return lambda env: next(filter(body(env).__contains__, up), top)
+                return lambda env: next(filter(body(env).__contains__, down), bot)
             if f.kind == "forall":
-                top = self.consts["top"]
                 return lambda env: min(body(env), default=top)
-            bot = self.consts["bot"]
             return lambda env: max(body(env), default=bot)
         raise TypeError(f"not a formula: {f!r}")
 
@@ -466,10 +495,10 @@ class _Compiler:
             table, weights = self.atom(f, scope)
             stride = weights.pop(slot)
             span = stride * (self.n - 1) + 1
-            pairs = tuple(weights.items())
+            index = _index(weights)
 
             def strided(env):
-                off = sum(env[s] * w for s, w in pairs)
+                off = index(env)
                 return table[off:off + span:stride]
             return strided
         if isinstance(f, BinOp):

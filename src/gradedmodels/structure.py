@@ -25,7 +25,11 @@ cached on the target structure, in its ``_derived`` dict, and go with it
 and with its renamings: the positions by loop value, built for every
 element at once, and the positions by value in an element's row and
 column, built for that element when a search first places something
-there.
+there.  ``is_isomorphic`` runs the same search from smaller candidate
+sets: each element may go only to the elements with its profile, its
+loops and the rank counts of its rows and columns, which every
+isomorphism keeps; the search walks what is left in the same order, so
+the first map it finds is the one ``find_embeddings`` finds.
 """
 
 from __future__ import annotations
@@ -380,6 +384,13 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None =
     checked when their last element is placed.
     """
     _require_compatible(m, n)
+    return _search(m, n, [(1 << len(n.universe)) - 1] * len(m.universe), fixed, limit)
+
+
+def _search(m: GradedStructure, n: GradedStructure, cand: list[int], fixed: dict | None = None,
+            limit: int | None = None) -> list[dict]:
+    """``find_embeddings`` with each element of m starting from the
+    positions of n in its bitset ``cand[s]``, rather than from all."""
     nm, nn = len(m.universe), len(n.universe)
     if nm > nn or (limit is not None and limit < 1):
         return []
@@ -391,7 +402,6 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None =
     # tuples, which the interpreter indexes faster than bytes.
     lines = [[tuple(line) for (_, arity), tm in zip(preds, m.pred_tables) if arity == 2
               for line in (tm[s * nm:(s + 1) * nm], tm[s::nm])] for s in range(nm)]
-    cand = [(1 << nn) - 1] * nm
     for (_, arity), tm, masks in zip(preds, m.pred_tables, n._loop_masks()):
         cand = [c & masks[v] for c, v in zip(cand, tm[::_diagonal_step(nm, arity)])]
     pair_masks = n._pair_masks()
@@ -466,13 +476,45 @@ def is_isomorphic(m: GradedStructure, n: GradedStructure) -> dict | None:
 
     Structures on different chains or signatures raise ``ValueError``,
     whatever their sizes.  The map is the first one ``find_embeddings``
-    finds.
+    finds.  The search starts each element of m from the elements of n
+    with the same ``_iso_keys`` profile only: an isomorphism keeps every
+    profile, so the targets left out lead to no map, and the search
+    walks the rest in the same order and finds the same first map.
     """
     _require_compatible(m, n)
     if len(m.universe) != len(n.universe):
         return None
-    found = find_embeddings(m, n, limit=1)
+    same: dict = {}
+    for d, key in enumerate(_iso_keys(n)):
+        same[key] = same.get(key, 0) | 1 << d
+    found = _search(m, n, [same.get(key, 0) for key in _iso_keys(m)], limit=1)
     return found[0] if found else None
+
+
+def _iso_keys(m: GradedStructure) -> list[tuple]:
+    """Per position, a profile that every isomorphism keeps: for each
+    predicate the element's loop and, for a binary one, the count of each
+    rank in its row and in its column, for a wider one the sorted values
+    at each argument place.  Counts are ``count`` calls per rank on the
+    row and column slices, so each element costs a few calls in C, where
+    ``_element_profile``, which ``canonical_form`` orders its groups by,
+    sorts every line."""
+    n = len(m.universe)
+    ranks, every = range(m.chain.size), range(n)
+    keys: list[tuple] = [()] * n
+    for (_, arity), table in zip(m.signature.predicates, m.pred_tables):
+        step = _diagonal_step(n, arity)
+        for i in every:
+            key = (table[i * step],)
+            if arity == 2:
+                key += (*map(table[i * n:(i + 1) * n].count, ranks),
+                        *map(table[i::n].count, ranks))
+            elif arity > 2:
+                for k in range(arity):
+                    at_k = _flat([every] * k + [[i]] + [every] * (arity - k - 1), n)
+                    key += (tuple(sorted(map(table.__getitem__, at_k))),)
+            keys[i] += key
+    return keys
 
 
 def _element_profile(m: GradedStructure, i: int):

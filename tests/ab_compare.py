@@ -34,6 +34,8 @@ import sys
 import tempfile
 import time
 
+import cli_digests
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 # Subcommands whose first word alone does not name them.
@@ -44,7 +46,6 @@ def child(root: str) -> int:
     """Serve commands from stdin: ``round`` starts a fresh directory, an
     index runs that command of ``COMMANDS``; one JSON reply per line."""
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
-    import cli_digests
     from gradedmodels import cli
 
     replies = sys.stdout
@@ -99,7 +100,10 @@ class Child:
 
 
 def group(command: list[str]) -> str:
-    """The subcommand of a command; ``check`` names its property too."""
+    """The subcommand of a command; ``check`` names its property too, and
+    the help and usage errors of ``cli_digests.USAGE`` form one group."""
+    if command in cli_digests.USAGE:
+        return "usage"
     if command[0] in NESTED:
         return " ".join(command[:2])
     if command[0] == "check":
@@ -124,8 +128,6 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    from cli_digests import COMMANDS
-
     trees = {"parent": Child(args.parent_root), "change": Child(args.change_root)}
     try:
         for name, tree in trees.items():
@@ -136,7 +138,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for name in order:
                 trees[name].ask("round")
-            for i, command in enumerate(COMMANDS):
+            for i, command in enumerate(cli_digests.COMMANDS):
                 got = {name: trees[name].ask(i) for name in order}
                 pairs.setdefault(group(command), []).append(
                     (got["parent"]["cpu"], got["change"]["cpu"]))
@@ -147,8 +149,8 @@ def main(argv=None) -> int:
         for tree in trees.values():
             tree.close()
 
-    print(f"{args.rounds} rounds of {len(COMMANDS)} commands; median and won compare "
-          "the change's process time with the parent's, pair by pair")
+    print(f"{args.rounds} rounds of {len(cli_digests.COMMANDS)} commands; median and won "
+          "compare the change's process time with the parent's, pair by pair")
     print(f"{'subcommand':<18} {'pairs':>6} {'median':>8} {'won':>6} {'parent s':>9} {'change s':>9}")
     for label in sorted(pairs):
         print(summary(label, pairs[label]))

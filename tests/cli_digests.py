@@ -8,7 +8,9 @@ It imports the package from ``src`` under the working directory and
 runs every command of ``COMMANDS`` in this process through ``cli.main``,
 in a temporary working directory.  They cover every subcommand: ``age``,
 ``eval``, ``iso``, ``limit check`` and ``sub`` run on built stages, and
-``randgraph check`` on the saved output of ``randgraph build``.  For
+``randgraph check`` on the saved output of ``randgraph build``.  The
+commands of ``USAGE`` follow, which exit through ``SystemExit``, whose
+code is taken as the exit code.  For
 each command it prints one line, the exit code and the sha256 of its
 standard output and of its standard error, then one line per file that
 the command wrote, with its sha256.
@@ -40,6 +42,8 @@ TRANSITIVITY = "forall x forall y forall z (((x < y) & (y < z)) -> (x < z))"
 # Every connective, both quantifiers, and a quantifier nested inside a
 # connective, with the bound variable on either side of it.
 MIXED = "forall x exists y ((x < y) | ((exists z ((y < z) * (z < x))) -> (y < x)))"
+
+SUBCOMMANDS = ("algebra", "eval", "iso", "age", "sub", "enumerate", "check", "limit", "randgraph")
 
 CHECKS = [("bool", 2), ("bool", 3), ("u3.chain", 2), ("luk:4", 2), ("luk:3", 2), ("luk:3", 3),
           ("godel:3", 2)]
@@ -90,7 +94,20 @@ def _randgraph_file(chain: str) -> str:
     return f"randgraph-{chain}.gs"
 
 
-COMMANDS = _commands()
+# Help and usage errors, which exit through ``SystemExit``: the top
+# level's and every subcommand's help, then one error of each kind.
+USAGE = [["-h"]] + [[name, "-h"] for name in SUBCOMMANDS] + [
+    ["limit", "build", "-h"],
+    ["frobnicate"],
+    ["enumerate", "--class", "k0", "--chain", "bool"],
+    ["check", "--class", "k9", "--chain", "bool", "--k", "2", "--property", "ap"],
+    ["iso", "k3-luk:4/stage002.gs", "k3-luk:4-replay/stage002.gs", "extra"],
+    ["limit", "build", "--seed", "1"],
+    ["limit", "build", "--class", "k0", "--chain", "bool", "--stages", "1", "--budget", "1",
+     "--out", "seeded", "--seed", "1"],
+]
+
+COMMANDS = _commands() + USAGE
 
 
 def _sha(data: bytes) -> str:
@@ -109,7 +126,9 @@ def _files() -> dict[str, str]:
 
 
 def prepare() -> None:
-    """Write the input files that ``COMMANDS`` read to the working directory."""
+    """Write the input files that ``COMMANDS`` read to the working
+    directory, and fix the width that help text is wrapped to."""
+    os.environ["COLUMNS"] = "80"
     with open("u3.chain", "w", encoding="utf-8") as fh:
         fh.write(U3_CHAIN)
 
@@ -117,11 +136,15 @@ def prepare() -> None:
 def run_command(cli, command: list[str]) -> tuple[int, str, str]:
     """Run one command of ``COMMANDS`` through ``cli.main`` in the working
     directory, after those before it: its exit code, standard output and
-    standard error.  The output of ``randgraph build`` is saved for
+    standard error; a usage error or help exits with its ``SystemExit``
+    code.  The output of ``randgraph build`` is saved for
     ``randgraph check``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(command)
+        try:
+            rc = cli.main(command)
+        except SystemExit as exc:
+            rc = exc.code
     if command[:2] == ["randgraph", "build"]:
         with open(_randgraph_file(command[3]), "w", encoding="utf-8") as fh:
             fh.write(out.getvalue())

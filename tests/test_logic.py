@@ -344,3 +344,31 @@ def test_evaluate_lines_match_reference(name, op, shape):
                    binary_structure(chain, [])]
     for m in structures:
         assert evaluate(m, f) == evaluate_reference(m, f)
+
+
+@pytest.mark.parametrize("name", ["luk:4", "u3"])
+@pytest.mark.parametrize("text", [
+    "forall x forall y (x < y)",
+    "exists x exists y (x < y)",
+    "forall x exists y ((x < y) & 1)",
+    "exists x forall y ((x < y) | (y < x))",
+    "forall y ((y < y) & (exists x (x < y)))",
+])
+def test_lane_folds_of_middle_ranks_match_reference(name, text):
+    """Every table entry, and so every line, lies strictly between bot
+    and top, so neither fold can stop at a chain end: ``forall`` must
+    find the least rank present and ``exists`` the greatest.  On ``u3``
+    the constant 1 is the middle rank."""
+    chain = chain_named(name)
+    middle = range(chain.bot + 1, chain.top)
+    f = parse_formula(text)
+    structures = [binary_structure(chain, ["a", "b"], default=v) for v in middle]
+    for seed in range(20):
+        rng = random.Random(seed)
+        ids = [f"e{i}" for i in range(rng.randint(1, 6))]
+        structures.append(binary_structure(chain, ids, {(a, b): rng.choice(middle)
+                                                        for a in ids for b in ids}))
+    for m in structures:
+        got = evaluate(m, f)
+        assert got == evaluate_reference(m, f)
+        assert chain.bot < got < chain.top

@@ -27,11 +27,11 @@ from gradedmodels.structure import (
     structure_from_text,
     structure_to_text,
 )
-from gradedmodels.structure import _rank_masks
+from gradedmodels.structure import _iso_keys, _pull, _rank_masks
 
 from age_reference import age_reference
 from conftest import FIVE_CHAINS, chain_named
-from test_logic import fold_oracle, random_qf_formula, random_structure
+from test_logic import SIG_P_LT_R, fold_oracle, random_qf_formula, random_structure
 
 
 def edge_graph(chain, spec_pairs, elems, on=None):
@@ -278,6 +278,52 @@ def test_value_multiset_difference_not_isomorphic(luk3):
     m = edge_graph(luk3, [("a", "b")], ["a", "b"], on=1)
     n = edge_graph(luk3, [("a", "b")], ["a", "b"], on=2)
     assert is_isomorphic(m, n) is None
+
+
+def shuffled(rng, m):
+    """m with its universe listed in a random order under fresh ids."""
+    n = len(m.universe)
+    order = rng.sample(range(n), n)
+    tables = tuple(_pull(table, order, n, arity)
+                   for (_, arity), table in zip(m.signature.predicates, m.pred_tables))
+    return GradedStructure(m.chain, m.signature, tuple(f"p{i}" for i in order), tables)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["bool", "luk:3", "u3", "godel:257"]), st.sampled_from([SIG_LT, SIG_P_LT_R]),
+       st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 2))
+def test_is_isomorphic_is_the_first_map_of_the_unpruned_search(name, signature, seed, size, case):
+    """The profile-matched start changes no answer and no first map:
+    against a relabelled reordering of n (case 0), the same with two
+    entries of a table swapped, which keeps most profiles (case 1), and
+    another random structure (case 2).  Sparse tables make profiles
+    collide often."""
+    rng = random.Random(seed)
+    chain = chain_named(name)
+    elems = [f"n{i}" for i in range(size)]
+    values = {(p, t): rng.randrange(chain.size) if rng.random() < 0.3 else 0
+              for p, arity in signature.predicates for t in itertools.product(elems, repeat=arity)}
+    n = make_structure(chain, elems, values, signature=signature)
+    m = shuffled(rng, n)
+    if case == 1 and size:
+        tables = [list(t) for t in m.pred_tables]
+        table = rng.choice(tables)
+        i, j = rng.randrange(len(table)), rng.randrange(len(table))
+        table[i], table[j] = table[j], table[i]
+        m = GradedStructure(chain, signature, m.universe, tuple(map(tuple, tables)))
+    elif case == 2:
+        values = {key: rng.randrange(chain.size) if rng.random() < 0.3 else 0 for key in values}
+        m = make_structure(chain, elems, values, signature=signature)
+    assert is_isomorphic(m, n) == (find_embeddings(m, n, limit=1) or [None])[0]
+
+
+def test_six_cycle_is_not_two_triangles_though_every_profile_agrees(bool_chain):
+    ids = [f"v{i}" for i in range(6)]
+    cycle = edge_graph(bool_chain, [(ids[i], ids[(i + 1) % 6]) for i in range(6)], ids)
+    triangles = edge_graph(bool_chain, [("v0", "v1"), ("v1", "v2"), ("v2", "v0"),
+                                        ("v3", "v4"), ("v4", "v5"), ("v5", "v3")], ids)
+    assert set(_iso_keys(cycle)) == set(_iso_keys(triangles)) and len(set(_iso_keys(cycle))) == 1
+    assert is_isomorphic(cycle, triangles) is None
 
 
 def test_canonical_form_sound_on_enumerated_sets(luk3):
