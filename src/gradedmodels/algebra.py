@@ -5,8 +5,10 @@ monoid operation (``conj_table``) with neutral element ``one``, the
 residuum derived from it (``res_table``), and the two distinguished
 constants ``one`` (threshold of the designated filter) and ``zero`` (the
 falsum constant, whose position in the chain is unconstrained).  Meet
-and join are min and max of ranks.  Chains are immutable and safe to
-share.
+and join are min and max of ranks.  A chain has at most ``MAX_RANKS``
+ranks, so that a rank fits in a byte; every constructor and reader
+checks the size before it builds a table.  Chains are immutable and safe
+to share.
 """
 
 from __future__ import annotations
@@ -28,17 +30,30 @@ __all__ = [
     "chain_to_text",
 ]
 
+# The most ranks a chain may have: a rank is one byte of a table.
+MAX_RANKS = 256
+
+
+def _check_size(size: int) -> None:
+    """A chain has 2 to ``MAX_RANKS`` ranks, or ``ValueError``."""
+    if size < 2:
+        raise ValueError(f"chain size must be at least 2, got {size}")
+    if size > MAX_RANKS:
+        raise ValueError(f"chain size must be at most {MAX_RANKS}, got {size}")
+
+
 @dataclass(frozen=True)
 class Chain:
     """A validated finite residuated chain.
 
     ``conj_table[a][b]`` is the monoid operation; ``res_table[a][c]`` is
     the largest b with conj(a, b) <= c, which exists for every a, c once
-    the table passes validation.  The constructor checks the shape and
-    ranks of the table, raising ``ValueError``, and then neutrality of
-    ``one``, monotonicity, commutativity, associativity and existence of
-    residua, raising ``ChainTableError`` naming the first failed axiom
-    with a witness.
+    the table passes validation.  The constructor checks the size, 2 to
+    ``MAX_RANKS``, before it reads the table, then the shape and ranks of
+    the table, raising ``ValueError``, and then neutrality of ``one``,
+    monotonicity, commutativity, associativity and existence of residua,
+    raising ``ChainTableError`` naming the first failed axiom with a
+    witness.
     """
 
     size: int
@@ -50,8 +65,7 @@ class Chain:
 
     def __post_init__(self):
         size, one, zero = self.size, self.one, self.zero
-        if size < 2:
-            raise ValueError(f"chain size must be at least 2, got {size}")
+        _check_size(size)
         table = tuple(tuple(row) for row in self.conj_table)
         if len(table) != size or any(len(row) != size for row in table):
             raise ValueError(f"conjunction table must be {size}x{size}")
@@ -147,6 +161,7 @@ def _build_res_table(size: int, table) -> tuple[tuple[int, ...], ...]:
 
 def make_lukasiewicz(n: int) -> Chain:
     """Lukasiewicz chain on n ranks: a*b = max(0, a+b-(n-1)), one = top."""
+    _check_size(n)
     table = [[max(0, a + b - (n - 1)) for b in range(n)] for a in range(n)]
     name = "bool" if n == 2 else f"luk:{n}"
     return Chain(n, table, one=n - 1, zero=0, name=name)
@@ -154,6 +169,7 @@ def make_lukasiewicz(n: int) -> Chain:
 
 def make_godel(n: int) -> Chain:
     """Godel chain on n ranks: a*b = min(a, b), one = top."""
+    _check_size(n)
     table = [[min(a, b) for b in range(n)] for a in range(n)]
     return Chain(n, table, one=n - 1, zero=0, name=f"godel:{n}")
 
@@ -174,13 +190,15 @@ def chain_from_text(text: str) -> Chain:
     """Parse the line-oriented chain format.
 
     Header ``chain <name> <n> one=<r> zero=<r>`` followed by n rows of n
-    space-separated ranks.  Trailing garbage is rejected.
+    space-separated ranks.  Trailing garbage is rejected, and so is a
+    size above ``MAX_RANKS``, before any row is read.
     """
     return Chain(**_chain_fields(text))
 
 
 def _chain_fields(text: str) -> dict:
-    """The ``Chain`` arguments read from the chain format, unvalidated."""
+    """The ``Chain`` arguments read from the chain format, unvalidated
+    but for a size above ``MAX_RANKS``, which raises ``FileFormatError``."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise FileFormatError("empty chain file")
@@ -192,6 +210,8 @@ def _chain_fields(text: str) -> dict:
         size = int(head[2])
     except ValueError:
         raise FileFormatError(f"bad chain size: {head[2]!r}") from None
+    if size > MAX_RANKS:
+        raise FileFormatError(f"chain size must be at most {MAX_RANKS}, got {size}")
     params = {}
     for part in head[3:]:
         key, _, val = part.partition("=")
@@ -230,7 +250,7 @@ def resolve_chain(ref: str) -> Chain:
                 raise FileFormatError(f"bad chain reference: {ref!r}") from None
             try:
                 return maker(n)
-            except ValueError as exc:  # fewer than two ranks
+            except ValueError as exc:  # fewer than 2 or more than MAX_RANKS ranks
                 raise FileFormatError(str(exc)) from None
     if not os.path.exists(ref):
         raise FileFormatError(f"unknown chain reference and no such file: {ref!r}")

@@ -163,12 +163,6 @@ def _level_code(levels, size: int) -> bytes:
                  for v in range(size)).ljust(256, b"\0")
 
 
-def _cut(line, code: bytes) -> bytes:
-    """The cells of ``line`` coded by ``code`` (see ``_level_code``), one byte each."""
-    # A chain of more than 256 ranks keeps tuple tables, coded cell by cell.
-    return line.translate(code) if type(line) is bytes else bytes(map(code.__getitem__, line))
-
-
 def _cut_lines(m: GradedStructure, code: bytes) -> tuple[list[int], list[int]]:
     """The rows and the columns of m's ``<`` table coded by ``code``, each
     as an int of its coded cells, first cell lowest: cached in m's
@@ -183,7 +177,7 @@ def _cut_lines(m: GradedStructure, code: bytes) -> tuple[list[int], list[int]]:
     lines = cache.get(code)
     if lines is None:
         n = len(m.universe)
-        cut = _cut(m.pred_tables[0], code)
+        cut = m.pred_tables[0].translate(code)
         lines = cache[code] = ([int.from_bytes(cut[i:i + n], "little") for i in range(0, n * n, n)],
                                [int.from_bytes(cut[p::n], "little") for p in range(n)])
     return lines
@@ -213,7 +207,7 @@ def _carry_cut_lines(arm1: GradedStructure, out: GradedStructure) -> None:
         new_rows, new_cols = [], []
         for j in range(n1, n):
             shift = 8 * j
-            col, row = _cut(lt[j::n], code), _cut(lt[j * n:(j + 1) * n], code)
+            col, row = lt[j::n].translate(code), lt[j * n:(j + 1) * n].translate(code)
             for p in itertools.compress(old, col):
                 rows[p] |= col[p] << shift
             for p in itertools.compress(old, row):
@@ -383,18 +377,17 @@ def _amalgam_frame(v: VFormation):
     each j, two columns over the first arm's positions: forward[j][x] is
     the value of (x, ext2[j]) and backward[j][x] that of (ext2[j], x).
     A base element's cells take the second arm's values instead of the
-    columns' entries.  The table is built by rows, joined in the arms'
-    container: a first-arm row is a slice of the first arm's table
-    followed by its cells against ext2, cut from a block that the
-    forward columns fill by strided assignment; a row of a new
-    second-arm element is its backward column with the base cells
-    overwritten, followed by its cells against ext2.
+    columns' entries.  The table is built by rows, joined as ``bytes``:
+    a first-arm row is a slice of the first arm's table followed by its
+    cells against ext2, cut from a block that the forward columns fill by
+    strided assignment; a row of a new second-arm element is its backward
+    column with the base cells overwritten, followed by its cells against
+    ext2.
     """
     arm1, arm2 = v.arm1, v.arm2
     if arm1.signature != SIG_LT:
         raise ValueError("amalgamation recipes are defined over the one-binary-predicate signature")
     lt1, lt2 = arm1.pred_tables[0], arm2.pred_tables[0]
-    kind = type(lt1)
     n1, n2 = len(arm1.universe), len(arm2.universe)
     ext2 = [y for y, e in enumerate(arm2.universe) if e not in arm1.positions]
     m = len(ext2)
@@ -406,9 +399,9 @@ def _amalgam_frame(v: VFormation):
             block[j::m] = col
         for p, q in v.shared:
             block[p * m:(p + 1) * m] = [lt2[q * n2 + y] for y in ext2]
-        block = kind(block)
-        # Rows of a bytes table are joined from views, copied once, by the join.
-        rows1 = memoryview(lt1) if kind is bytes else lt1
+        block = bytes(block)
+        # The first arm's rows are joined from views, copied once, by the join.
+        rows1 = memoryview(lt1)
         parts = []
         for p in range(n1):
             parts += (rows1[p * n1:(p + 1) * n1], block[p * m:(p + 1) * m])
@@ -416,8 +409,8 @@ def _amalgam_frame(v: VFormation):
             row = list(col)
             for p, q in v.shared:
                 row[p] = lt2[y * n2 + q]
-            parts += (kind(row), kind([lt2[y * n2 + z] for z in ext2]))
-        return b"".join(parts) if kind is bytes else tuple(itertools.chain.from_iterable(parts))
+            parts += (bytes(row), bytes([lt2[y * n2 + z] for z in ext2]))
+        return b"".join(parts)
 
     return universe, ext2, assemble
 

@@ -106,8 +106,9 @@ class Transcript:
     @staticmethod
     def from_json(text: str) -> "Transcript":
         """Parse ``to_json`` output; a missing key, a value of the wrong
-        type, a negative ``stages`` or ``budget``, or an event outside the
-        recorded stages raises ``FileFormatError``."""
+        type, a negative ``stages`` or ``budget``, an event outside the
+        recorded stages, or a chain that ``Chain`` rejects, such as one of
+        more than ``algebra.MAX_RANKS`` ranks, raises ``FileFormatError``."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -381,9 +382,8 @@ def check_random_graph_property(m: GradedStructure, max_x: int) -> list[WitnessD
         raise BudgetError(f"{total} demands exceed the cap of {_RANDGRAPH_CAP}")
     lt = m.pred_tables[0]
     rows = [lt[w * n:(w + 1) * n] for w in range(n)]
-    # Each row as one int, for the subsets whose maps fit in a byte; above
-    # 256 ranks only the empty X does, and it reads no row.
-    codes = [int.from_bytes(row, "big") for row in rows] if k <= 256 else None
+    # Each row as one int, for the subsets whose maps fit in a byte.
+    codes = [int.from_bytes(row, "big") for row in rows]
     defects = []
     for s in range(max_x + 1):
         demands = k ** s

@@ -11,24 +11,20 @@ quantifier.  A quantifier's body is compiled as a vector over the bound
 variable: a line of its values at every position at once, read as
 strided slices of the predicate tables and combined through the chain's
 operation tables, then folded to its least (``forall``) or greatest
-(``exists``) rank.  Over a chain of at most 16 ranks a line is ``bytes``
-with one rank per byte lane, a connective is one ``translate``, or for
-two lines one big-int sum L * k + R translated through the k×k table
-(no lane carries, since (k - 1) * k + (k - 1) < 256 when k <= 16), and
-a fold asks the line for each rank in turn, from the bottom for
-``forall`` and from the top for ``exists``, and stops at the first one
-present.  Wider chains keep lazy lines, ``map`` chains through the
-tables, which ``min`` and ``max`` fold.  The choice
-rests on the chain's size alone.  The module reads structures only
-through their attributes (``chain``, ``signature``, ``universe``,
-``pred_tables``, ``positions``) and imports nothing else from the
-package but ``errors``.
+(``exists``) rank.  A line is ``bytes``, one rank per byte, as a table
+is.  A connective is one ``translate``, or for two lines over a chain
+of at most 16 ranks one big-int sum L * k + R translated through the
+k×k table, and a fold asks the line for each rank in turn, from the
+bottom for ``forall`` and from the top for ``exists``, and stops at the
+first one present.  The module reads structures only through their
+attributes (``chain``, ``signature``, ``universe``, ``pred_tables``,
+``positions``) and imports nothing else from the package but
+``errors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import getitem, mul
 
 from .errors import FormulaParseError
@@ -340,11 +336,9 @@ def evaluate(structure, formula, assignment=None) -> int:
     quantifier's body is compiled as a line of its values at every
     position of the bound variable, which the quantifier folds to its
     least or greatest rank; nothing longer than the universe is built.
-    Over a chain of at most 16 ranks a line is ``bytes``, one rank per
-    byte, each connective over it is a few calls in C, and the fold is
-    the first rank, from the bottom or the top, that the line contains;
-    over a wider chain a line is a lazy ``map`` chain folded by ``min``
-    or ``max`` (see ``_Compiler``).
+    A line is ``bytes``, one rank per byte, each connective over it is a
+    few calls in C, and the fold is the first rank, from the bottom or
+    the top, that the line contains (see ``_Compiler``).
     Every atom is checked against the signature while compiling: an
     uninterpreted symbol or a wrong argument count raises
     ``ValueError`` whatever the universe size.  So does a constant,
@@ -382,8 +376,8 @@ def _index(weights: dict):
     return lambda env: sum(map(mul, map(env.__getitem__, slots), ws))
 
 
-# The most ranks a chain may have for its lines to be byte lanes: k * k
-# lane values must fit in a byte (see ``_Compiler``).
+# The most ranks a chain may have for two lines to be combined by one
+# big-int sum: k * k lane values must fit in a byte (see ``_Compiler``).
 _LANE_RANKS = 16
 
 
@@ -399,23 +393,20 @@ class _Compiler:
     operation table, a connective of two lines combines them position by
     position, and a nested quantifier runs at each position.
 
-    Over a chain of at most ``_LANE_RANKS`` ranks a line is ``bytes``, one
-    rank per byte lane, so each step is a call in C: a repeat is
-    ``bytes((v,)) * n``, a connective with a scalar side is one
-    ``translate`` of the line through that rank's row or column of the
-    operation table, padded to 256 entries, and lines L and R of a
-    k-rank chain become ``(int(L) * k + int(R)).to_bytes(n)`` translated
-    through the k×k table read row by row, where no lane carries since
-    (k - 1) * k + (k - 1) < 256.  A nested quantifier fills a
-    ``bytearray``.  A quantifier folds a byte line by rank presence:
-    ``forall`` returns the first rank upward from bot that the line
-    contains, ``exists`` the first downward from top, one ``in`` test in
-    C per rank.  Over a wider chain a line is a lazy iterable, a
-    ``repeat``, a ``map`` through the table, or a generator, which the
-    enclosing quantifier's ``min`` or ``max`` consumes without building
-    anything longer than the universe.  Besides the folds, only the leaf
-    combinators ``repeated``, ``through``, ``paired`` and ``each`` tell
-    the two apart.  An atom's table index is a closure of ``_index``.
+    A line is ``bytes``, one rank per byte, so each step is a call in C:
+    a repeat is ``bytes((v,)) * n``, a connective with a scalar side is
+    one ``translate`` of the line through that rank's row or column of
+    the operation table, padded to 256 entries, and a nested quantifier
+    fills a ``bytearray``.  Over a chain of at most ``_LANE_RANKS`` ranks,
+    lines L and R of a k-rank chain become
+    ``(int(L) * k + int(R)).to_bytes(n)`` translated through the k×k
+    table read row by row, where no lane carries since
+    (k - 1) * k + (k - 1) < 256; over a wider chain they are paired in a
+    ``map`` through the table.  A quantifier folds a line by rank
+    presence: ``forall`` returns the first rank upward from bot that the
+    line contains, ``exists`` the first downward from top, one ``in``
+    test in C per rank.  An atom's table index is a closure of
+    ``_index``.
     """
 
     def __init__(self, structure, slots: int):
@@ -423,7 +414,6 @@ class _Compiler:
         k = chain.size
         self.n = len(structure.universe)
         self.slots = slots
-        self.lanes = k <= _LANE_RANKS
         self.tables = {name: (arity, table) for (name, arity), table
                        in zip(structure.signature.predicates, structure.pred_tables)}
         self.consts = {"0": chain.zero, "1": chain.one, "bot": chain.bot, "top": chain.top}
@@ -476,15 +466,11 @@ class _Compiler:
             self.slots += 1
             body = self.vector(f.body, {**scope, f.var: slot}, f.var)
             top, bot = self.consts["top"], self.consts["bot"]
-            if self.lanes:
-                # The least or greatest rank present, by one search in C per rank.
-                up, down = range(top + 1), range(top, -1, -1)
-                if f.kind == "forall":
-                    return lambda env: next(filter(body(env).__contains__, up), top)
-                return lambda env: next(filter(body(env).__contains__, down), bot)
+            # The least or greatest rank present, by one search in C per rank.
+            up, down = range(top + 1), range(top, -1, -1)
             if f.kind == "forall":
-                return lambda env: min(body(env), default=top)
-            return lambda env: max(body(env), default=bot)
+                return lambda env: next(filter(body(env).__contains__, up), top)
+            return lambda env: next(filter(body(env).__contains__, down), bot)
         raise TypeError(f"not a formula: {f!r}")
 
     def vector(self, f, scope, var):
@@ -517,44 +503,33 @@ class _Compiler:
     def repeated(self, value):
         """The line of ``n`` copies of the rank ``value`` gives."""
         n = self.n
-        if self.lanes:
-            return lambda env: bytes((value(env),)) * n
-        return lambda env: repeat(value(env), n)
+        return lambda env: bytes((value(env),)) * n
 
     def through(self, tab, scalar, line):
         """The line of ``tab[a][b]``, for a the rank ``scalar`` gives and
         b each rank of ``line``."""
-        if self.lanes:
-            rows = tuple(bytes(row).ljust(256, b"\0") for row in tab)
-            return lambda env: line(env).translate(rows[scalar(env)])
-        rows = tuple(row.__getitem__ for row in tab)
-        return lambda env: map(rows[scalar(env)], line(env))
+        rows = tuple(bytes(row).ljust(256, b"\0") for row in tab)
+        return lambda env: line(env).translate(rows[scalar(env)])
 
     def paired(self, tab, left, right):
         """The line of ``tab[a][b]``, for a and b the ranks of ``left``
         and ``right`` at the same position."""
-        if self.lanes:
-            k, n = len(tab), self.n
+        k, n = len(tab), self.n
+        if k <= _LANE_RANKS:
             flat = bytes(v for row in tab for v in row).ljust(256, b"\0")
             return lambda env: (int.from_bytes(left(env), "big") * k
                                 + int.from_bytes(right(env), "big")).to_bytes(n, "big").translate(flat)
         rows = tab.__getitem__
-        return lambda env: map(getitem, map(rows, left(env)), right(env))
+        return lambda env: bytes(map(getitem, map(rows, left(env)), right(env)))
 
     def each(self, inner, slot):
         """The line of the ranks ``inner`` gives with ``slot`` at each position."""
         n = self.n
-        if self.lanes:
-            def filled(env):
-                line = bytearray(n)
-                for p in range(n):
-                    env[slot] = p
-                    line[p] = inner(env)
-                return line
-            return filled
 
-        def lazy(env):
+        def filled(env):
+            line = bytearray(n)
             for p in range(n):
                 env[slot] = p
-                yield inner(env)
-        return lazy
+                line[p] = inner(env)
+            return line
+        return filled

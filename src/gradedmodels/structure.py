@@ -10,14 +10,10 @@ positions (i_1, ..., i_k).  String ids matter only at the boundary:
 Structures are immutable, hashable values; renaming is explicit.  All
 operations here are pure.
 
-The chain picks the container of every table.  Over a chain of at most
-256 ranks, as every built-in chain is, a table is ``bytes``, one byte
-per entry: it is validated by one ``translate``, sliced, joined and
-compared at memory speed, and a rank is still an int when read.  A
-larger chain keeps a ``tuple`` of ints.  Both index, slice, iterate and
-hash alike, so reading code does not branch; code that builds a table
-makes it in the container of the tables it reads (``type(table)``), and
-the constructor accepts either container and stores the chain's.
+Every table is ``bytes``: one rank per byte, at most 256 ranks
+(``algebra.MAX_RANKS``).  A table is validated by one ``translate``,
+sliced, joined and compared at memory speed, and a rank is still an int
+when read.
 
 ``find_embeddings`` is a forward-checking search over candidate sets
 kept as Python-int bitsets of target positions.  The masks it reads are
@@ -35,7 +31,6 @@ the first map it finds is the one ``find_embeddings`` finds.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import comb
@@ -93,34 +88,24 @@ def _ranks_below(size: int) -> bytes:
     return bytes(range(size))
 
 
-def _check_table(table, length: int, size: int, pname: str):
-    """The table of predicate ``pname`` is a tuple or ``bytes`` of
-    ``length`` ranks, each in 0..size-1; returns it in the container of a
-    chain of ``size`` ranks.
+def _check_table(table, length: int, size: int, pname: str) -> bytes:
+    """The table of predicate ``pname``, a tuple or ``bytes`` of
+    ``length`` ranks, each in 0..size-1, as ``bytes``.
 
-    A chain of at most 256 ranks stores ``bytes``: a tuple is converted
-    by ``bytes()``, which rejects every entry that is not an int in
-    0..255, and the ranks are in range exactly when deleting every byte
-    below ``size`` leaves nothing.  A larger chain stores a tuple, whose
-    entries are checked one by one; a ``bytes`` table is in range there.
+    A tuple is converted by ``bytes()``, which rejects every entry that
+    is not an int in 0..255, and the ranks are in range exactly when
+    deleting every byte below ``size`` leaves nothing.
     """
     if type(table) not in (tuple, bytes) or len(table) != length:
         raise ValueError(f"interpretation of predicate {pname!r} is not a total table "
                          f"of {length} entries")
-    if size <= 256:
-        if type(table) is tuple:
-            try:
-                table = bytes(table)
-            except (TypeError, ValueError):
-                table = None
-        if table is not None and not table.translate(None, _ranks_below(size)):
-            return table
-    elif type(table) is bytes:
-        return tuple(table)
-    elif not table or (all(map(isinstance, table, itertools.repeat(int)))
-                       and min(table) >= 0 and max(table) < size):
-        return table
-    raise ValueError(f"interpretation of predicate {pname!r} has an entry outside 0..{size - 1}")
+    try:
+        table = bytes(table)
+    except (TypeError, ValueError):
+        table = None
+    if table is None or table.translate(None, _ranks_below(size)):
+        raise ValueError(f"interpretation of predicate {pname!r} has an entry outside 0..{size - 1}")
+    return table
 
 
 def _flat(coords, n: int) -> list[int]:
@@ -132,10 +117,10 @@ def _flat(coords, n: int) -> list[int]:
     return flat
 
 
-def _pull(table, pos, n: int, arity: int):
+def _pull(table: bytes, pos, n: int, arity: int) -> bytes:
     """The table over the elements at ``pos`` (in that order) of a table
-    over n elements, in the same container."""
-    return type(table)(map(table.__getitem__, _flat([pos] * arity, n)))
+    over n elements."""
+    return bytes(map(table.__getitem__, _flat([pos] * arity, n)))
 
 
 @dataclass(frozen=True)
@@ -145,10 +130,7 @@ class GradedStructure:
     ``pred_tables`` follows ``signature.predicates`` and holds ranks of
     ``chain``.  The constructor validates, so code reading the tables
     checks nothing again.  It takes each table as a tuple or as
-    ``bytes`` and stores it in the chain's container: ``bytes`` for a
-    chain of at most 256 ranks, a tuple above that (see
-    ``_check_table``), so equal tables compare and hash equal whichever
-    container they came in.
+    ``bytes`` and stores it as ``bytes``.
     Equality and hashing ignore ``name``.
 
     Two constructions skip the validation, because their input is
@@ -168,7 +150,7 @@ class GradedStructure:
     chain: Chain
     signature: Signature
     universe: tuple[str, ...]
-    pred_tables: tuple[bytes | tuple[int, ...], ...]
+    pred_tables: tuple[bytes, ...]
     name: str = field(default="s", compare=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -238,7 +220,7 @@ def _trusted(chain: Chain, signature: Signature, universe: tuple, pred_tables: t
              positions: dict | None = None) -> GradedStructure:
     """A structure built without validation, for callers whose input is
     already valid: the ids a nonrepeating tuple of good ids and the
-    tables in the chain's container with ranks in range.
+    tables ``bytes`` with ranks in range.
 
     ``derived`` becomes its ``_derived`` cache, shared with the caller,
     and ``positions``, when given, its ``positions``.
@@ -323,20 +305,14 @@ def _rank_digits(rank: int) -> bytes:
     return b"0" * rank + b"1" + b"0" * (255 - rank)
 
 
-def _rank_masks(values, size: int) -> list[int]:
+def _rank_masks(values: bytes, size: int) -> list[int]:
     """Rank -> bitset of the places in ``values`` that hold that rank.
 
-    A ``bytes`` line, reversed so that place 0 is the lowest bit, becomes
-    each rank's mask as one ``translate`` to binary digits read by
-    ``int``; a tuple line is read place by place.
+    The line, reversed so that place 0 is the lowest bit, becomes each
+    rank's mask as one ``translate`` to binary digits read by ``int``.
     """
-    if type(values) is bytes:
-        line = values[::-1]
-        return [int(line.translate(_rank_digits(v)), 2) if line else 0 for v in range(size)]
-    masks = [0] * size
-    for place, v in enumerate(values):
-        masks[v] |= 1 << place
-    return masks
+    line = values[::-1]
+    return [int(line.translate(_rank_digits(v)), 2) if line else 0 for v in range(size)]
 
 
 def _wide_atoms_kept(wide, nm: int, nn: int, placed: list, src: int, dst: int) -> bool:
@@ -545,10 +521,8 @@ def canonical_form(m: GradedStructure) -> bytes:
     orderings.  Elements are first grouped by an invariant profile and
     only orderings listing the profile groups in sorted profile order
     are tried; the grouping is itself invariant, so the minimum over
-    this restricted set is still a complete invariant.  Tables of one
-    size compare in the same order as ``bytes`` and as tuples, and the
-    winner is rendered with its tables as tuples, so the form does not
-    depend on the container.
+    this restricted set is still a complete invariant.  The winner is
+    rendered with its tables as tuples of ints.
     """
     groups: dict = {}
     for i in range(len(m.universe)):
@@ -666,27 +640,21 @@ def structure_to_text(m: GradedStructure) -> str:
     The default rank is the most frequent value (ties to the smallest),
     and only non-default tuples get explicit lines.  Signatures other
     than the standard one-binary-predicate one are declared on a
-    ``predicates`` line.  The ranks are counted by ``bytes.count``, or a
-    ``Counter`` for tuple tables, and the non-default tuples are picked
-    by ``itertools.compress`` with the table marked by ``translate`` (or
-    ``!=`` for a tuple), so only they are visited in Python.
+    ``predicates`` line.  The ranks are counted by ``bytes.count``, and
+    the non-default tuples are picked by ``itertools.compress`` with the
+    table marked by ``translate``, so only they are visited in Python.
     """
     lines = [f"structure {m.name} chain={m.chain.name}"]
     if m.signature != SIG_LT:
         decl = " ".join(f"{p}:{a}" for p, a in m.signature.predicates)
         lines.append(f"predicates {decl}")
     lines.append("elements " + " ".join(m.universe) if m.universe else "elements")
-    if all(type(table) is bytes for table in m.pred_tables):
-        counts = {v: sum(table.count(v) for table in m.pred_tables) for v in range(m.chain.size)}
-    else:
-        counts = Counter(itertools.chain.from_iterable(m.pred_tables))
+    counts = {v: sum(table.count(v) for table in m.pred_tables) for v in range(m.chain.size)}
     default = min(counts, key=lambda v: (-counts[v], v)) if any(counts.values()) else 0
     lines.append(f"default {default}")
     for (pname, arity), table in zip(m.signature.predicates, m.pred_tables):
-        marks = (table.translate(_other_ranks(default)) if type(table) is bytes
-                 else map(default.__ne__, table))
         cells = zip(itertools.product(m.universe, repeat=arity), table)
-        for t, v in itertools.compress(cells, marks):
+        for t, v in itertools.compress(cells, table.translate(_other_ranks(default))):
             lines.append(f"{pname} {' '.join(t)} = {v}")
     return "\n".join(lines) + "\n"
 
@@ -782,7 +750,7 @@ def structure_from_text(text: str, chain: Chain | None = None) -> GradedStructur
         written.add((pname, flat))
         tables[pname][flat] = rank
     try:
-        return GradedStructure(chain, signature, elements, tuple(map(tuple, tables.values())),
+        return GradedStructure(chain, signature, elements, tuple(map(bytes, tables.values())),
                                name=name)
     except ValueError as exc:  # a repeated or malformed element id
         raise FileFormatError(f"bad elements line: {exc}") from None

@@ -8,7 +8,9 @@ It imports the package from ``src`` under the working directory and
 runs every command of ``COMMANDS`` in this process through ``cli.main``,
 in a temporary working directory.  They cover every subcommand: ``age``,
 ``eval``, ``iso``, ``limit check`` and ``sub`` run on built stages, and
-``randgraph check`` on the saved output of ``randgraph build``.  The
+``randgraph check`` on the saved output of ``randgraph build``, and
+``eval``, ``iso`` and ``sub`` also on the ``WIDE`` files, over chains of
+20 to 256 ranks.  The
 commands of ``USAGE`` follow, which exit through ``SystemExit``, whose
 code is taken as the exit code.  For
 each command it prints one line, the exit code and the sha256 of its
@@ -29,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 
@@ -47,6 +50,12 @@ SUBCOMMANDS = ("algebra", "eval", "iso", "age", "sub", "enumerate", "check", "li
 
 CHECKS = [("bool", 2), ("bool", 3), ("u3.chain", 2), ("luk:4", 2), ("luk:3", 2), ("luk:3", 3),
           ("godel:3", 2)]
+
+# Structures over chains wider than 16 ranks, up to the widest, whose top
+# rank is byte 255: file name -> (chain, element count).  ``prepare``
+# writes each with seeded random values, and for luk256.gs also a
+# relabelled reordering and a restriction of it.
+WIDE = {"luk20.gs": ("luk:20", 20), "godel200.gs": ("godel:200", 20), "luk256.gs": ("luk:256", 12)}
 
 
 def _commands() -> list[list[str]]:
@@ -85,6 +94,15 @@ def _commands() -> list[list[str]]:
         ["eval", "--structure", stage, "--formula", TRANSITIVITY],
         ["eval", "--structure", stage, "--formula", "x < y", "--assign", "x=x0,y=n0",
          "--format", "tsv"],
+    ]
+    commands += [["eval", "--structure", path, "--formula", formula]
+                 for path in ("luk20.gs", "godel200.gs") for formula in (TRANSITIVITY, MIXED)]
+    commands.append(["eval", "--structure", "luk256.gs", "--formula", TRANSITIVITY])
+    commands += [
+        ["algebra", "show", "luk:20"],
+        ["iso", "luk256.gs", "luk256-relabelled.gs"],
+        ["sub", "luk256-part.gs", "luk256.gs"],
+        ["sub", "luk256-part.gs", "luk256-relabelled.gs"],
     ]
     return commands
 
@@ -125,12 +143,38 @@ def _files() -> dict[str, str]:
     return found
 
 
+def _structure_text(name: str, chain: str, ids: list[str], values: dict) -> str:
+    """The structure file of ``values``, an (id, id) -> rank dict, with
+    default 0 and a line for every other cell."""
+    lines = [f"structure {name} chain={chain}", "elements " + " ".join(ids), "default 0"]
+    lines += [f"< {a} {b} = {values[a, b]}" for a in ids for b in ids if values[a, b]]
+    return "\n".join(lines) + "\n"
+
+
 def prepare() -> None:
     """Write the input files that ``COMMANDS`` read to the working
     directory, and fix the width that help text is wrapped to."""
     os.environ["COLUMNS"] = "80"
     with open("u3.chain", "w", encoding="utf-8") as fh:
         fh.write(U3_CHAIN)
+    rng = random.Random(26)
+    for path, (chain, size) in WIDE.items():
+        ids = [f"w{i}" for i in range(size)]
+        top = int(chain.partition(":")[2]) - 1
+        # Cells in the upper half of the chain, so that the formulas come
+        # out strictly between bot and top.
+        values = {(a, b): rng.choice((top, rng.randrange(top // 2, top + 1))) for a in ids for b in ids}
+        texts = {path: _structure_text("wide", chain, ids, values)}
+        if path == "luk256.gs":
+            order = rng.sample(ids, size)
+            renamed = {e: f"r{e[1:]}" for e in ids}
+            texts["luk256-relabelled.gs"] = _structure_text(
+                "relabelled", chain, [renamed[e] for e in order],
+                {(renamed[a], renamed[b]): v for (a, b), v in values.items()})
+            texts["luk256-part.gs"] = _structure_text("part", chain, ids[::2], values)
+        for name, text in texts.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 def run_command(cli, command: list[str]) -> tuple[int, str, str]:

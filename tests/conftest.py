@@ -17,13 +17,6 @@ FIVE_CHAINS = (
 )
 
 
-@functools.cache
-def godel257():
-    """The 257-rank Goedel chain, whose ranks do not fit in a byte; it
-    takes about half a second to build, so it is built once."""
-    return make_godel(257)
-
-
 def uninorm_chain(size, one, zero=0, name=None):
     """The idempotent uninorm chain of ``size`` ranks with unit ``one``,
     for any one >= 1: the max when both arguments are at least ``one``,
@@ -34,11 +27,11 @@ def uninorm_chain(size, one, zero=0, name=None):
     return Chain(size, conj, one=one, zero=zero, name=name or f"uninorm{size}.{one}")
 
 
+@functools.cache
 def chain_named(name):
-    """One of ``FIVE_CHAINS``, ``godel:257``, or any chain that
-    ``resolve_chain`` names, such as ``luk:16``, by name."""
-    if name == "godel:257":
-        return godel257()
+    """One of ``FIVE_CHAINS``, or any chain that ``resolve_chain`` names,
+    such as ``luk:16`` or ``luk:256``, by name; built once, since the
+    widest take a fraction of a second."""
     return {c.name: c for c in FIVE_CHAINS}.get(name) or resolve_chain(name)
 
 

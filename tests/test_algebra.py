@@ -16,7 +16,7 @@ from gradedmodels.algebra import (
 )
 from gradedmodels.errors import ChainTableError, FileFormatError
 
-from conftest import U3_ROWS
+from conftest import U3_ROWS, chain_named
 
 
 def res_by_scan(chain, a, c):
@@ -308,3 +308,54 @@ def test_resolve_chain_refs():
     for ref in ("luk:1", "godel:0"):
         with pytest.raises(FileFormatError, match="^chain size must be at least 2, got"):
             resolve_chain(ref)
+
+
+# --- at most 256 ranks: one rank per byte ---
+
+TOO_WIDE = "^chain size must be at most 256, got "
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Every table the algebra module builds or scans walks a ``range``:
+    with ``range`` gone from the module, building one raises."""
+    def no_range(*args):
+        raise AssertionError("a chain table was built")
+    monkeypatch.setattr(algebra, "range", no_range, raising=False)
+
+
+def test_the_cap_is_one_rank_per_byte():
+    assert algebra.MAX_RANKS == 256
+    assert chain_named("luk:256").top == 255
+
+
+def test_chain_rejects_257_ranks_before_reading_its_table():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("the table was read")
+
+    with pytest.raises(ValueError, match=TOO_WIDE + "257$"):
+        Chain(257, Unread(), one=256, zero=0)
+
+
+@pytest.mark.parametrize("make", [make_lukasiewicz, make_godel], ids=["luk", "godel"])
+def test_makers_reject_257_ranks_before_building_a_row(make, no_tables):
+    for n in (257, 1500, 100000):
+        with pytest.raises(ValueError, match=TOO_WIDE + f"{n}$"):
+            make(n)
+
+
+@pytest.mark.parametrize("ref", ["luk:257", "godel:257", "godel:1500", "godel:100000"])
+def test_resolve_chain_rejects_more_than_256_ranks_at_once(ref, no_tables):
+    with pytest.raises(FileFormatError, match=TOO_WIDE + ref.partition(":")[2] + "$"):
+        resolve_chain(ref)
+
+
+def test_chain_files_reject_257_ranks_before_reading_a_row(tmp_path, no_tables):
+    text = "chain w 257 one=256 zero=0\nnot a row\n"
+    with pytest.raises(FileFormatError, match=TOO_WIDE + "257$"):
+        chain_from_text(text)
+    path = tmp_path / "w.chain"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=TOO_WIDE + "257$"):
+        resolve_chain(str(path))

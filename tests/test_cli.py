@@ -404,6 +404,16 @@ MALFORMED_TRANSCRIPTS = {
 }
 
 
+@pytest.mark.parametrize("argv", [["algebra", "show", "godel:257"],
+                                  ["check", "--class", "k0", "--chain", "luk:257", "--k", "2",
+                                   "--property", "ap"]])
+def test_a_chain_of_257_ranks_is_an_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: chain size must be at most 256, got 257\n"
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_TRANSCRIPTS))
 def test_malformed_transcripts_are_file_format_errors(case, tmp_path, capsys):
     assert Transcript.from_json(json.dumps(GOOD_TRANSCRIPT)).events

@@ -17,14 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedmodels import classes
-from gradedmodels.algebra import make_lukasiewicz
 from gradedmodels.classes import enumerate_class, get_class
 from gradedmodels.errors import AmalgamationError
 from gradedmodels.logic import SIG_LT
 from gradedmodels.structure import GradedStructure, find_embeddings, restrict
 
 from amalgam_reference import _cross_columns, new_first_arm_positions
-from conftest import FIVE_CHAINS, godel257
+from conftest import FIVE_CHAINS, chain_named
 from membership_reference import REFERENCE
 from test_fraisse import _draw_arm
 
@@ -126,14 +125,13 @@ def test_delta_check_agrees_with_membership_one_cross_cell_from_a_member(name, c
     assert classes._through(out, ys, *THROUGH[name]) == member(out)
 
 
-@pytest.mark.parametrize("make_chain", [lambda: make_lukasiewicz(12), godel257],
-                         ids=["luk:12", "godel:257"])
-def test_delta_check_past_eight_levels(make_chain):
-    """The cuts go eight levels to a pass, and a chain of more than 256
-    ranks codes its cells one by one.  Two chains of three amalgamate
-    through their middle element into a member; lowering one cross cell
-    by one rank breaks transitivity only at the top level."""
-    chain = make_chain()
+@pytest.mark.parametrize("name", ["luk:12", "luk:256"])
+def test_delta_check_past_eight_levels(name):
+    """The cuts go eight levels to a pass, up to the 32 passes of the
+    widest chain, whose top level is byte 255.  Two chains of three
+    amalgamate through their middle element into a member; lowering one
+    cross cell by one rank breaks transitivity only at the top level."""
+    chain = chain_named(name)
     top = chain.top
 
     def three(low, mid, high):

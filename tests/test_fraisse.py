@@ -1,6 +1,7 @@
 """Amalgamation recipes, the stage-wise limit builder, and the verifiers."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from gradedmodels.classes import (
     k2_member,
     k3_member,
 )
-from gradedmodels.errors import AmalgamationError, BudgetError
+from gradedmodels.errors import AmalgamationError, BudgetError, FileFormatError
 from gradedmodels.fraisse import (
     Transcript,
     build_limit,
@@ -47,7 +48,7 @@ from gradedmodels.structure import (
 
 from amalgam_reference import search_amalgam
 from composition_reference import composition_reference
-from conftest import FIVE_CHAINS, chain_named, godel257, uninorm_chain
+from conftest import FIVE_CHAINS, chain_named, uninorm_chain
 from test_classes import at_most_one_edge, pair
 from test_structure import edge_graph
 from witness_reference import witness_defects_reference
@@ -374,13 +375,12 @@ def test_column_composition_equals_the_per_pair_reference(name, chain):
         assert_composition_is_the_reference(align_v_formation(m1, m2, {}))
 
 
-def test_column_composition_on_a_chain_of_tuple_tables():
-    """A chain of 257 ranks keeps tuple tables, with ranks past a byte."""
+def test_column_composition_on_the_widest_chain():
+    """Over 256 ranks the table holds every byte value up to 255."""
     rng = random.Random(5)
     elems = ("a", "b", "c", "d", "p", "q")
-    table = tuple(rng.randrange(257) for _ in range(35)) + (256,)
-    m = GradedStructure(godel257(), SIG_LT, elems, (table,))
-    assert type(m.pred_tables[0]) is tuple
+    table = tuple(rng.randrange(256) for _ in range(35)) + (255,)
+    m = GradedStructure(chain_named("luk:256"), SIG_LT, elems, (table,))
     for base in ([], ["c"], ["c", "d"], ["a", "c", "d"]):
         v = VFormation(restrict(m, ["a", "b", *base]), restrict(m, [*base, "p", "q"]))
         assert len(v.shared) == len(set(base))
@@ -444,6 +444,15 @@ def test_build_limit_transcript_json_roundtrip(bool_chain):
     _, transcript = build_limit(spec, bool_chain, 1, 2)
     again = Transcript.from_json(transcript.to_json())
     assert again.to_json() == transcript.to_json()
+
+
+def test_transcript_of_a_257_rank_chain_is_rejected(bool_chain):
+    """The chain of a transcript is checked like any other, size first."""
+    _, transcript = build_limit(get_class("k1"), bool_chain, 1, 2)
+    payload = json.loads(transcript.to_json())
+    payload["chain"].update(name="godel:257", size=257, one=256, conj=[[0] * 257] * 257)
+    with pytest.raises(FileFormatError, match="^chain size must be at most 256, got 257$"):
+        Transcript.from_json(json.dumps(payload))
 
 
 def test_permuted_runs_mutually_stage_embeddable(bool_chain):
@@ -548,14 +557,14 @@ def random_graph_member(chain, size, seed):
     return binary_structure(chain, ids, values)
 
 
-# (chain, vertices, max_x): every max_x from 0 to 3 on the byte chains,
-# and up to 2 on the 257-rank chain, whose tuple tables give 257**3
-# demands per triple.  A subset's k**s maps are coded in one byte lane
-# while k**s <= 256: on luk:7 pairs are (49 maps) and triples are not
-# (343); on luk:16 pairs take every byte value, and on luk:20 they do not
-# fit (400).
+# (chain, vertices, max_x): every max_x from 0 to 3 on the small chains,
+# and up to 2 on godel:200, whose 200**3 demands per triple are past the
+# cap.  A subset's k**s maps are coded in one byte lane while
+# k**s <= 256: on luk:7 pairs are (49 maps) and triples are not (343);
+# on luk:16 pairs and on luk:256 single vertices take every byte value,
+# and on luk:20 and godel:200 pairs do not fit (400 and 40,000).
 WITNESS_CASES = [(c, n, x) for c in ("bool", "luk:3", "u3") for n in (1, 3, 6) for x in range(4)]
-WITNESS_CASES += [("godel:257", n, x) for n in (1, 3) for x in range(3)]
+WITNESS_CASES += [("godel:200", n, x) for n in (1, 3) for x in range(3)] + [("luk:256", 3, 1)]
 WITNESS_CASES += [("luk:7", n, 3) for n in (3, 6)] + [(c, 4, 2) for c in ("luk:16", "luk:20")]
 
 

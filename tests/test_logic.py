@@ -22,7 +22,7 @@ from gradedmodels.logic import (
 )
 from gradedmodels.structure import GradedStructure, binary_structure
 
-from conftest import FIVE_CHAINS, chain_named, godel257
+from conftest import FIVE_CHAINS, chain_named
 from evaluate_reference import evaluate_reference
 
 
@@ -194,11 +194,12 @@ def test_signature_validation():
 
 
 # Every arity up to three, so atoms read rows, columns, diagonals and
-# general strided runs of their tables.  Lines are byte lanes up to 16
-# ranks (luk:16), lazy with bytes tables up to 256 (luk:20) and lazy
-# with tuple tables above (godel:257).
+# general strided runs of their tables.  Two lines are paired by a lane
+# sum up to 16 ranks (luk:16) and through a map above (luk:20,
+# godel:200), up to the widest chain, whose top rank is byte 255
+# (luk:256).
 SIG_P_LT_R = Signature(predicates=(("P", 1), ("<", 2), ("R", 3)))
-CHAINS = FIVE_CHAINS + (chain_named("luk:16"), chain_named("luk:20"), godel257())
+CHAINS = FIVE_CHAINS + tuple(map(chain_named, ("luk:16", "luk:20", "godel:200", "luk:256")))
 
 
 def graded_formulas():
@@ -327,14 +328,16 @@ LINE_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("name", ["luk:16", "luk:20"])
+@pytest.mark.parametrize("name", ["luk:16", "luk:20", "godel:200", "luk:256"])
 @pytest.mark.parametrize("op", ["&", "|", "*", "->"])
 @pytest.mark.parametrize("shape", LINE_SHAPES)
 def test_evaluate_lines_match_reference(name, op, shape):
-    """``luk:16`` is the widest chain whose lines are byte lanes: with
-    every cell at top, a vector-vector lane reads 15 * 16 + 15 = 255, the
-    last entry of its table.  ``luk:20`` has ``bytes`` tables but lazy
-    lines.  The empty universe folds nothing."""
+    """``luk:16`` is the widest chain whose two lines are paired by a lane
+    sum: with every cell at top, a vector-vector lane reads
+    15 * 16 + 15 = 255, the last entry of its table.  The wider chains
+    pair them through a map, and on ``luk:256`` the top rank is byte 255,
+    which the folds must find as the least or greatest rank present.
+    The empty universe folds nothing."""
     chain = chain_named(name)
     f = parse_formula(shape.format(op=op))
     ids = ["a", "b", "c", "d"]
