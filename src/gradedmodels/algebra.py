@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from operator import itemgetter
 
 from .errors import ChainTableError, FileFormatError
@@ -159,16 +160,22 @@ def _build_res_table(size: int, table) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(bisect_right(row, c) - 1 for c in range(size)) for row in table)
 
 
+@cache
 def make_lukasiewicz(n: int) -> Chain:
-    """Lukasiewicz chain on n ranks: a*b = max(0, a+b-(n-1)), one = top."""
+    """Lukasiewicz chain on n ranks: a*b = max(0, a+b-(n-1)), one = top.
+
+    Built once per n and then shared, as is ``make_godel``'s: a chain
+    is immutable, and validating a wide one takes a fraction of a
+    second."""
     _check_size(n)
     table = [[max(0, a + b - (n - 1)) for b in range(n)] for a in range(n)]
     name = "bool" if n == 2 else f"luk:{n}"
     return Chain(n, table, one=n - 1, zero=0, name=name)
 
 
+@cache
 def make_godel(n: int) -> Chain:
-    """Godel chain on n ranks: a*b = min(a, b), one = top."""
+    """Godel chain on n ranks: a*b = min(a, b), one = top; built once per n."""
     _check_size(n)
     table = [[min(a, b) for b in range(n)] for a in range(n)]
     return Chain(n, table, one=n - 1, zero=0, name=f"godel:{n}")
@@ -239,7 +246,10 @@ def _chain_fields(text: str) -> dict:
 
 
 def resolve_chain(ref: str) -> Chain:
-    """Resolve a chain reference: ``bool``, ``luk:<n>``, ``godel:<n>``, or a file path."""
+    """Resolve a chain reference: ``bool``, ``luk:<n>``, ``godel:<n>``, or a file path.
+
+    A named chain is the one shared object per name; a file is read and
+    validated on every call, since it may change."""
     if ref == "bool":
         return boolean_chain()
     for prefix, maker in (("luk:", make_lukasiewicz), ("godel:", make_godel)):

@@ -25,15 +25,22 @@ both sides of ``one`` hold a rank.  This is checked, not proved, by
 ``test_size_and_one_census_at_k2``: hp, jep and ap at k=2 for k0-k3 on
 every (size, one) with size at most 4, with no counterexample.
 
-A v-formation is two structures; its base is the set of ids they share,
-on which they must agree.  Every built-in class amalgamates through one
-core: the union of the arm universes, built row by row, with the cross
-pairs set by the class's closed-form rule, a column at a time: for each
-new element of the second arm, its values against the whole first arm,
-read off the composition through the base.  The core runs the class's
-check once, on the amalgam, through its new elements, the second arm's
-elements that the first arm lacks: every loop, cell and triple that
-avoids them lies inside the first arm.  That decides membership only
+A v-formation is two structures and a correspondence between their
+base elements: ``VFormation.shared``, pairs of positions.  The public
+constructor reads it off the ids the arms share and checks that the
+arms agree there; ``check_ap`` and ``check_jep`` build their instances
+by position instead, from embeddings that already keep every value, and
+skip that check (see ``check_ap``).  The core reads the correspondence
+from ``shared`` alone, never from ids.
+
+Every built-in class amalgamates through one core: the union of the arm
+universes, built row by row, with the cross pairs set by the class's
+closed-form rule, a column at a time: for each new element of the
+second arm, its values against the whole first arm, read off the
+composition through the base.  The core runs the class's check once,
+on the amalgam, through its new elements, the second arm's elements
+that ``shared`` does not pair: every loop, cell and triple that avoids
+them lies inside the first arm.  That decides membership only
 when the first arm is a member, so every ``amalgamate_k*`` takes a
 member as its first arm; they are reached through
 ``get_class(name).amalgamate``.  A failed check raises
@@ -47,8 +54,10 @@ The property checkers run over bounded exhaustive enumerations of
 isomorphism types, which walk only the tables whose loops the class
 admits, and report counterexamples.  The joint-embedding and
 amalgamation checkers verify the class amalgamator's witness for every
-instance, so they need a class that has one.  The Fraisse limits built
-from these classes live in ``fraisse``.
+instance, so they need a class that has one.  They build each instance
+by position, from one renamed copy of each member and the embeddings
+searched once per distinct base table.  The Fraisse limits built from
+these classes live in ``fraisse``.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ from .errors import AmalgamationError, BudgetError
 from .logic import SIG_LT
 from .structure import (
     GradedStructure,
+    _embeds_by_ids,
     _pull,
     _require_compatible,
     _trusted,
@@ -76,6 +86,7 @@ from .structure import (
     id_supply,
     is_substructure,
     rename,
+    restrict,
     substructures,
 )
 
@@ -105,10 +116,13 @@ class ClassSpec:
 
     ``amalgamate`` maps a v-formation to a member containing both arms,
     raising ``AmalgamationError`` when it cannot; over the empty base it
-    also gives joint extensions.  The built-in amalgamators check the
-    amalgam only through its new elements, those of the second arm that
-    the first arm lacks, so the first arm must already be a member; they
-    never call ``membership``.
+    also gives joint extensions.  It reads the base from
+    ``VFormation.shared``, not from ids: ``check_ap`` and ``check_jep``
+    pass arms with disjoint ids (see ``verify_amalgam`` for how the
+    second arm then sits in the amalgam).  The built-in amalgamators
+    check the amalgam only through its new elements, those of the second
+    arm that ``shared`` does not pair, so the first arm must already be
+    a member; they never call ``membership``.
     ``check_ap`` and ``check_jep`` pass enumerated members;
     ``build_limit`` and ``replay_transcript`` pass a stage that is a
     checked initial structure or an amalgam.
@@ -150,7 +164,7 @@ def _through(m: GradedStructure, news, loops_in_filter: bool, cells_ok) -> bool:
 
 def _member(m: GradedStructure, loops_in_filter: bool, cells_ok) -> bool:
     """A nonempty structure over ``<`` passing the class's check through every position."""
-    if m.signature != SIG_LT:
+    if m.signature is not SIG_LT and m.signature != SIG_LT:
         raise ValueError("class membership is defined over the one-binary-predicate signature")
     return bool(m.universe) and _through(m, range(len(m.universe)), loops_in_filter, cells_ok)
 
@@ -310,7 +324,15 @@ class VFormation:
     of shared elements, or the constructor raises ``ValueError``; use
     ``align_v_formation`` to rename an arbitrary second arm into shape.
     ``shared`` lists the (position in arm1, position in arm2) pair of
-    each shared element, in arm1's order.
+    each shared element, in arm1's order.  It is the correspondence that
+    the amalgamators and ``verify_amalgam`` read; they never match ids.
+
+    This constructor is where the agreement check lives, and
+    ``align_v_formation`` and ``fraisse.replay_transcript`` go through
+    it.  ``check_ap`` and ``check_jep`` alone build v-formations by
+    position with ``_v_formation``, which skips it: there the arms hold
+    disjoint ids and ``shared`` pairs a base with its image under an
+    embedding, which keeps every value.
     """
 
     arm1: GradedStructure
@@ -329,6 +351,16 @@ class VFormation:
             if _pull(t1, pos1, n1, arity) != _pull(t2, pos2, n2, arity):
                 raise ValueError("the arms disagree on their shared elements")
         object.__setattr__(self, "shared", shared)
+
+
+def _v_formation(arm1: GradedStructure, arm2: GradedStructure, shared) -> VFormation:
+    """The v-formation of the arms with the correspondence ``shared``,
+    pairs of positions in arm1's order, built without the agreement
+    check: the caller guarantees that the arms agree through ``shared``
+    and that their ids are disjoint."""
+    v = object.__new__(VFormation)
+    v.__dict__.update(arm1=arm1, arm2=arm2, shared=shared)
+    return v
 
 
 def align_v_formation(arm1: GradedStructure, arm2: GradedStructure, embedding: dict,
@@ -360,10 +392,19 @@ def align_v_formation(arm1: GradedStructure, arm2: GradedStructure, embedding: d
 
 
 def verify_amalgam(spec, v: VFormation, witness: GradedStructure) -> bool:
+    """Whether ``witness`` is a member, by ``spec.membership`` through
+    every position, into which both arms embed: arm1 by its ids, and
+    arm2 along the v-formation's map, which sends a shared position to
+    the id of its arm1 partner and any other position to its own id.
+    For a v-formation from the public constructor the map is arm2's
+    ids, so this is ``is_substructure`` for both arms."""
+    ids2 = list(v.arm2.universe)
+    for p, q in v.shared:
+        ids2[q] = v.arm1.universe[p]
     return (
         spec.membership(witness)
         and is_substructure(v.arm1, witness)
-        and is_substructure(v.arm2, witness)
+        and _embeds_by_ids(v.arm2, witness, ids2)
     )
 
 
@@ -372,7 +413,8 @@ def _amalgam_frame(v: VFormation):
 
     The union lists the first arm, then the second arm's new elements.
     ``ext2`` holds the positions of the second arm's new elements in the
-    second arm; ext2[j] sits at union position len(arm1) + j.
+    second arm, those that ``v.shared`` does not pair; ext2[j] sits at
+    union position len(arm1) + j and keeps its id.
     ``assemble(forward, backward)`` returns the union table given, for
     each j, two columns over the first arm's positions: forward[j][x] is
     the value of (x, ext2[j]) and backward[j][x] that of (ext2[j], x).
@@ -385,13 +427,14 @@ def _amalgam_frame(v: VFormation):
     ext2.
     """
     arm1, arm2 = v.arm1, v.arm2
-    if arm1.signature != SIG_LT:
+    if arm1.signature is not SIG_LT and arm1.signature != SIG_LT:
         raise ValueError("amalgamation recipes are defined over the one-binary-predicate signature")
     lt1, lt2 = arm1.pred_tables[0], arm2.pred_tables[0]
     n1, n2 = len(arm1.universe), len(arm2.universe)
-    ext2 = [y for y, e in enumerate(arm2.universe) if e not in arm1.positions]
+    base2 = {q for _, q in v.shared}
+    ext2 = [y for y in range(n2) if y not in base2]
     m = len(ext2)
-    universe = arm1.universe + tuple(arm2.universe[y] for y in ext2)
+    universe = arm1.universe + tuple(map(arm2.universe.__getitem__, ext2))
 
     def assemble(forward, backward):
         block = [0] * (n1 * m)
@@ -437,7 +480,8 @@ def _amalgamate(v: VFormation, cross, name: str, loops_in_filter: bool, cells_ok
     The amalgam extends its first arm and is built as such, without
     validating again (see ``GradedStructure``): its table holds ranks
     read from the validated arms, the chain's constants and their min
-    and max; its universe is arm1's, then ids of arm2 that arm1 lacks;
+    and max; its universe is arm1's, then the ids of arm2's elements
+    that ``v.shared`` does not pair, which arm1 lacks;
     its ``positions`` are arm1's, extended by the new ids; and its cut
     lines are carried from arm1's (``_carry_cut_lines``).
     """
@@ -456,13 +500,19 @@ def _amalgamate(v: VFormation, cross, name: str, loops_in_filter: bool, cells_ok
 
 
 def _bottom_cross(v: VFormation, ext2):
-    """Bottom in both directions for every cross pair, as fresh lists.
+    """Bottom in both directions for every cross pair, as ``bytes`` columns.
 
     This is k1's cross rule, the simple union of two weighted graphs
     over their shared part, which keeps the amalgam's loops and symmetry.
     """
-    bottom = [v.arm1.chain.bot] * len(v.arm1.universe)
-    return [bottom[:] for _ in ext2], [bottom[:] for _ in ext2]
+    bottom = bytes((v.arm1.chain.bot,)) * len(v.arm1.universe)
+    return [bottom] * len(ext2), [bottom] * len(ext2)
+
+
+@functools.cache
+def _clip(top: int) -> bytes:
+    """The ``bytes.translate`` table that sends each byte to its min with ``top``."""
+    return bytes(range(top)) + bytes((top,)) * (256 - top)
 
 
 def _composition(v: VFormation, ext2):
@@ -470,12 +520,13 @@ def _composition(v: VFormation, ext2):
     column at a time.
 
     Returns (forward, backward): for each position y in ``ext2`` of the
-    second arm, the lists of C(x, y) and of C(y, x) over every position x
-    of the first arm.  A base element b gives its column of the first
-    arm, v1(x, b) over x, clipped at v2(b, y) by ``map(min, ...)``, and
-    its row, v1(b, x) over x, clipped at v2(y, b); one ``map(max, ...)``
-    over those of every base element gives the columns.  Both are bottom
-    over an empty base.
+    second arm, the ``bytes`` of C(x, y) and of C(y, x) over every
+    position x of the first arm.  A base element b gives its column of
+    the first arm, v1(x, b) over x, clipped at v2(b, y) by one
+    ``translate`` (``_clip``), and its row, v1(b, x) over x, clipped at
+    v2(y, b); over a base of one element those are the columns, over a
+    larger one a ``map(max, ...)`` of every base element's.  Both are
+    bottom over an empty base.
 
     This is k0's cross rule.  Since ``one`` is neutral, k0 membership is
     min-transitivity plus loops at or above ``one``, and the composition
@@ -489,11 +540,10 @@ def _composition(v: VFormation, ext2):
     out_of = [(lt1[b1 * n1:(b1 + 1) * n1], b2) for b1, b2 in v.shared]
 
     def sup(clipped):
-        return list(clipped[0] if len(clipped) == 1 else map(max, *clipped))
+        return clipped[0] if len(clipped) == 1 else bytes(map(max, *clipped))
 
-    forward = [sup([map(min, col, itertools.repeat(lt2[b2 * n2 + y])) for col, b2 in into])
-               for y in ext2]
-    backward = [sup([map(min, row, itertools.repeat(lt2[y * n2 + b2])) for row, b2 in out_of])
+    forward = [sup([col.translate(_clip(lt2[b2 * n2 + y])) for col, b2 in into]) for y in ext2]
+    backward = [sup([row.translate(_clip(lt2[y * n2 + b2])) for row, b2 in out_of])
                 for y in ext2]
     return forward, backward
 
@@ -559,9 +609,10 @@ def _k2_cross(v: VFormation, ext2):
     chain = v.arm1.chain
     levels = range(1, chain.one + 1)
     base1, base2 = [p for p, _ in v.shared], [q for _, q in v.shared]
+    in_base = set(base1)
     keys1 = {x: _k2_key(v.arm1, base1, x, levels)
-             for x, e in enumerate(v.arm1.universe) if e not in v.arm2.positions}
-    forward, backward = _composition(v, ext2)
+             for x in range(len(v.arm1.universe)) if x not in in_base}
+    forward, backward = ([bytearray(col) for col in cols] for cols in _composition(v, ext2))
     for y, fcol, bcol in zip(ext2, forward, backward):
         ky = _k2_key(v.arm2, base2, y, levels)
         for x, kx in keys1.items():
@@ -584,10 +635,9 @@ def _k3_cross(v: VFormation, ext2):
     may not be).
     """
     chain = v.arm1.chain
-    cut = [chain.one if r >= chain.one else chain.bot for r in range(chain.size)]
+    cut = bytes(chain.one if r >= chain.one else chain.bot for r in range(256))
     forward, backward = _composition(v, ext2)
-    return ([list(map(cut.__getitem__, col)) for col in forward],
-            [list(map(cut.__getitem__, col)) for col in backward])
+    return [col.translate(cut) for col in forward], [col.translate(cut) for col in backward]
 
 
 # --- enumeration ---
@@ -744,12 +794,19 @@ def check_hp(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
         for i, m in enumerate(members) for subset, sub in substructures(m)))
 
 
-def _amalgamating(spec: ClassSpec, chain: Chain, k: int) -> list[GradedStructure]:
-    """The members of at most k elements; a class without an amalgamator
-    raises ``ValueError`` before any enumeration."""
+def _amalgamating(spec: ClassSpec, chain: Chain, k: int):
+    """The members of at most k elements, and each member renamed once
+    to ids that no member holds, the second arms of the instances; a
+    class without an amalgamator raises ``ValueError`` before any
+    enumeration.  A renamed member shares its source's tables and
+    ``_derived`` cache."""
     if spec.amalgamate is None:
         raise ValueError(f"class {spec.name} has no amalgamator")
-    return enumerate_class(spec, chain, k)
+    members = enumerate_class(spec, chain, k)
+    taken = {e for m in members for e in m.universe}
+    arms2 = [rename(m, dict(zip(m.universe, fresh_names(len(m.universe), taken, id_supply("n")))))
+             for m in members]
+    return members, arms2
 
 
 def _amalgam_problem(spec: ClassSpec, v, where) -> str | None:
@@ -772,14 +829,40 @@ def check_jep(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
 
     The class amalgamator's amalgam over the empty base is the witness,
     verified to be a member containing both inputs; each unordered pair
-    of types, a type with itself included, is one instance.  A class
+    of types, a type with itself included, is one instance, whose second
+    arm is the renamed copy of its type (see ``check_ap``).  A class
     without an amalgamator raises ``ValueError`` before any enumeration.
     """
-    members = _amalgamating(spec, chain, k)
+    members, arms2 = _amalgamating(spec, chain, k)
     return _report("jep", spec, chain, k, (
-        _amalgam_problem(spec, align_v_formation(m1, members[j], {}),
+        _amalgam_problem(spec, _v_formation(m1, arms2[j], ()),
                          lambda: f"type[{i}] and type[{j}]")
         for i, m1 in enumerate(members) for j in range(i, len(members))))
+
+
+def _ap_instances(members):
+    """(i, pos, j, image) for each instance of ``check_ap``, in its
+    order: member i, the base on its positions ``pos`` (increasing),
+    member j, and the images of those positions in member j under an
+    embedding of the base.  The embeddings of each distinct base table
+    into every member are searched once, at its first subset, and kept
+    as position tuples."""
+    images: dict[bytes, list[list[tuple[int, ...]]]] = {}
+    for i, m1 in enumerate(members):
+        n1 = len(m1.universe)
+        for size in range(1, n1 + 1):
+            for pos in itertools.combinations(range(n1), size):
+                # An enumerated member is over ``<`` alone.
+                table = _pull(m1.pred_tables[0], pos, n1, 2)
+                into = images.get(table)
+                if into is None:
+                    base = restrict(m1, [m1.universe[p] for p in pos])
+                    into = images[table] = [[tuple(m2.positions[g[e]] for e in base.universe)
+                                             for g in find_embeddings(base, m2)]
+                                            for m2 in members]
+                for j, found in enumerate(into):
+                    for image in found:
+                        yield i, pos, j, image
 
 
 def check_ap(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
@@ -787,16 +870,31 @@ def check_ap(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
 
     For each member, each nonempty subset of it as the base, each member
     and each embedding of the base into it, the class amalgamator's
-    witness is verified to be a member containing both arms; each such
-    v-formation is one instance.  A class without an amalgamator raises
-    ``ValueError`` before any enumeration.
+    witness is verified by ``verify_amalgam`` to be a member containing
+    both arms; each such v-formation is one instance.  A class without
+    an amalgamator raises ``ValueError`` before any enumeration.
+
+    Instances are built by position, with no renaming and no agreement
+    check each.  The first arm is the member itself, the second the
+    other member's copy under ids that no member holds, made once per
+    check, and ``shared`` pairs each base position with its image.  An
+    embedding keeps every value, so the arms agree there, as the public
+    ``VFormation`` would check.  The embedding search reads the tables
+    alone, so searching once per distinct base table finds the same
+    embeddings, in the same order, as a search from each subset.  A
+    failure names the base and the embedding by the members' own ids.
     """
-    members = _amalgamating(spec, chain, k)
+    members, arms2 = _amalgamating(spec, chain, k)
+
+    def where(i, pos, j, image) -> str:
+        base = [members[i].universe[p] for p in pos]
+        via = sorted(zip(base, (members[j].universe[q] for q in image)))
+        return f"base of type[{i}] on {{{' '.join(base)}}} into type[{j}] via {via}"
+
     return _report("ap", spec, chain, k, (
-        _amalgam_problem(spec, align_v_formation(m1, m2, g), lambda: (
-            f"base of type[{i}] on {{{' '.join(subset)}}} into type[{j}] via {sorted(g.items())}"))
-        for i, m1 in enumerate(members) for subset, base in substructures(m1, whole=True)
-        for j, m2 in enumerate(members) for g in find_embeddings(base, m2)))
+        _amalgam_problem(spec, _v_formation(members[i], arms2[j], tuple(zip(pos, image))),
+                         lambda: where(i, pos, j, image))
+        for i, pos, j, image in _ap_instances(members)))
 
 
 def _builtin(name: str, loops_in_filter: bool, cells_ok, cross) -> ClassSpec:

@@ -230,8 +230,9 @@ def replay_transcript(transcript: Transcript):
     shares with the current stage, or whose arm adds no element to it,
     raises ``FileFormatError``: ``build_limit`` writes an event only for
     a task whose member extension has elements the stage lacks.  So does
-    an arm or initial structure whose header names another chain than
-    the transcript's.
+    an arm that disagrees with the stage on the elements they share,
+    which the ``VFormation`` constructor checks, and an arm or initial
+    structure whose header names another chain than the transcript's.
     """
     spec = get_class(transcript.class_name)
     chain = transcript.chain
@@ -243,7 +244,10 @@ def replay_transcript(transcript: Transcript):
     for stage in range(transcript.stages):
         for event in (e for e in events if e.stage == stage):
             arm = structure_from_text(event.arm_text, chain=chain)
-            v = VFormation(current, arm)
+            try:
+                v = VFormation(current, arm)
+            except ValueError as exc:  # another signature, or disagreement on the base
+                raise FileFormatError(f"transcript event at stage {stage}: {exc}") from None
             if {current.universe[p] for p, _ in v.shared} != set(event.base_ids):
                 raise FileFormatError(f"transcript event at stage {stage}: its base ids are "
                                       "not the ids its arm shares with the stage")

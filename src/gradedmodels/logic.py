@@ -16,10 +16,11 @@ is.  A connective is one ``translate``, or for two lines over a chain
 of at most 16 ranks one big-int sum L * k + R translated through the
 k×k table, and a fold asks the line for each rank in turn, from the
 bottom for ``forall`` and from the top for ``exists``, and stops at the
-first one present.  The module reads structures only through their
-attributes (``chain``, ``signature``, ``universe``, ``pred_tables``,
-``positions``) and imports nothing else from the package but
-``errors``.
+first one present; over a wider chain it asks for the first 16 only,
+then takes the line's ``min`` or ``max``.  The module reads structures
+only through their attributes (``chain``, ``signature``, ``universe``,
+``pred_tables``, ``positions``) and imports nothing else from the
+package but ``errors``.
 """
 
 from __future__ import annotations
@@ -378,6 +379,7 @@ def _index(weights: dict):
 
 # The most ranks a chain may have for two lines to be combined by one
 # big-int sum: k * k lane values must fit in a byte (see ``_Compiler``).
+# It is also the most ranks a quantifier's fold tests for presence.
 _LANE_RANKS = 16
 
 
@@ -405,8 +407,10 @@ class _Compiler:
     ``map`` through the table.  A quantifier folds a line by rank
     presence: ``forall`` returns the first rank upward from bot that the
     line contains, ``exists`` the first downward from top, one ``in``
-    test in C per rank.  An atom's table index is a closure of
-    ``_index``.
+    test in C per rank.  Over a wider chain it tests the first
+    ``_LANE_RANKS`` ranks so, and failing them takes ``min`` or ``max``
+    of the line, which reads every byte once instead of testing up to
+    256 ranks.  An atom's table index is a closure of ``_index``.
     """
 
     def __init__(self, structure, slots: int):
@@ -468,9 +472,19 @@ class _Compiler:
             top, bot = self.consts["top"], self.consts["bot"]
             # The least or greatest rank present, by one search in C per rank.
             up, down = range(top + 1), range(top, -1, -1)
-            if f.kind == "forall":
-                return lambda env: next(filter(body(env).__contains__, up), top)
-            return lambda env: next(filter(body(env).__contains__, down), bot)
+            if top < _LANE_RANKS:
+                if f.kind == "forall":
+                    return lambda env: next(filter(body(env).__contains__, up), top)
+                return lambda env: next(filter(body(env).__contains__, down), bot)
+            # A wide chain: search the first ranks only, then fold the line.
+            first, fold, empty = ((up[:_LANE_RANKS], min, top) if f.kind == "forall"
+                                  else (down[:_LANE_RANKS], max, bot))
+
+            def wide(env):
+                line = body(env)
+                found = next(filter(line.__contains__, first), None)
+                return fold(line, default=empty) if found is None else found
+            return wide
         raise TypeError(f"not a formula: {f!r}")
 
     def vector(self, f, scope, var):

@@ -1,5 +1,8 @@
-"""Exhaustive search for a disjoint amalgam: the reference that the
-closed-form amalgamators are tested against.
+"""References for amalgamation: an exhaustive search for a disjoint
+amalgam, which the closed-form amalgamators are tested against, and a
+walk of the joint-embedding and amalgamation checks through the public
+v-formation path, which ``check_jep`` and ``check_ap`` are tested
+against.
 
 Every built-in class amalgamates by a construction, so the library has
 no search; this one tries every assignment of the cross values.
@@ -7,17 +10,25 @@ no search; this one tries every assignment of the cross values.
 
 import itertools
 
-from gradedmodels.classes import VFormation, _amalgam_frame
-from gradedmodels.errors import BudgetError
+from gradedmodels.classes import (
+    PropertyReport,
+    VFormation,
+    _amalgam_frame,
+    align_v_formation,
+    enumerate_class,
+    verify_amalgam,
+)
+from gradedmodels.errors import AmalgamationError, BudgetError
 from gradedmodels.logic import SIG_LT
-from gradedmodels.structure import GradedStructure
+from gradedmodels.structure import GradedStructure, find_embeddings, substructures
 
 _SEARCH_CAP = 10**6
 
 
 def new_first_arm_positions(v: VFormation) -> list[int]:
-    """The positions of the first arm's elements that the second arm lacks."""
-    return [p for p, e in enumerate(v.arm1.universe) if e not in v.arm2.positions]
+    """The positions of the first arm's elements that ``v.shared`` does not pair."""
+    base1 = {p for p, _ in v.shared}
+    return [p for p in range(len(v.arm1.universe)) if p not in base1]
 
 
 def _cross_columns(v: VFormation, new1, ext2, values):
@@ -55,3 +66,37 @@ def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
         if membership(out):
             return out
     return None
+
+
+def reference_report(prop: str, spec, chain, k: int) -> PropertyReport:
+    """The report of ``check_jep`` (``prop`` "jep") or ``check_ap``
+    ("ap"), instance by instance through the public path: the bases
+    from ``substructures``, the embeddings searched from each base, each
+    v-formation from ``align_v_formation``, which renames the second arm
+    and checks that the arms agree, and its witness from
+    ``spec.amalgamate``, checked by ``verify_amalgam``."""
+    members = enumerate_class(spec, chain, k)
+
+    def problem(v, where):
+        try:
+            witness = spec.amalgamate(v)
+        except AmalgamationError as exc:
+            why = str(exc)
+        else:
+            if verify_amalgam(spec, v, witness):
+                return None
+            why = f"result is not {'an amalgam' if v.shared else 'a common extension'} in the class"
+        return f"amalgamator failed on {where}: {why}"
+
+    if prop == "jep":
+        problems = [problem(align_v_formation(m1, members[j], {}), f"type[{i}] and type[{j}]")
+                    for i, m1 in enumerate(members) for j in range(i, len(members))]
+    else:
+        problems = [
+            problem(align_v_formation(m1, m2, g),
+                    f"base of type[{i}] on {{{' '.join(subset)}}} into type[{j}] "
+                    f"via {sorted(g.items())}")
+            for i, m1 in enumerate(members) for subset, base in substructures(m1, whole=True)
+            for j, m2 in enumerate(members) for g in find_embeddings(base, m2)]
+    return PropertyReport(prop, spec.name, chain.name, k, len(problems),
+                          [p for p in problems if p is not None])

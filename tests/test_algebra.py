@@ -8,6 +8,7 @@ import pytest
 from gradedmodels import algebra
 from gradedmodels.algebra import (
     Chain,
+    boolean_chain,
     chain_from_text,
     chain_to_text,
     make_godel,
@@ -275,6 +276,16 @@ def test_chain_file_is_validated_once(tmp_path, u3, monkeypatch):
     assert resolve_chain(str(path)) == u3
     assert chain_from_text(chain_to_text(u3)) == u3
     assert len(calls) == 2
+
+
+def test_named_chains_are_built_once_and_files_on_every_read(tmp_path, u3):
+    assert resolve_chain("luk:256") is resolve_chain("luk:256") is make_lukasiewicz(256)
+    assert resolve_chain("godel:5") is make_godel(5)
+    assert resolve_chain("bool") is boolean_chain() is make_lukasiewicz(2)
+    path = tmp_path / "u3.chain"
+    path.write_text(chain_to_text(u3), encoding="utf-8")
+    first, second = resolve_chain(str(path)), resolve_chain(str(path))
+    assert first == second and first is not second
 
 
 def test_chain_file_roundtrip(tmp_path, u3):

@@ -1,6 +1,7 @@
 """Membership predicates, enumeration counts, and HP/JEP/AP checks."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -32,6 +33,7 @@ from gradedmodels.structure import (
     rename,
 )
 
+from amalgam_reference import reference_report
 from conftest import FIVE_CHAINS, chain_named, uninorm_chain
 from enumerate_reference import enumerate_reference
 from membership_reference import REFERENCE
@@ -460,20 +462,59 @@ def test_user_class_enumeration_equals_the_product_reference(bool_chain, make_sp
     assert got and got == listed(enumerate_reference(spec, bool_chain, 3))
 
 
+def single_vertex(m):
+    return k1_member(m) and len(m.universe) == 1
+
+
+# Two classes whose amalgamator fails on some instances: ``amalgamate_k1``
+# may give an amalgam with two edges, or with two vertices.
+ONE_EDGE = ClassSpec("one_edge", at_most_one_edge, amalgamate_k1)
+SINGLETONS = ClassSpec("singletons", single_vertex, amalgamate_k1)
+
+
 def test_amalgamator_failures_are_counterexamples(bool_chain, luk3):
-    capped = ClassSpec("one_edge", at_most_one_edge, amalgamate_k1)
-    report = check_ap(capped, bool_chain, 2)
+    report = check_ap(ONE_EDGE, bool_chain, 2)
     assert 0 < len(report.counterexamples) < report.checked
     assert report.counterexamples[0].startswith("amalgamator failed on base of type[")
     assert report.render().splitlines()[2] == f"ap: {report.counterexamples[0]}"
 
-    def single_vertex(m):
-        return k1_member(m) and len(m.universe) == 1
-
-    singles = ClassSpec("singletons", single_vertex, amalgamate_k1)
-    report = check_jep(singles, luk3, 1)
+    report = check_jep(SINGLETONS, luk3, 1)
     assert len(report.counterexamples) == report.checked > 0
     assert "amalgamator failed on type[0] and type[0]" in report.counterexamples[0]
+
+
+def test_counterexample_text_is_pinned(bool_chain, luk3):
+    """The sha256 of two whole reports with counterexamples, recorded
+    from checkers that renamed each instance's second arm through
+    ``align_v_formation``: the text now formatted from positions is the
+    same."""
+    ap = check_ap(ONE_EDGE, bool_chain, 2).render()
+    jep = check_jep(SINGLETONS, luk3, 1).render()
+    assert ap.splitlines()[2] == ("ap: amalgamator failed on base of type[2] on {x0} into type[2] "
+                                  "via [('x0', 'x0')]: result is not an amalgam in the class")
+    assert hashlib.sha256(ap.encode()).hexdigest() == (
+        "5728ac86faf9b8daf98e78316dce094288c280c20acd5af82851eefda3719d25")
+    assert hashlib.sha256(jep.encode()).hexdigest() == (
+        "5773e94b96290a020f018cd0f531b76376aaf45071ca7f2fe724501d1399d031")
+
+
+# (class, chain name, k): k0-k3 at k=2 on the five chains and at k=3 on
+# bool, then the two classes whose amalgamator fails.
+ORACLE_CASES = ([(name, chain.name, 2) for name in classes.class_names() for chain in FIVE_CHAINS]
+                + [(name, "bool", 3) for name in classes.class_names()]
+                + [("one_edge", "bool", 2), ("singletons", "luk:3", 1), ("singletons", "bool", 2)])
+
+
+@pytest.mark.parametrize("prop", ["ap", "jep"])
+@pytest.mark.parametrize("name, chain_name, k", ORACLE_CASES)
+def test_checkers_equal_the_public_path_reference(prop, name, chain_name, k):
+    """``check_ap`` and ``check_jep`` build their instances by position;
+    the reference renames and checks each through the public
+    ``align_v_formation``.  The whole reports are equal."""
+    spec = {"one_edge": ONE_EDGE, "singletons": SINGLETONS}.get(name) or get_class(name)
+    chain = chain_named(chain_name)
+    check = check_ap if prop == "ap" else check_jep
+    assert check(spec, chain, k).render() == reference_report(prop, spec, chain, k).render()
 
 
 def test_reports_render_deterministically(bool_chain):

@@ -478,13 +478,18 @@ def test_replay_rejects_an_event_base_other_than_the_shared_ids(tmp_path, capsys
 
 
 # Transcripts that ``build_limit`` never writes: an event whose arm adds
-# no element to the stage, and an arm or initial structure whose header
-# names another chain than the transcript's.
+# no element to the stage or disagrees with it on their shared elements,
+# and an arm or initial structure whose header names another chain than
+# the transcript's.
 UNWRITTEN_TRANSCRIPTS = {
     "arm without elements": {**GOOD_TRANSCRIPT, "events": GOOD_TRANSCRIPT["events"] + [
         {"stage": 0, "base": [], "arm": "structure e chain=bool\nelements\ndefault 0\n"}]},
     "arm of base elements only": {**GOOD_TRANSCRIPT, "events": [
         {"stage": 0, "base": ["x0"], "arm": "structure e chain=bool\nelements x0\ndefault 0\n"}]},
+    # The initial stage has its loop at 0; the arm puts x0's loop at 1.
+    "arm disagreeing with the stage on its base": {**GOOD_TRANSCRIPT, "events": [
+        {"stage": 0, "base": ["x0"],
+         "arm": "structure a chain=bool\nelements x0 n0\ndefault 0\n< x0 x0 = 1\n"}]},
     "arm over another chain": {**GOOD_TRANSCRIPT, "events": [
         {"stage": 0, "base": [], "arm": "structure a chain=luk:7\nelements n0\ndefault 0\n"}]},
     "initial structure over another chain": {

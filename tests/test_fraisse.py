@@ -68,6 +68,23 @@ def test_v_formation_validation(bool_chain, luk3):
         VFormation(arm1, edge_graph(luk3, [("c", "b")], ["c", "b"]))
 
 
+def test_verify_amalgam_reads_the_second_arm_along_shared(bool_chain):
+    """A v-formation built by position, as ``check_ap`` builds them: the
+    arms hold disjoint ids, and ``shared`` pairs a with p.  The amalgam
+    holds arm2 with p read as a; a witness that changes arm2's cell
+    (p, q) there fails, though it is a member holding arm1."""
+    spec = get_class("k1")
+    arm1 = edge_graph(bool_chain, [("a", "b")], ["a", "b"])
+    arm2 = edge_graph(bool_chain, [], ["p", "q"])
+    v = classes._v_formation(arm1, arm2, ((0, 0),))
+    out = spec.amalgamate(v)
+    assert out.universe == ("a", "b", "q")
+    assert classes.verify_amalgam(spec, v, out)
+    tampered = edge_graph(bool_chain, [("a", "b"), ("a", "q")], ["a", "b", "q"])
+    assert k1_member(tampered) and is_substructure(arm1, tampered)
+    assert not classes.verify_amalgam(spec, v, tampered)
+
+
 def test_align_v_formation_rejects_bad_embeddings(bool_chain):
     arm1 = edge_graph(bool_chain, [("a", "b")], ["a", "b"])
     arm2 = edge_graph(bool_chain, [("x", "y")], ["x", "y"])
