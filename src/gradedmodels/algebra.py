@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import ChainTableError, FileFormatError
@@ -83,6 +83,15 @@ class Chain:
             raise ChainTableError(*failure)
         object.__setattr__(self, "conj_table", table)
         object.__setattr__(self, "res_table", _build_res_table(size, table))
+
+    def __eq__(self, other):
+        # Structures mostly share one chain object: identity first.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.size, self.conj_table, self.one, self.zero)
+                == (other.size, other.conj_table, other.one, other.zero))
 
     @property
     def bot(self) -> int:
@@ -160,22 +169,26 @@ def _build_res_table(size: int, table) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(bisect_right(row, c) - 1 for c in range(size)) for row in table)
 
 
-@cache
-def make_lukasiewicz(n: int) -> Chain:
-    """Lukasiewicz chain on n ranks: a*b = max(0, a+b-(n-1)), one = top.
+# A named chain is immutable and validating a wide one takes a fraction
+# of a second, so the last few built of each family are kept and shared;
+# the bound keeps a sweep over sizes from holding every n*n table.
+_NAMED_CHAINS_KEPT = 8
 
-    Built once per n and then shared, as is ``make_godel``'s: a chain
-    is immutable, and validating a wide one takes a fraction of a
-    second."""
+
+@lru_cache(maxsize=_NAMED_CHAINS_KEPT)
+def make_lukasiewicz(n: int) -> Chain:
+    """Lukasiewicz chain on n ranks: a*b = max(0, a+b-(n-1)), one = top;
+    a recently built one is shared."""
     _check_size(n)
     table = [[max(0, a + b - (n - 1)) for b in range(n)] for a in range(n)]
     name = "bool" if n == 2 else f"luk:{n}"
     return Chain(n, table, one=n - 1, zero=0, name=name)
 
 
-@cache
+@lru_cache(maxsize=_NAMED_CHAINS_KEPT)
 def make_godel(n: int) -> Chain:
-    """Godel chain on n ranks: a*b = min(a, b), one = top; built once per n."""
+    """Godel chain on n ranks: a*b = min(a, b), one = top; a recently
+    built one is shared."""
     _check_size(n)
     table = [[min(a, b) for b in range(n)] for a in range(n)]
     return Chain(n, table, one=n - 1, zero=0, name=f"godel:{n}")
@@ -248,8 +261,8 @@ def _chain_fields(text: str) -> dict:
 def resolve_chain(ref: str) -> Chain:
     """Resolve a chain reference: ``bool``, ``luk:<n>``, ``godel:<n>``, or a file path.
 
-    A named chain is the one shared object per name; a file is read and
-    validated on every call, since it may change."""
+    A named chain resolved again soon after is the same object; a file
+    is read and validated on every call, since it may change."""
     if ref == "bool":
         return boolean_chain()
     for prefix, maker in (("luk:", make_lukasiewicz), ("godel:", make_godel)):

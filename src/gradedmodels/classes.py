@@ -116,10 +116,11 @@ class ClassSpec:
 
     ``amalgamate`` maps a v-formation to a member containing both arms,
     raising ``AmalgamationError`` when it cannot; over the empty base it
-    also gives joint extensions.  It reads the base from
+    also gives joint extensions.  It must read the base from
     ``VFormation.shared``, not from ids: ``check_ap`` and ``check_jep``
-    pass arms with disjoint ids (see ``verify_amalgam`` for how the
-    second arm then sits in the amalgam).  The built-in amalgamators
+    pass arms with disjoint ids, so an amalgamator that matches ids sees
+    an empty base there, and ``verify_amalgam``, which places the second
+    arm along ``shared``, may reject its witness.  The built-in amalgamators
     check the amalgam only through its new elements, those of the second
     arm that ``shared`` does not pair, so the first arm must already be
     a member; they never call ``membership``.
@@ -164,7 +165,7 @@ def _through(m: GradedStructure, news, loops_in_filter: bool, cells_ok) -> bool:
 
 def _member(m: GradedStructure, loops_in_filter: bool, cells_ok) -> bool:
     """A nonempty structure over ``<`` passing the class's check through every position."""
-    if m.signature is not SIG_LT and m.signature != SIG_LT:
+    if m.signature != SIG_LT:
         raise ValueError("class membership is defined over the one-binary-predicate signature")
     return bool(m.universe) and _through(m, range(len(m.universe)), loops_in_filter, cells_ok)
 
@@ -427,7 +428,7 @@ def _amalgam_frame(v: VFormation):
     ext2.
     """
     arm1, arm2 = v.arm1, v.arm2
-    if arm1.signature is not SIG_LT and arm1.signature != SIG_LT:
+    if arm1.signature != SIG_LT:
         raise ValueError("amalgamation recipes are defined over the one-binary-predicate signature")
     lt1, lt2 = arm1.pred_tables[0], arm2.pred_tables[0]
     n1, n2 = len(arm1.universe), len(arm2.universe)

@@ -16,8 +16,8 @@ is.  A connective is one ``translate``, or for two lines over a chain
 of at most 16 ranks one big-int sum L * k + R translated through the
 k×k table, and a fold asks the line for each rank in turn, from the
 bottom for ``forall`` and from the top for ``exists``, and stops at the
-first one present; over a wider chain it asks for the first 16 only,
-then takes the line's ``min`` or ``max``.  The module reads structures
+first one present, asking for 16 ranks at most before it takes the
+line's ``min`` or ``max``.  The module reads structures
 only through their attributes (``chain``, ``signature``, ``universe``,
 ``pred_tables``, ``positions``) and imports nothing else from the
 package but ``errors``.
@@ -58,6 +58,14 @@ class Signature:
         for name, ar in self.predicates:
             if ar < 1:
                 raise ValueError(f"predicate {name!r} must have arity >= 1")
+
+    def __eq__(self, other):
+        # Structures mostly share one signature object: identity first.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.predicates == other.predicates
 
     def pred_arity(self, name: str) -> int | None:
         for n, ar in self.predicates:
@@ -379,8 +387,11 @@ def _index(weights: dict):
 
 # The most ranks a chain may have for two lines to be combined by one
 # big-int sum: k * k lane values must fit in a byte (see ``_Compiler``).
-# It is also the most ranks a quantifier's fold tests for presence.
 _LANE_RANKS = 16
+
+# The most ranks a quantifier's fold tests for presence, one search in C
+# each, before it reads the whole line once for its min or max instead.
+_FOLD_PROBES = 16
 
 
 class _Compiler:
@@ -407,10 +418,11 @@ class _Compiler:
     ``map`` through the table.  A quantifier folds a line by rank
     presence: ``forall`` returns the first rank upward from bot that the
     line contains, ``exists`` the first downward from top, one ``in``
-    test in C per rank.  Over a wider chain it tests the first
-    ``_LANE_RANKS`` ranks so, and failing them takes ``min`` or ``max``
-    of the line, which reads every byte once instead of testing up to
-    256 ranks.  An atom's table index is a closure of ``_index``.
+    test in C per rank, for the first ``_FOLD_PROBES`` ranks; on a wider
+    chain, failing them, it takes ``min`` or ``max`` of the line, which
+    reads every byte once instead of testing up to 256 ranks.  An empty
+    line folds to top for ``forall`` and to bot for ``exists``.  An
+    atom's table index is a closure of ``_index``.
     """
 
     def __init__(self, structure, slots: int):
@@ -470,21 +482,17 @@ class _Compiler:
             self.slots += 1
             body = self.vector(f.body, {**scope, f.var: slot}, f.var)
             top, bot = self.consts["top"], self.consts["bot"]
-            # The least or greatest rank present, by one search in C per rank.
-            up, down = range(top + 1), range(top, -1, -1)
-            if top < _LANE_RANKS:
-                if f.kind == "forall":
-                    return lambda env: next(filter(body(env).__contains__, up), top)
-                return lambda env: next(filter(body(env).__contains__, down), bot)
-            # A wide chain: search the first ranks only, then fold the line.
-            first, fold, empty = ((up[:_LANE_RANKS], min, top) if f.kind == "forall"
-                                  else (down[:_LANE_RANKS], max, bot))
+            # The least or greatest rank present: a search in C per rank
+            # for the first ranks, then one pass over the line.
+            probes, fold, empty = ((range(top + 1)[:_FOLD_PROBES], min, top)
+                                   if f.kind == "forall"
+                                   else (range(top, -1, -1)[:_FOLD_PROBES], max, bot))
 
-            def wide(env):
+            def quantify(env):
                 line = body(env)
-                found = next(filter(line.__contains__, first), None)
+                found = next(filter(line.__contains__, probes), None)
                 return fold(line, default=empty) if found is None else found
-            return wide
+            return quantify
         raise TypeError(f"not a formula: {f!r}")
 
     def vector(self, f, scope, var):

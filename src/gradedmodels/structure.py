@@ -119,11 +119,15 @@ def _flat(coords, n: int) -> list[int]:
 
 def _pull(table: bytes, pos, n: int, arity: int) -> bytes:
     """The table over the elements at ``pos`` (in that order) of a table
-    over n elements.  A binary one is read by one comprehension, which
-    is faster than building the index list first."""
-    if arity == 2:
-        return bytes([table[p * n + q] for p in pos for q in pos])
-    return bytes(map(table.__getitem__, _flat([pos] * arity, n)))
+    over n elements.
+
+    ``rows`` holds the row-major index of every prefix of arity - 1
+    positions, so one comprehension reads the table; a binary table's
+    prefixes are ``pos`` itself, with no index list built first."""
+    rows = pos if arity > 1 else (0,)
+    for _ in range(arity - 2):
+        rows = [r * n + p for r in rows for p in pos]
+    return bytes([table[r * n + q] for r in rows for q in pos])
 
 
 @dataclass(frozen=True)
@@ -267,10 +271,9 @@ def binary_structure(chain, elements, values=None, default=None, name="s") -> Gr
 
 
 def _require_compatible(m: GradedStructure, n: GradedStructure):
-    # Structures mostly share one chain and one signature object.
-    if m.chain is not n.chain and m.chain != n.chain:
+    if m.chain != n.chain:
         raise ValueError("structures are valued on different chains")
-    if m.signature is not n.signature and m.signature != n.signature:
+    if m.signature != n.signature:
         raise ValueError("structures have different signatures")
 
 

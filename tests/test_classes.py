@@ -517,6 +517,40 @@ def test_checkers_equal_the_public_path_reference(prop, name, chain_name, k):
     assert check(spec, chain, k).render() == reference_report(prop, spec, chain, k).render()
 
 
+def union_over_shared(v):
+    """k1's amalgam, the union with bottom cross pairs, built through the
+    public constructor by a user amalgamator that reads the base from
+    ``v.shared`` alone and never matches ids."""
+    arm1, arm2 = v.arm1, v.arm2
+    n1, n2 = len(arm1.universe), len(arm2.universe)
+    at = {q: p for p, q in v.shared}
+    new = [y for y in range(n2) if y not in at]
+    at.update((y, n1 + j) for j, y in enumerate(new))
+    size = n1 + len(new)
+    table = bytearray([arm1.chain.bot]) * (size * size)
+    t1, t2 = arm1.pred_tables[0], arm2.pred_tables[0]
+    for x, y in itertools.product(range(n1), repeat=2):
+        table[x * size + y] = t1[x * n1 + y]
+    for x, y in itertools.product(range(n2), repeat=2):
+        table[at[x] * size + at[y]] = t2[x * n2 + y]
+    universe = arm1.universe + tuple(arm2.universe[y] for y in new)
+    return GradedStructure(arm1.chain, arm1.signature, universe, (bytes(table),))
+
+
+@pytest.mark.parametrize("spec,chain_name,k", [
+    (get_class("k1"), "bool", 3), (get_class("k1"), "luk:3", 2),
+    (ONE_EDGE, "bool", 2), (SINGLETONS, "luk:3", 2),
+], ids=["k1-bool-3", "k1-luk3-2", "one_edge-bool-2", "singletons-luk3-2"])
+def test_a_user_amalgamator_reading_shared_gets_the_builtin_report(spec, chain_name, k):
+    """The checkers pass arms with disjoint ids; an amalgamator that reads
+    the base from ``VFormation.shared``, as ``ClassSpec`` asks, gets the
+    report of ``amalgamate_k1``, counterexamples included."""
+    chain = chain_named(chain_name)
+    user = dataclasses.replace(spec, amalgamate=union_over_shared)
+    for check in (check_ap, check_jep):
+        assert check(user, chain, k).render() == check(spec, chain, k).render()
+
+
 def test_reports_render_deterministically(bool_chain):
     spec = get_class("k1")
     a = check_ap(spec, bool_chain, 2).render()
