@@ -399,14 +399,15 @@ def verify_amalgam(spec, v: VFormation, witness: GradedStructure) -> bool:
     the id of its arm1 partner and any other position to its own id.
     For a v-formation from the public constructor the map is arm2's
     ids, so this is ``is_substructure`` for both arms."""
+    return spec.membership(witness) and _arms_embed(v, witness)
+
+
+def _arms_embed(v: VFormation, witness: GradedStructure) -> bool:
+    """The embedding half of ``verify_amalgam``."""
     ids2 = list(v.arm2.universe)
     for p, q in v.shared:
         ids2[q] = v.arm1.universe[p]
-    return (
-        spec.membership(witness)
-        and is_substructure(v.arm1, witness)
-        and _embeds_by_ids(v.arm2, witness, ids2)
-    )
+    return is_substructure(v.arm1, witness) and _embeds_by_ids(v.arm2, witness, ids2)
 
 
 def _amalgam_frame(v: VFormation):
@@ -786,8 +787,14 @@ def _report(prop: str, spec: ClassSpec, chain: Chain, k: int, problems) -> Prope
     return PropertyReport(prop, spec.name, chain.name, k, checked, bad)
 
 
+def _require_k(k: int) -> None:
+    if k < 0:
+        raise ValueError("k must be non-negative")
+
+
 def check_hp(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     """Every induced substructure of every enumerated member is a member."""
+    _require_k(k)
     members = enumerate_class(spec, chain, k)
     return _report("hp", spec, chain, k, (
         None if spec.membership(sub)
@@ -800,7 +807,8 @@ def _amalgamating(spec: ClassSpec, chain: Chain, k: int):
     to ids that no member holds, the second arms of the instances; a
     class without an amalgamator raises ``ValueError`` before any
     enumeration.  A renamed member shares its source's tables and
-    ``_derived`` cache."""
+    ``_derived`` cache.  A negative k raises ``ValueError`` first."""
+    _require_k(k)
     if spec.amalgamate is None:
         raise ValueError(f"class {spec.name} has no amalgamator")
     members = enumerate_class(spec, chain, k)
@@ -810,16 +818,39 @@ def _amalgamating(spec: ClassSpec, chain: Chain, k: int):
     return members, arms2
 
 
-def _amalgam_problem(spec: ClassSpec, v, where) -> str | None:
-    """None when the class amalgamator's witness for v is verified, else
-    the failure text, which names the instance by ``where()``: it is
-    formatted only for a failure."""
+def _membership_by_table(spec: ClassSpec, chain: Chain):
+    """``spec.membership`` for the witnesses of one check, with its
+    verdict kept per table for witnesses on ``chain`` and ``<`` alone,
+    the check's chain and signature.  Many witnesses share a table.
+    Equal tables on one chain and signature are isomorphic through the
+    identity, and ``enumerate_class`` already requires membership to be
+    isomorphism-invariant, so a kept verdict is the one a new call would
+    give.  Any other witness is asked about afresh."""
+    verdicts = {}
+
+    def member(m: GradedStructure):
+        if m.chain != chain or m.signature != SIG_LT:
+            return spec.membership(m)
+        # Over ``<`` alone the table's length fixes the size.
+        table = m.pred_tables[0]
+        if table not in verdicts:
+            verdicts[table] = spec.membership(m)
+        return verdicts[table]
+
+    return member
+
+
+def _amalgam_problem(spec: ClassSpec, member, v, where) -> str | None:
+    """None when the class amalgamator's witness for v is verified, as
+    ``verify_amalgam`` does but with ``member`` for the membership test,
+    else the failure text, which names the instance by ``where()``: it
+    is formatted only for a failure."""
     try:
         witness = spec.amalgamate(v)
     except AmalgamationError as exc:
         why = str(exc)
     else:
-        if verify_amalgam(spec, v, witness):
+        if member(witness) and _arms_embed(v, witness):
             return None
         why = f"result is not {'an amalgam' if v.shared else 'a common extension'} in the class"
     return f"amalgamator failed on {where()}: {why}"
@@ -835,8 +866,9 @@ def check_jep(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     without an amalgamator raises ``ValueError`` before any enumeration.
     """
     members, arms2 = _amalgamating(spec, chain, k)
+    member = _membership_by_table(spec, chain)
     return _report("jep", spec, chain, k, (
-        _amalgam_problem(spec, _v_formation(m1, arms2[j], ()),
+        _amalgam_problem(spec, member, _v_formation(m1, arms2[j], ()),
                          lambda: f"type[{i}] and type[{j}]")
         for i, m1 in enumerate(members) for j in range(i, len(members))))
 
@@ -882,8 +914,10 @@ def check_ap(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
     embedding keeps every value, so the arms agree there, as the public
     ``VFormation`` would check.  The embedding search reads the tables
     alone, so searching once per distinct base table finds the same
-    embeddings, in the same order, as a search from each subset.  A
-    failure names the base and the embedding by the members' own ids.
+    embeddings, in the same order, as a search from each subset.  The
+    membership verdict is kept per witness table within the check (see
+    ``_membership_by_table``).  A failure names the base and the
+    embedding by the members' own ids.
     """
     members, arms2 = _amalgamating(spec, chain, k)
 
@@ -892,8 +926,9 @@ def check_ap(spec: ClassSpec, chain: Chain, k: int) -> PropertyReport:
         via = sorted(zip(base, (members[j].universe[q] for q in image)))
         return f"base of type[{i}] on {{{' '.join(base)}}} into type[{j}] via {via}"
 
+    member = _membership_by_table(spec, chain)
     return _report("ap", spec, chain, k, (
-        _amalgam_problem(spec, _v_formation(members[i], arms2[j], tuple(zip(pos, image))),
+        _amalgam_problem(spec, member, _v_formation(members[i], arms2[j], tuple(zip(pos, image))),
                          lambda: where(i, pos, j, image))
         for i, pos, j, image in _ap_instances(members)))
 

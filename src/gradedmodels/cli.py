@@ -3,14 +3,28 @@
 Exit codes: 0 when the requested check passed or the build succeeded,
 1 on a failed check or domain error, 2 on usage errors.  ``--format
 tsv`` switches reports to tab-separated rows.
+
+``_ARGUMENTS`` is the one place where positionals and options are
+declared.  Two parsers read it.  ``_match`` takes a command line spelled
+the plain way: positionals right after the command and its action, then
+each option once by its full flag with a separate, valid value.  It
+gives the namespace that argparse would.  Every other spelling reaches
+argparse, whose parser ``build_parser`` makes from the same table:
+``-h``, abbreviations, ``--opt=value``, ``--``, a repeated option, an
+option before a positional, a value or positional that starts with
+``-``, and every usage error.  Argparse stays for those because it
+writes all help and usage text, and so keeps them as they were.  It is
+imported and built only for them because importing it and building its
+parsers takes a few milliseconds per command, as long as a small
+command's own work.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import os
 import sys
+import types
 
 from . import algebra, classes, fraisse, logic, structure
 from .errors import GradedModelError
@@ -58,7 +72,10 @@ def _cmd_eval(args, out) -> int:
             var, _, elem = item.partition("=")
             if not var or not elem:
                 raise GradedModelError(f"bad assignment item {item!r}")
-            assignment[var.strip()] = elem.strip()
+            var = var.strip()
+            if var in assignment:
+                raise GradedModelError(f"variable {var!r} is assigned twice")
+            assignment[var] = elem.strip()
     value = logic.evaluate(m, formula, assignment)
     verdict = "yes" if m.chain.in_filter(value) else "no"
     _emit(out, [("value", value), ("in_filter", verdict)], args.format)
@@ -191,89 +208,139 @@ _COMMANDS = {
 }
 
 
-def _with_format(p):
-    """``p`` with ``--format``, which only the commands that read it offer."""
-    p.add_argument("--format", choices=("text", "tsv"), default="text")
-    return p
+# The one place where the arguments are declared: per command, or per
+# command and action, its positionals and options in declaration order,
+# each as a flag or positional name and the keywords of argparse's
+# ``add_argument``.  Both ``_match`` and ``build_parser`` read them, and
+# the order is argparse's order in help and usage text.
+_FORMAT = ("--format", {"choices": ("text", "tsv"), "default": "text"})
+_CLASS = ("--class", {"dest": "klass", "required": True, "choices": classes.class_names()})
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+
+_ARGUMENTS = {
+    ("algebra", "validate"): [("file", {})],
+    ("algebra", "show"): [_FORMAT, ("ref", {})],
+    ("eval",): [_FORMAT, ("--structure", _REQUIRED), ("--formula", _REQUIRED),
+                ("--assign", {"default": ""})],
+    ("iso",): [("file_a", {}), ("file_b", {})],
+    ("age",): [("file", {}), ("--k", _INT)],
+    ("sub",): [("file_a", {}), ("file_b", {})],
+    ("enumerate",): [_CLASS, ("--chain", _REQUIRED), ("--max-size", _INT),
+                     ("--count-only", {"action": "store_true"})],
+    ("check",): [_FORMAT, _CLASS, ("--chain", _REQUIRED), ("--k", _INT),
+                 ("--property", {"required": True, "choices": ("hp", "jep", "ap")})],
+    ("limit", "build"): [_FORMAT, _CLASS, ("--chain", _REQUIRED), ("--stages", _INT),
+                         ("--budget", _INT), ("--out", _REQUIRED),
+                         ("--seed-order", {"type": int,
+                                           "help": "permute the member enumeration order"})],
+    ("limit", "check"): [("--stage", _REQUIRED), _CLASS, ("--budget", _INT)],
+    ("limit", "replay"): [_FORMAT, ("--transcript", _REQUIRED), ("--out", _REQUIRED)],
+    ("randgraph", "build"): [("--chain", _REQUIRED), ("--rounds", _INT)],
+    ("randgraph", "check"): [("--structure", _REQUIRED), ("--max-x", _INT)],
+}
+
+# No abbreviations here, so that ``--seed`` is an error rather than ``--seed-order``.
+_NO_ABBREVIATIONS = ("limit", "build")
 
 
-def _add_arguments(command: str, p) -> None:
-    """Give the parser ``p`` of ``command`` its arguments and subcommands."""
-    if command == "algebra":
-        actions = p.add_subparsers(dest="action", required=True)
-        actions.add_parser("validate").add_argument("file")
-        _with_format(actions.add_parser("show")).add_argument("ref")
-    elif command == "eval":
-        _with_format(p)
-        p.add_argument("--structure", required=True)
-        p.add_argument("--formula", required=True)
-        p.add_argument("--assign", default="")
-    elif command in ("iso", "sub"):
-        p.add_argument("file_a")
-        p.add_argument("file_b")
-    elif command == "age":
-        p.add_argument("file")
-        p.add_argument("--k", type=int, required=True)
-    elif command == "enumerate":
-        p.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
-        p.add_argument("--chain", required=True)
-        p.add_argument("--max-size", type=int, required=True)
-        p.add_argument("--count-only", action="store_true")
-    elif command == "check":
-        _with_format(p)
-        p.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
-        p.add_argument("--chain", required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--property", required=True, choices=("hp", "jep", "ap"))
-    elif command == "limit":
-        actions = p.add_subparsers(dest="action", required=True)
-        # No abbreviations, so that ``--seed`` is an error rather than ``--seed-order``.
-        p_lb = _with_format(actions.add_parser("build", allow_abbrev=False))
-        p_lb.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
-        p_lb.add_argument("--chain", required=True)
-        p_lb.add_argument("--stages", type=int, required=True)
-        p_lb.add_argument("--budget", type=int, required=True)
-        p_lb.add_argument("--out", required=True)
-        p_lb.add_argument("--seed-order", type=int, default=None,
-                          help="permute the member enumeration order")
-        p_lc = actions.add_parser("check")
-        p_lc.add_argument("--stage", required=True)
-        p_lc.add_argument("--class", dest="klass", required=True, choices=classes.class_names())
-        p_lc.add_argument("--budget", type=int, required=True)
-        p_lr = _with_format(actions.add_parser("replay"))
-        p_lr.add_argument("--transcript", required=True)
-        p_lr.add_argument("--out", required=True)
-    elif command == "randgraph":
-        actions = p.add_subparsers(dest="action", required=True)
-        p_rb = actions.add_parser("build")
-        p_rb.add_argument("--chain", required=True)
-        p_rb.add_argument("--rounds", type=int, required=True)
-        p_rc = actions.add_parser("check")
-        p_rc.add_argument("--structure", required=True)
-        p_rc.add_argument("--max-x", type=int, required=True)
+def _match(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace that argparse would give ``argv``, when ``argv`` is
+    spelled the plain way, else None.
+
+    The plain way is the command, its action if it has actions, every
+    positional, then each option once by its full flag, followed by its
+    value unless it is a ``store_true`` flag; every required option
+    given, every value of its type and among its choices, and no value
+    or positional that starts with ``-``.  Anything else is declined:
+    ``-h``, an abbreviation, ``--opt=value``, ``--``, a repeated option,
+    an unknown, missing or invalid one, and a positional too many or
+    too few.  Some of those argparse accepts, the others it answers
+    with usage or help text; ``main`` hands every one of them to it.
+    """
+    key = tuple(argv[:1])
+    if key not in _ARGUMENTS:
+        key = tuple(argv[:2])
+        if key not in _ARGUMENTS:
+            return None
+    values = dict(zip(("command", "action"), key))
+    positionals = [name for name, _ in _ARGUMENTS[key] if name[0] != "-"]
+    options = {flag: kw for flag, kw in _ARGUMENTS[key] if flag[0] == "-"}
+    words = argv[len(key):]
+    head = words[:len(positionals)]
+    if len(head) < len(positionals) or any(w[:1] == "-" for w in head):
+        return None
+    values.update(zip(positionals, head))
+    given = {}
+    rest = iter(words[len(head):])
+    for flag in rest:
+        kw = options.get(flag)
+        if kw is None or flag in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[flag] = True
+            continue
+        # A missing value declines as one that starts with "-" does.
+        value = next(rest, "-")
+        if value[:1] == "-":
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    for flag, kw in options.items():
+        if flag in given:
+            value = given[flag]
+        elif kw.get("required"):
+            return None
+        else:
+            value = kw.get("default", False if kw.get("action") == "store_true" else None)
+        values[kw.get("dest", flag[2:].replace("-", "_"))] = value
+    return types.SimpleNamespace(**values)
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of the command line for ``command``.  Every command is
-    registered with its help line, so the top-level help and usage errors
-    list them all, but only ``command`` gets its arguments, since a parse
-    reaches no other command's parser.  With None no command gets any; a
-    parse of arguments that name no command stops at the top level."""
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The argparse parser of ``argv``, built from ``_ARGUMENTS``.
+
+    It gives every help and usage text and takes every spelling that
+    ``_match`` declines, so it is built, and argparse imported, only
+    then.  Every command is registered with its help line, so the
+    top-level help and usage errors list them all, but only the first
+    word of ``argv`` that names a command gets its arguments, since a
+    parse reaches no other command's parser; only options, which never
+    name one, come before it.  With no such word no command gets any,
+    and a parse stops at the top level.
+    """
+    import argparse
+
+    command = next(filter(_COMMANDS.__contains__, argv), None)
     parser = argparse.ArgumentParser(prog="gradedmodels",
                                      description="graded structures over finite residuated chains")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line) in _COMMANDS.items():
         p = subs.add_parser(name, help=help_line)
-        if name == command:
-            _add_arguments(name, p)
+        if name != command:
+            continue
+        actions = None
+        for key, arguments in _ARGUMENTS.items():
+            if key[0] != name:
+                continue
+            target = p
+            if len(key) == 2:
+                actions = actions or p.add_subparsers(dest="action", required=True)
+                target = actions.add_parser(key[1], allow_abbrev=key != _NO_ABBREVIATIONS)
+            for flag, kw in arguments:
+                target.add_argument(flag, **kw)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The command is the first word that names one: only options, which
-    # never do, come before it.
-    args = build_parser(next(filter(_COMMANDS.__contains__, argv), None)).parse_args(argv)
+    args = _match(argv) or build_parser(argv).parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args, sys.stdout)
     except (GradedModelError, OSError, ValueError) as exc:

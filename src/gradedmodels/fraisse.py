@@ -173,6 +173,8 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
     """
     if stages < 0:
         raise ValueError("stages must be non-negative")
+    if size_budget < 0:
+        raise ValueError("budget must be non-negative")
     if spec.amalgamate is None:
         raise ValueError(f"class {spec.name} has no amalgamator")
     members, pairs = _extension_pairs(spec, chain, size_budget, shuffle_seed)
@@ -276,7 +278,11 @@ class ExtensionDefect:
 
 
 def check_extension_property(m: GradedStructure, spec, k: int) -> list[ExtensionDefect]:
-    """Embeddings of members into m that fail to extend to some member extension."""
+    """Embeddings of members into m that fail to extend to some member
+    extension, for members of at most ``k`` elements, the size budget;
+    a negative one raises ``ValueError``."""
+    if k < 0:
+        raise ValueError("budget must be non-negative")
     _, pairs = _extension_pairs(spec, m.chain, k, None)
     defects = []
     for n, nprime in pairs:

@@ -10,9 +10,11 @@ in a temporary working directory.  They cover every subcommand: ``age``,
 ``eval``, ``iso``, ``limit check`` and ``sub`` run on built stages, and
 ``randgraph check`` on the saved output of ``randgraph build``, and
 ``eval``, ``iso`` and ``sub`` also on the ``WIDE`` files, over chains of
-20 to 256 ranks.  The
-commands of ``USAGE`` follow, which exit through ``SystemExit``, whose
-code is taken as the exit code.  For
+20 to 256 ranks.  The five valid commands of ``ARGPARSE_ONLY`` follow,
+spelled the ways that only argparse takes: ``--k=2``, an abbreviation,
+a value that starts with ``-``, an option before a positional and a
+repeated flag.  Then the commands of ``USAGE`` follow, which exit
+through ``SystemExit``, whose code is taken as the exit code.  For
 each command it prints one line, the exit code and the sha256 of its
 standard output and of its standard error, then one line per file that
 the command wrote, with its sha256.
@@ -112,6 +114,18 @@ def _randgraph_file(chain: str) -> str:
     return f"randgraph-{chain}.gs"
 
 
+# Valid commands spelled the ways that only argparse takes: ``cli._match``
+# declines them.
+ARGPARSE_ONLY = [
+    ["check", "--class", "k0", "--chain", "bool", "--k=2", "--property", "ap"],
+    ["check", "--cla", "k0", "--chain", "bool", "--k", "2", "--property", "jep"],
+    ["limit", "build", "--class", "k1", "--chain", "bool", "--stages", "2", "--budget", "2",
+     "--seed-order", "-4", "--out", "k1-bool-seed-4"],
+    ["age", "--k", "2", "k3-luk:4/stage002.gs"],
+    ["enumerate", "--class", "k2", "--chain", "bool", "--max-size", "3", "--count-only",
+     "--count-only"],
+]
+
 # Help and usage errors, which exit through ``SystemExit``: the top
 # level's and every subcommand's help, then one error of each kind.
 USAGE = [["-h"]] + [[name, "-h"] for name in SUBCOMMANDS] + [
@@ -125,7 +139,7 @@ USAGE = [["-h"]] + [[name, "-h"] for name in SUBCOMMANDS] + [
      "--out", "seeded", "--seed", "1"],
 ]
 
-COMMANDS = _commands() + USAGE
+COMMANDS = _commands() + ARGPARSE_ONLY + USAGE
 
 
 def _sha(data: bytes) -> str:

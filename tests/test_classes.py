@@ -551,6 +551,45 @@ def test_a_user_amalgamator_reading_shared_gets_the_builtin_report(spec, chain_n
         assert check(user, chain, k).render() == check(spec, chain, k).render()
 
 
+@pytest.mark.parametrize("check", [check_ap, check_jep], ids=["ap", "jep"])
+def test_membership_is_asked_once_per_witness_table(check, bool_chain):
+    """Within one check a witness whose table an earlier witness had gets
+    the kept verdict: a counting class sees one membership call per
+    distinct table, and the report of the built-in class."""
+    spec = get_class("k0")
+    witnesses, asked = {}, []
+
+    def amalgamate(v):
+        witness = spec.amalgamate(v)
+        # Kept alive, so that no two witnesses share an id.
+        witnesses[id(witness)] = witness
+        return witness
+
+    def membership(m):
+        if id(m) in witnesses:
+            asked.append(m.pred_tables)
+        return spec.membership(m)
+
+    counting = dataclasses.replace(spec, membership=membership, amalgamate=amalgamate)
+    assert check(counting, bool_chain, 3).render() == check(spec, bool_chain, 3).render()
+    tables = {w.pred_tables for w in witnesses.values()}
+    assert len(asked) == len(set(asked)) == len(tables) < len(witnesses)
+
+
+def test_witnesses_off_the_checks_chain_are_asked_each_time(bool_chain, luk3):
+    off = GradedStructure(luk3, SIG_LT, ("x0",), ((2,),))
+    asked = []
+
+    def membership(m):
+        if m is off:
+            asked.append(m)
+            return False
+        return k0_member(m)
+
+    report = check_jep(ClassSpec("off", membership, lambda v: off), bool_chain, 2)
+    assert len(asked) == report.checked == len(report.counterexamples) > 1
+
+
 def test_reports_render_deterministically(bool_chain):
     spec = get_class("k1")
     a = check_ap(spec, bool_chain, 2).render()

@@ -380,6 +380,36 @@ def test_eval_unknown_element_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "'nosuch'" in captured.err
 
 
+def test_eval_variable_assigned_twice_is_an_error(tmp_path, capsys):
+    path = tmp_path / "g.gs"
+    path.write_text("structure g chain=luk:3\nelements v0 v1\ndefault 0\n< v0 v1 = 2\n")
+    rc = main(["eval", "--structure", str(path), "--formula", "x < y",
+               "--assign", "x=v0,x=v1,y=v1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: variable 'x' is assigned twice\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--class", "k0", "--chain", "bool", "--k", "-1", "--property", prop],
+     "k must be non-negative") for prop in ("hp", "jep", "ap")] + [
+    (["limit", "build", "--class", "k0", "--chain", "bool", "--stages", "1", "--budget", "-1",
+      "--out", "unused"], "budget must be non-negative"),
+    (["limit", "check", "--stage", "g.gs", "--class", "k1", "--budget", "-1"],
+     "budget must be non-negative"),
+], ids=["check-hp", "check-jep", "check-ap", "limit-build", "limit-check"])
+def test_a_negative_k_or_budget_is_named_in_the_error(argv, message, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.gs").write_text(FILES["g.gs"])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "unused").exists()
+
+
 GOOD_TRANSCRIPT = {
     "class": "k1", "budget": 1, "stages": 1, "shuffle_seed": None,
     "chain": {"name": "bool", "size": 2, "one": 1, "zero": 0, "conj": [[0, 0], [0, 1]]},

@@ -18,6 +18,7 @@ from gradedmodels.classes import (
     amalgamate_k2,
     amalgamate_k3,
     check_ap,
+    check_hp,
     check_jep,
     enumerate_class,
     get_class,
@@ -539,6 +540,20 @@ def test_random_graph_checker_defects(bool_chain, luk3):
     complete4 = edge_graph(bool_chain, list(itertools.combinations("abcd", 2)), list("abcd"))
     defects = check_random_graph_property(complete4, 1)
     assert any(d.wanted == (0,) for d in defects)
+
+
+def test_a_negative_k_or_budget_fails_before_any_enumeration(bool_chain):
+    def never(m):
+        raise AssertionError("membership was asked")
+
+    spec = ClassSpec("never", never, amalgamate_k1)
+    for check in (check_hp, check_jep, check_ap):
+        with pytest.raises(ValueError, match="^k must be non-negative$"):
+            check(spec, bool_chain, -1)
+    with pytest.raises(ValueError, match="^budget must be non-negative$"):
+        build_limit(spec, bool_chain, 1, -1)
+    with pytest.raises(ValueError, match="^budget must be non-negative$"):
+        check_extension_property(random_weighted_graph(bool_chain, 1), spec, -1)
 
 
 def test_random_graph_checker_rejects_non_members(luk3):
