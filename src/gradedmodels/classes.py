@@ -178,58 +178,47 @@ def _level_code(levels, size: int) -> bytes:
                  for v in range(size)).ljust(256, b"\0")
 
 
-def _cut_lines(m: GradedStructure, code: bytes) -> tuple[list[int], list[int]]:
-    """The rows and the columns of m's ``<`` table coded by ``code``, each
-    as an int of its coded cells, first cell lowest: cached in m's
-    ``_derived`` under "cut lines", by code.
+def _code_lines(lt: bytes, n: int, code: bytes, rows: list[int], cols: list[int]):
+    """The rows and the columns of the n×n table ``lt`` coded by ``code``,
+    each as an int of its coded cells, first cell lowest, extended from
+    ``rows`` and ``cols``, those of its first ``len(rows)`` positions:
+    an old line gains its cells against each new position j, shifted by
+    8 * j, and only those cells and the new lines are coded."""
+    old = range(len(rows))
+    rows, cols = rows[:], cols[:]
+    for j in range(len(old), n):
+        shift = 8 * j
+        col, row = lt[j::n].translate(code), lt[j * n:(j + 1) * n].translate(code)
+        for p in itertools.compress(old, col):
+            rows[p] |= col[p] << shift
+        for p in itertools.compress(old, row):
+            cols[p] |= row[p] << shift
+        rows.append(int.from_bytes(row, "little"))
+        cols.append(int.from_bytes(col, "little"))
+    return rows, cols
 
-    A structure without them codes its whole table once.  An amalgam
-    gets them from its first arm instead (see ``_carry_cut_lines``).
-    """
-    cache = m._derived.get("cut lines")
-    if cache is None:
-        cache = m._derived["cut lines"] = {}
+
+def _cut_lines(m: GradedStructure, code: bytes) -> tuple[list[int], list[int]]:
+    """The rows and the columns of m's ``<`` table coded by ``code``,
+    ``_code_lines`` extended from no lines: cached in m's ``_derived``
+    under "cut lines", by code.  An amalgam has them from its first arm's
+    (``_carry_cut_lines``)."""
+    cache = m._derived.setdefault("cut lines", {})
     lines = cache.get(code)
     if lines is None:
-        n = len(m.universe)
-        cut = m.pred_tables[0].translate(code)
-        lines = cache[code] = ([int.from_bytes(cut[i:i + n], "little") for i in range(0, n * n, n)],
-                               [int.from_bytes(cut[p::n], "little") for p in range(n)])
+        lines = cache[code] = _code_lines(m.pred_tables[0], len(m.universe), code, [], [])
     return lines
 
 
 def _carry_cut_lines(arm1: GradedStructure, out: GradedStructure) -> None:
     """Seed the cut lines of ``out``, an amalgam whose universe lists
-    arm1's first, from those cached on arm1, for every code arm1 holds.
-
-    The amalgam's table restricted to arm1's positions is arm1's table,
-    so the line of an old position p is arm1's line with the bytes of
-    p's cells against each new position j above it, shifted by 8 * j;
-    only those cells and the lines of the new positions are coded, from
-    the new rows and columns alone, never the whole table.  The lines so
-    built are the ones ``_cut_lines`` would build from the table.  An
-    old line whose new cells are all zero keeps arm1's int.
-    """
+    arm1's first, by extending arm1's lines for every code arm1 holds:
+    the amalgam's table restricted to arm1's positions is arm1's table."""
     held = arm1._derived.get("cut lines")
-    if not held:
-        return
-    lt = out.pred_tables[0]
-    n1, n = len(arm1.universe), len(out.universe)
-    old = range(n1)
-    cache = out._derived["cut lines"] = {}
-    for code, (rows1, cols1) in held.items():
-        rows, cols = rows1[:], cols1[:]
-        new_rows, new_cols = [], []
-        for j in range(n1, n):
-            shift = 8 * j
-            col, row = lt[j::n].translate(code), lt[j * n:(j + 1) * n].translate(code)
-            for p in itertools.compress(old, col):
-                rows[p] |= col[p] << shift
-            for p in itertools.compress(old, row):
-                cols[p] |= row[p] << shift
-            new_rows.append(int.from_bytes(row, "little"))
-            new_cols.append(int.from_bytes(col, "little"))
-        cache[code] = (rows + new_rows, cols + new_cols)
+    if held:
+        out._derived["cut lines"] = {
+            code: _code_lines(out.pred_tables[0], len(out.universe), code, *lines)
+            for code, lines in held.items()}
 
 
 def _cuts_transitive(m: GradedStructure, news, levels, antisymmetric=False) -> bool:
@@ -627,6 +616,12 @@ def _k2_cross(v: VFormation, ext2):
     return forward, backward
 
 
+@functools.cache
+def _one_or_bottom(one: int) -> bytes:
+    """The ``bytes.translate`` table that sends bytes below ``one`` to 0, the rest to ``one``."""
+    return bytes(one) + bytes((one,)) * (256 - one)
+
+
 def _k3_cross(v: VFormation, ext2):
     """The composition's columns, each rank sent to ``one`` when it is at
     least ``one`` and to bottom otherwise.
@@ -636,8 +631,7 @@ def _k3_cross(v: VFormation, ext2):
     it takes bottom, which is below the filter on every chain (``zero``
     may not be).
     """
-    chain = v.arm1.chain
-    cut = bytes(chain.one if r >= chain.one else chain.bot for r in range(256))
+    cut = _one_or_bottom(v.arm1.chain.one)
     forward, backward = _composition(v, ext2)
     return [col.translate(cut) for col in forward], [col.translate(cut) for col in backward]
 
@@ -721,7 +715,7 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[Graded
     x0, x1, ...; the result is ordered by size then canonical form.
     Each size visits one table per orbit of the symmetric group among
     the tables whose loops ``spec.loops_in_filter`` admits, the least
-    one, builds and validates it, and asks ``spec.membership`` about it
+    one, builds it, and asks ``spec.membership`` about it
     alone, loops included, so the membership predicate must be
     isomorphism-invariant.  Rejects runs whose raw table count, every
     table of every size whatever its loops, exceeds ``_ENUM_BUDGET``
@@ -738,7 +732,7 @@ def enumerate_class(spec: ClassSpec, chain: Chain, max_size: int) -> list[Graded
     for s in range(1, max_size + 1):
         elems = tuple(f"x{i}" for i in range(s))
         for table in _orbit_representatives(chain.size, s, loops):
-            m = GradedStructure(chain, SIG_LT, elems, (table,), name=f"{spec.name}_{s}")
+            m = _trusted(chain, SIG_LT, elems, (bytes(table),), f"{spec.name}_{s}")
             if spec.membership(m):
                 found.append((s, canonical_form(m), m))
     # Types differ in their forms, so the key decides every comparison.

@@ -69,13 +69,13 @@ def _cmd_eval(args, out) -> int:
     assignment = {}
     if args.assign:
         for item in args.assign.split(","):
-            var, _, elem = item.partition("=")
-            if not var or not elem:
+            var, _, elem = (part.strip() for part in item.partition("="))
+            # split() drops every whitespace character, so this also rejects "".
+            if not elem or var.split() != [var]:
                 raise GradedModelError(f"bad assignment item {item!r}")
-            var = var.strip()
             if var in assignment:
                 raise GradedModelError(f"variable {var!r} is assigned twice")
-            assignment[var] = elem.strip()
+            assignment[var] = elem
     value = logic.evaluate(m, formula, assignment)
     verdict = "yes" if m.chain.in_filter(value) else "no"
     _emit(out, [("value", value), ("in_filter", verdict)], args.format)

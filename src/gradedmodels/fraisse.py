@@ -23,6 +23,7 @@ from .errors import AmalgamationError, BudgetError, ChainTableError, FileFormatE
 from .logic import SIG_LT
 from .structure import (
     GradedStructure,
+    _trusted,
     canonical_form,
     find_embeddings,
     id_supply,
@@ -335,8 +336,8 @@ def random_weighted_graph(chain: Chain, rounds: int) -> GradedStructure:
                     profiles.append(dict(zip(X, fv)))
                     counter += 1
     n = len(vertices)
-    table = tuple(profiles[max(i, j)].get(min(i, j), bot) for i in range(n) for j in range(n))
-    return GradedStructure(chain, SIG_LT, tuple(vertices), (table,), name="randgraph")
+    table = bytes(profiles[max(i, j)].get(min(i, j), bot) for i in range(n) for j in range(n))
+    return _trusted(chain, SIG_LT, tuple(vertices), (table,), "randgraph")
 
 
 @dataclass(frozen=True)

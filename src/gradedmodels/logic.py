@@ -170,6 +170,10 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
+# The left-associative connectives by binding, loosest first.
+_LEFT_CONNECTIVES = ("|", "&", "*")
+
+
 class _Parser:
     """Recursive-descent parser for the formula grammar.
 
@@ -180,6 +184,8 @@ class _Parser:
     conj    := strong {"&" strong}
     strong  := atomf {"*" atomf}
     atomf   := "(" formula ")" | const | pred "(" terms ")" | term "<" term
+
+    ``connective`` parses disj, conj and strong.
     """
 
     def __init__(self, tokens: list[_Token], signature: Signature):
@@ -195,9 +201,14 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_sym(self, text: str) -> _Token:
+    def at(self, sym: str) -> bool:
+        """Whether the next token is the symbol ``sym``."""
         tok = self.peek()
-        if tok.kind != "sym" or tok.text != text:
+        return tok.kind == "sym" and tok.text == sym
+
+    def expect_sym(self, text: str) -> _Token:
+        if not self.at(text):
+            tok = self.peek()
             what = "end of input" if tok.kind == "end" else repr(tok.text)
             if text == ")":
                 raise FormulaParseError(f"unbalanced parentheses: expected ')', found {what}", tok.column)
@@ -223,37 +234,27 @@ class _Parser:
         return self.impl()
 
     def impl(self):
-        left = self.disj()
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "->":
+        left = self.connective(0)
+        if self.at("->"):
             self.take()
             return BinOp("->", left, self.impl())
         return left
 
-    def disj(self):
-        f = self.conj()
-        while self.peek().kind == "sym" and self.peek().text == "|":
+    def connective(self, level: int):
+        """A left-associated chain of ``_LEFT_CONNECTIVES[level]`` over
+        the next level; past the last level, an ``atomf``."""
+        if level == len(_LEFT_CONNECTIVES):
+            return self.atomf()
+        op = _LEFT_CONNECTIVES[level]
+        f = self.connective(level + 1)
+        while self.at(op):
             self.take()
-            f = BinOp("|", f, self.conj())
-        return f
-
-    def conj(self):
-        f = self.strong()
-        while self.peek().kind == "sym" and self.peek().text == "&":
-            self.take()
-            f = BinOp("&", f, self.strong())
-        return f
-
-    def strong(self):
-        f = self.atomf()
-        while self.peek().kind == "sym" and self.peek().text == "*":
-            self.take()
-            f = BinOp("*", f, self.atomf())
+            f = BinOp(op, f, self.connective(level + 1))
         return f
 
     def atomf(self):
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "(":
+        if self.at("("):
             self.take()
             f = self.formula()
             self.expect_sym(")")
@@ -269,7 +270,7 @@ class _Parser:
                 return Atom(tok.text, args)
             left = self.term()
             lt = self.peek()
-            if lt.kind == "sym" and lt.text == "<":
+            if self.at("<"):
                 self.take()
                 right = self.term()
                 if self.sig.pred_arity("<") != 2:
@@ -282,7 +283,7 @@ class _Parser:
     def arg_list(self, symbol: str, arity: int, at: int) -> tuple:
         self.expect_sym("(")
         args = [self.term()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
+        while self.at(","):
             self.take()
             args.append(self.term())
         self.expect_sym(")")

@@ -21,11 +21,12 @@ cached on the target structure, in its ``_derived`` dict, and go with it
 and with its renamings: the positions by loop value, built for every
 element at once, and the positions by value in an element's row and
 column, built for that element when a search first places something
-there.  ``is_isomorphic`` runs the same search from smaller candidate
-sets: each element may go only to the elements with its profile, its
-loops and the rank counts of its rows and columns, which every
-isomorphism keeps; the search walks what is left in the same order, so
-the first map it finds is the one ``find_embeddings`` finds.
+there.  A seed of ``find_embeddings`` is a candidate set of one
+position, at the head of the order.  ``is_isomorphic`` starts each
+element from the elements with its profile, its loops and the rank
+counts of its rows and columns, which every isomorphism keeps; the
+search walks what is left in the same order, so the first map it finds
+is the one ``find_embeddings`` finds.
 """
 
 from __future__ import annotations
@@ -140,12 +141,11 @@ class GradedStructure:
     ``bytes`` and stores it as ``bytes``.
     Equality and hashing ignore ``name``.
 
-    Two constructions skip the validation, because their input is
-    already valid: ``rename``, which checks only the ids it brings in and
-    keeps the tables, and the amalgam of ``classes._amalgamate``, whose
-    tables hold only ranks read from validated arms and the chain's
-    constants, and whose universe is the first arm's followed by ids of
-    the second arm that the first lacks (see ``_trusted``).
+    One rule: a structure from outside the library (``make_structure``,
+    ``structure_from_text``, a user's call) is validated here, and one
+    derived from valid input (``restrict``, ``rename``, ``age``,
+    amalgams, enumerated members, the random graph) is built by
+    ``_trusted`` without it; ``rename`` checks only the ids it brings in.
 
     ``_derived`` caches data that depend on the chain, the signature and
     the tables alone, not on the ids: the masks of ``find_embeddings``
@@ -368,7 +368,8 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None =
     The search is forward checking over candidate sets (Ullmann 1976;
     Haralick and Elliott 1980).  Every unplaced element of m keeps a
     bitset of the positions of n it may still go to, starting from those
-    with its unary and loop values.  Placing s at d clears d from every
+    with its unary and loop values: the one position ``fixed`` gives it,
+    or every position.  Placing s at d clears d from every
     set and keeps, per binary predicate, the positions whose values
     against d are those of the unplaced element against s: the row and
     column masks of d, built on first use and cached on n.  An emptied
@@ -376,13 +377,26 @@ def find_embeddings(m: GradedStructure, n: GradedStructure, fixed: dict | None =
     checked when their last element is placed.
     """
     _require_compatible(m, n)
-    return _search(m, n, [(1 << len(n.universe)) - 1] * len(m.universe), fixed, limit)
+    cand = [(1 << len(n.universe)) - 1] * len(m.universe)
+    first = []
+    for src, dst in (fixed or {}).items():
+        s, d = m.positions.get(src), n.positions.get(dst)
+        if s is None or d is None:
+            return []
+        cand[s] = 1 << d
+        first.append(s)
+    return _search(m, n, cand, first, limit)
 
 
-def _search(m: GradedStructure, n: GradedStructure, cand: list[int], fixed: dict | None = None,
-            limit: int | None = None) -> list[dict]:
-    """``find_embeddings`` with each element of m starting from the
-    positions of n in its bitset ``cand[s]``, rather than from all."""
+def _search(m: GradedStructure, n: GradedStructure, cand: list[int], first: list[int],
+            limit: int | None) -> list[dict]:
+    """The embeddings of m into n, up to ``limit``, that send each
+    element s of m into its bitset ``cand[s]`` of positions of n.
+
+    The search places the positions ``first`` in that order, then the
+    rest of m's in universe order.  A seed of ``find_embeddings`` is a
+    candidate set of one position at the head of the order.
+    """
     nm, nn = len(m.universe), len(n.universe)
     if nm > nn or (limit is not None and limit < 1):
         return []
@@ -396,6 +410,7 @@ def _search(m: GradedStructure, n: GradedStructure, cand: list[int], fixed: dict
               for line in (tm[s * nm:(s + 1) * nm], tm[s::nm])] for s in range(nm)]
     for (_, arity), tm, masks in zip(preds, m.pred_tables, n._loop_masks()):
         cand = [c & masks[v] for c, v in zip(cand, tm[::_diagonal_step(nm, arity)])]
+    order = first + [s for s in range(nm) if s not in first]
     pair_masks = n._pair_masks()
     placed: list[tuple[int, int]] = []
 
@@ -444,22 +459,7 @@ def _search(m: GradedStructure, n: GradedStructure, cand: list[int], fixed: dict
                 return False
         return True
 
-    seed = []
-    for src, dst in (fixed or {}).items():
-        s, d = m.positions.get(src), n.positions.get(dst)
-        if s is None or d is None:
-            return []
-        seed.append((s, d))
-    order = [s for s, _ in seed]
-    order += [s for s in range(nm) if s not in order]
-    for k, (s, d) in enumerate(seed):
-        if not cand[s] >> d & 1:
-            return []
-        cand = place(s, d, cand, order[k + 1:])
-        if cand is None:
-            return []
-        placed.append((s, d))
-    search(len(seed), cand)
+    search(0, cand)
     return results
 
 
@@ -479,7 +479,7 @@ def is_isomorphic(m: GradedStructure, n: GradedStructure) -> dict | None:
     same: dict = {}
     for d, key in enumerate(_iso_keys(n)):
         same[key] = same.get(key, 0) | 1 << d
-    found = _search(m, n, [same.get(key, 0) for key in _iso_keys(m)], limit=1)
+    found = _search(m, n, [same.get(key, 0) for key in _iso_keys(m)], [], 1)
     return found[0] if found else None
 
 
@@ -564,15 +564,13 @@ def restrict(m: GradedStructure, elements) -> GradedStructure:
     n = len(m.universe)
     pred_tables = tuple(_pull(table, pos, n, arity)
                         for (_, arity), table in zip(m.signature.predicates, m.pred_tables))
-    return GradedStructure(m.chain, m.signature, tuple(m.universe[i] for i in pos),
-                           pred_tables, name=m.name)
+    return _trusted(m.chain, m.signature, tuple(m.universe[i] for i in pos), pred_tables, m.name)
 
 
-def substructures(m: GradedStructure, whole: bool = False):
+def substructures(m: GradedStructure):
     """``(subset, restrict(m, subset))`` for every nonempty proper subset
-    of m's universe, and for the universe itself when ``whole`` is set:
-    by size, then in ``itertools.combinations`` order."""
-    for size in range(1, len(m.universe) + whole):
+    of m's universe: by size, then in ``itertools.combinations`` order."""
+    for size in range(1, len(m.universe)):
         for subset in itertools.combinations(m.universe, size):
             yield subset, restrict(m, subset)
 
@@ -636,7 +634,7 @@ def age(m: GradedStructure, k: int) -> set[bytes]:
                         for (_, arity), table in zip(preds, m.pred_tables))
                   for pos in itertools.combinations(range(n), size)}
         ids = m.universe[:size]
-        forms.update(canonical_form(GradedStructure(m.chain, m.signature, ids, t)) for t in tables)
+        forms.update(canonical_form(_trusted(m.chain, m.signature, ids, t, m.name)) for t in tables)
     return forms
 
 

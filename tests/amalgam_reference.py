@@ -71,10 +71,10 @@ def search_amalgam(v: VFormation, membership) -> GradedStructure | None:
 def reference_report(prop: str, spec, chain, k: int) -> PropertyReport:
     """The report of ``check_jep`` (``prop`` "jep") or ``check_ap``
     ("ap"), instance by instance through the public path: the bases
-    from ``substructures``, the embeddings searched from each base, each
-    v-formation from ``align_v_formation``, which renames the second arm
-    and checks that the arms agree, and its witness from
-    ``spec.amalgamate``, checked by ``verify_amalgam``."""
+    from ``substructures`` followed by the whole member, the embeddings
+    searched from each base, each v-formation from ``align_v_formation``,
+    which renames the second arm and checks that the arms agree, and its
+    witness from ``spec.amalgamate``, checked by ``verify_amalgam``."""
     members = enumerate_class(spec, chain, k)
 
     def problem(v, where):
@@ -96,7 +96,8 @@ def reference_report(prop: str, spec, chain, k: int) -> PropertyReport:
             problem(align_v_formation(m1, m2, g),
                     f"base of type[{i}] on {{{' '.join(subset)}}} into type[{j}] "
                     f"via {sorted(g.items())}")
-            for i, m1 in enumerate(members) for subset, base in substructures(m1, whole=True)
+            for i, m1 in enumerate(members)
+            for subset, base in [*substructures(m1), (m1.universe, m1)]
             for j, m2 in enumerate(members) for g in find_embeddings(base, m2)]
     return PropertyReport(prop, spec.name, chain.name, k, len(problems),
                           [p for p in problems if p is not None])

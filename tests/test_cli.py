@@ -391,6 +391,35 @@ def test_eval_variable_assigned_twice_is_an_error(tmp_path, capsys):
     assert captured.err == "error: variable 'x' is assigned twice\n"
 
 
+@pytest.mark.parametrize("assign, bad", [
+    (" =v0,x=v0,y=v1", " =v0"),
+    ("x y=v0,x=v0,y=v1", "x y=v0"),
+    ("x=v0,=v1,y=v1", "=v1"),
+    ("x= ,y=v1", "x= "),
+    ("x,y=v1", "x"),
+])
+def test_eval_assignment_item_without_a_variable_or_an_element_is_an_error(assign, bad, tmp_path,
+                                                                            capsys):
+    """A blank variable, a variable holding a space, a blank element or
+    no "=" makes a bad item, once its parts are stripped."""
+    path = tmp_path / "g.gs"
+    path.write_text("structure g chain=luk:3\nelements v0 v1\ndefault 0\n< v0 v1 = 2\n")
+    rc = main(["eval", "--structure", str(path), "--formula", "x < y", "--assign", assign])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: bad assignment item {bad!r}\n"
+
+
+def test_eval_assignment_items_are_stripped(tmp_path, capsys):
+    path = tmp_path / "g.gs"
+    path.write_text("structure g chain=luk:3\nelements v0 v1\ndefault 0\n< v0 v1 = 2\n")
+    rc = main(["eval", "--structure", str(path), "--formula", "x < y",
+               "--assign", " x = v0 , y=v1 "])
+    assert rc == 0
+    assert capsys.readouterr().out == "value 2\nin_filter yes\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "--class", "k0", "--chain", "bool", "--k", "-1", "--property", prop],
      "k must be non-negative") for prop in ("hp", "jep", "ap")] + [

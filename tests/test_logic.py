@@ -174,6 +174,42 @@ def test_print_parse_roundtrip(formula):
     assert parse_formula(format_formula(formula), SIG_LT) == formula
 
 
+# Unparenthesised chains of the binary connectives and their parse,
+# printed fully parenthesised: ``*`` binds tightest, then ``&``, ``|`` and
+# ``->``; the first three associate to the left, ``->`` to the right.
+PRECEDENCE = [
+    ("0 | 1 | top", "((0 | 1) | top)"),
+    ("0 & 1 & top", "((0 & 1) & top)"),
+    ("0 * 1 * top", "((0 * 1) * top)"),
+    ("0 -> 1 -> top", "(0 -> (1 -> top))"),
+    ("0 | 1 & top", "(0 | (1 & top))"),
+    ("0 & 1 | top", "((0 & 1) | top)"),
+    ("0 | 1 * top", "(0 | (1 * top))"),
+    ("0 * 1 | top", "((0 * 1) | top)"),
+    ("0 & 1 * top", "(0 & (1 * top))"),
+    ("0 * 1 & top", "((0 * 1) & top)"),
+    ("0 -> 1 | top", "(0 -> (1 | top))"),
+    ("0 | 1 -> top", "((0 | 1) -> top)"),
+    ("0 -> 1 & top", "(0 -> (1 & top))"),
+    ("0 & 1 -> top", "((0 & 1) -> top)"),
+    ("0 -> 1 * top", "(0 -> (1 * top))"),
+    ("0 * 1 -> top", "((0 * 1) -> top)"),
+    ("0 | 1 & top * bot", "(0 | (1 & (top * bot)))"),
+    ("0 * 1 & top | bot", "(((0 * 1) & top) | bot)"),
+    ("0 & 1 * top & bot | 0 * 1", "(((0 & (1 * top)) & bot) | (0 * 1))"),
+    ("0 | 1 -> top & bot -> 0 * 1 | top",
+     "((0 | 1) -> ((top & bot) -> ((0 * 1) | top)))"),
+    ("x < y * y < z -> x < z & 1", "(((x < y) * (y < z)) -> ((x < z) & 1))"),
+]
+
+
+@pytest.mark.parametrize("text, printed", PRECEDENCE)
+def test_precedence_and_associativity_of_unparenthesised_chains(text, printed):
+    parsed = parse_formula(text)
+    assert format_formula(parsed) == printed
+    assert parse_formula(printed) == parsed
+
+
 def test_free_vars():
     f = parse_formula("forall x ((x < y) -> (z < x))")
     assert free_vars(f) == {"y", "z"}

@@ -20,15 +20,18 @@ from gradedmodels import classes
 from gradedmodels.classes import (
     ClassSpec,
     align_v_formation,
+    check_ap,
+    check_hp,
     enumerate_class,
     get_class,
     k0_member,
     verify_amalgam,
 )
-from gradedmodels.fraisse import build_limit
+from gradedmodels.fraisse import build_limit, random_weighted_graph
 from gradedmodels.logic import SIG_LT
 from gradedmodels.structure import (
     GradedStructure,
+    age,
     binary_structure,
     find_embeddings,
     fresh_names,
@@ -59,6 +62,60 @@ def assert_carried_is_fresh(out: GradedStructure) -> None:
     assert again == out
     for code, lines in out._derived.get("cut lines", {}).items():
         assert lines == classes._cut_lines(again, code)
+
+
+def level_groups(chain) -> list[tuple[int, ...]]:
+    """The level groups of the cell checks: k0's levels above bottom,
+    eight at a time, and k3's ``(one,)``."""
+    levels = tuple(range(1, chain.size))
+    return [levels[g:g + 8] for g in range(0, len(levels), 8)] + [(chain.one,)]
+
+
+@pytest.mark.parametrize("chain", list(FIVE_CHAINS) + [chain_named("luk:256")], ids=lambda c: c.name)
+def test_fresh_cut_lines_cell_by_cell(chain):
+    """The cut lines of a structure without them, against each cell's
+    byte read off the table: bit i set when the cell's rank is at least
+    the group's i-th level, in byte j of row i and byte i of column j."""
+    rng = random.Random(chain.size)
+    for n in (1, 2, 5, 9):
+        ids = [f"e{i}" for i in range(n)]
+        table = bytes(rng.randrange(chain.size) for _ in range(n * n))
+        m = GradedStructure(chain, SIG_LT, tuple(ids), (table,))
+        for levels in level_groups(chain):
+            rows, cols = classes._cut_lines(m, classes._level_code(levels, chain.size))
+            assert len(rows) == len(cols) == n
+            for i, j in itertools.product(range(n), repeat=2):
+                cell = sum(1 << b for b, t in enumerate(levels) if table[i * n + j] >= t)
+                assert rows[i] >> 8 * j & 0xFF == cell == cols[j] >> 8 * i & 0xFF
+            assert all(line < 1 << 8 * n for line in rows + cols)
+
+
+def test_derived_structures_are_not_validated_again(luk3, monkeypatch):
+    """Only structures from outside the library go through the validating
+    constructor: enumeration, the property checks, ``restrict``, ``age``,
+    the random graph and a limit build build every structure by
+    ``_trusted``."""
+    m = binary_structure(luk3, ["a", "b", "c"], {("a", "b"): 2, ("c", "c"): 1}, default=0)
+    calls = []
+    validate = GradedStructure.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(GradedStructure, "__post_init__", counted)
+    for name in NAMES:
+        spec = get_class(name)
+        enumerate_class(spec, luk3, 2)
+        check_hp(spec, luk3, 2)
+        check_ap(spec, luk3, 2)
+        build_limit(spec, luk3, 2, 2)
+    restrict(m, ["a", "c"])
+    age(m, 3)
+    random_weighted_graph(luk3, 2)
+    assert calls == []
+    fresh(m)
+    assert len(calls) == 1
 
 
 def recording(spec: ClassSpec, seen: list) -> ClassSpec:
