@@ -9,6 +9,9 @@ carried lines of every position they meet.  These tests compare what is
 carried with what a fresh, validated structure on the same table
 builds, and the check through the new elements and membership that
 read carried lines with the rank loops of ``membership_reference``.
+Both are coded by one helper, so the fresh lines are also checked cell
+by cell against the table, and a counted constructor shows that no
+derived structure is validated again.
 """
 
 import itertools
