@@ -51,7 +51,8 @@ class Chain:
     the largest b with conj(a, b) <= c, which exists for every a, c once
     the table passes validation.  The constructor checks the size, 2 to
     ``MAX_RANKS``, before it reads the table, then the shape and ranks of
-    the table, raising ``ValueError``, and then neutrality of ``one``,
+    the table, ``one`` and ``zero``, each an int and never a bool, raising
+    ``ValueError``, and then neutrality of ``one``,
     monotonicity, commutativity, associativity and existence of residua,
     raising ``ChainTableError`` naming the first failed axiom with a
     witness.
@@ -72,12 +73,12 @@ class Chain:
             raise ValueError(f"conjunction table must be {size}x{size}")
         for row in table:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < size:
+                if type(v) is not int or not 0 <= v < size:
                     raise ValueError(f"table entry {v!r} is not a rank below {size}")
-        if not 0 <= one < size:
-            raise ValueError(f"one={one} is not a rank below {size}")
-        if not 0 <= zero < size:
-            raise ValueError(f"zero={zero} is not a rank below {size}")
+        if type(one) is not int or not 0 <= one < size:
+            raise ValueError(f"one={one!r} is not a rank below {size}")
+        if type(zero) is not int or not 0 <= zero < size:
+            raise ValueError(f"zero={zero!r} is not a rank below {size}")
         failure = _find_axiom_failure(size, table, one)
         if failure is not None:
             raise ChainTableError(*failure)

@@ -77,6 +77,7 @@ from .logic import SIG_LT
 from .structure import (
     GradedStructure,
     _embeds_by_ids,
+    _induced,
     _pull,
     _require_compatible,
     _trusted,
@@ -86,7 +87,6 @@ from .structure import (
     id_supply,
     is_substructure,
     rename,
-    restrict,
     substructures,
 )
 
@@ -883,7 +883,7 @@ def _ap_instances(members):
                 table = _pull(m1.pred_tables[0], pos, n1, 2)
                 into = images.get(table)
                 if into is None:
-                    base = restrict(m1, [m1.universe[p] for p in pos])
+                    base = _induced(m1, pos)
                     into = images[table] = [[tuple(m2.positions[g[e]] for e in base.universe)
                                              for g in find_embeddings(base, m2)]
                                             for m2 in members]

@@ -9,14 +9,14 @@ declared.  Two parsers read it.  ``_match`` takes a command line spelled
 the plain way: positionals right after the command and its action, then
 each option once by its full flag with a separate, valid value.  It
 gives the namespace that argparse would.  Every other spelling reaches
-argparse, whose parser ``build_parser`` makes from the same table:
-``-h``, abbreviations, ``--opt=value``, ``--``, a repeated option, an
-option before a positional, a value or positional that starts with
-``-``, and every usage error.  Argparse stays for those because it
-writes all help and usage text, and so keeps them as they were.  It is
-imported and built only for them because importing it and building its
-parsers takes a few milliseconds per command, as long as a small
-command's own work.
+argparse, whose parser ``build_parser`` makes from the same table, with
+every command's arguments: ``-h``, abbreviations, ``--opt=value``,
+``--``, a repeated option, an option before a positional, a value or
+positional that starts with ``-``, and every usage error.  Argparse
+stays for those because it writes all help and usage text, and so keeps
+them as they were.  It is imported and built only for them because
+importing it and building its parsers takes a few milliseconds per
+command, as long as a small command's own work.
 """
 
 from __future__ import annotations
@@ -303,28 +303,20 @@ def _match(argv: list[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(**values)
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The argparse parser of ``argv``, built from ``_ARGUMENTS``.
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command, built from ``_ARGUMENTS``.
 
     It gives every help and usage text and takes every spelling that
-    ``_match`` declines, so it is built, and argparse imported, only
-    then.  Every command is registered with its help line, so the
-    top-level help and usage errors list them all, but only the first
-    word of ``argv`` that names a command gets its arguments, since a
-    parse reaches no other command's parser; only options, which never
-    name one, come before it.  With no such word no command gets any,
-    and a parse stops at the top level.
+    ``_match`` declines, so ``main`` builds it, and imports argparse,
+    only for those.
     """
     import argparse
 
-    command = next(filter(_COMMANDS.__contains__, argv), None)
     parser = argparse.ArgumentParser(prog="gradedmodels",
                                      description="graded structures over finite residuated chains")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line) in _COMMANDS.items():
         p = subs.add_parser(name, help=help_line)
-        if name != command:
-            continue
         actions = None
         for key, arguments in _ARGUMENTS.items():
             if key[0] != name:
@@ -340,7 +332,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _match(argv) or build_parser(argv).parse_args(argv)
+    args = _match(argv) or build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args, sys.stdout)
     except (GradedModelError, OSError, ValueError) as exc:

@@ -27,6 +27,7 @@ from .structure import (
     canonical_form,
     find_embeddings,
     id_supply,
+    is_substructure,
     structure_from_text,
     structure_to_text,
     substructures,
@@ -43,13 +44,6 @@ __all__ = [
 
 
 # --- stage-wise limit construction ---
-
-
-@dataclass
-class Event:
-    stage: int
-    base_ids: tuple[str, ...]
-    arm_text: str
 
 
 _TRANSCRIPT_FIELDS = {"class": str, "chain": dict, "budget": int, "stages": int,
@@ -73,7 +67,9 @@ def _json_fields(obj, fields: dict, what: str) -> dict:
 
 @dataclass
 class Transcript:
-    """Replayable record of one limit build."""
+    """Replayable record of one limit build.  Each event is the JSON
+    object that ``to_json`` writes: the ``"stage"`` it belongs to, the
+    ``"base"`` ids that its arm shares with the stage, and the ``"arm"`` text."""
 
     class_name: str
     chain: Chain
@@ -81,7 +77,7 @@ class Transcript:
     stages: int
     shuffle_seed: int | None
     initial_text: str
-    events: list[Event] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
         payload = {
@@ -97,10 +93,7 @@ class Transcript:
             "stages": self.stages,
             "shuffle_seed": self.shuffle_seed,
             "initial": self.initial_text,
-            "events": [
-                {"stage": e.stage, "base": list(e.base_ids), "arm": e.arm_text}
-                for e in self.events
-            ],
+            "events": self.events,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -109,7 +102,8 @@ class Transcript:
         """Parse ``to_json`` output; a missing key, a value of the wrong
         type, a negative ``stages`` or ``budget``, an event outside the
         recorded stages, or a chain that ``Chain`` rejects, such as one of
-        more than ``algebra.MAX_RANKS`` ranks, raises ``FileFormatError``."""
+        more than ``algebra.MAX_RANKS`` ranks, raises ``FileFormatError``.
+        An event keeps its three fields and nothing else."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -140,10 +134,7 @@ class Transcript:
             stages=payload["stages"],
             shuffle_seed=payload["shuffle_seed"],
             initial_text=payload["initial"],
-            events=[
-                Event(e["stage"], tuple(e["base"]), e["arm"])
-                for e in payload["events"]
-            ],
+            events=[{key: e[key] for key in _EVENT_FIELDS} for e in payload["events"]],
         )
 
 
@@ -169,6 +160,11 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
     first stage is an enumerated member and every later one an amalgam,
     so the current stage, the first arm of each amalgamation, is a
     member, as the amalgamator's check through the new elements needs.
+
+    Each amalgam must hold the aligned arm, with the stage's ids on its
+    base and fresh ones on its new elements, as a substructure, as
+    ``verify_amalgam`` requires; else, with no search for another copy,
+    ``AmalgamationError``.
 
     Returns (stage structures, transcript).
     """
@@ -213,9 +209,10 @@ def build_limit(spec, chain: Chain, stages: int, size_budget: int,
                 raise AmalgamationError(
                     f"stage {stage}: {exc} ({len(tasks) - pos - 1} tasks pending)"
                 ) from exc
-            base_ids = tuple(v.arm1.universe[p] for p, _ in v.shared)
-            transcript.events.append(Event(stage, base_ids, structure_to_text(v.arm2)))
-            if not find_embeddings(nprime, current, fixed=mapping, limit=1):
+            transcript.events.append({"stage": stage,
+                                      "base": [v.arm1.universe[p] for p, _ in v.shared],
+                                      "arm": structure_to_text(v.arm2)})
+            if not is_substructure(v.arm2, current):
                 raise AmalgamationError(f"stage {stage}: amalgam did not satisfy its task")
         stage_list.append(current)
     return stage_list, transcript
@@ -243,15 +240,14 @@ def replay_transcript(transcript: Transcript):
     if not spec.membership(current):
         raise FileFormatError(f"transcript initial structure is not a member of {spec.name}")
     stage_list = [current]
-    events = list(transcript.events)
     for stage in range(transcript.stages):
-        for event in (e for e in events if e.stage == stage):
-            arm = structure_from_text(event.arm_text, chain=chain)
+        for event in (e for e in transcript.events if e["stage"] == stage):
+            arm = structure_from_text(event["arm"], chain=chain)
             try:
                 v = VFormation(current, arm)
             except ValueError as exc:  # another signature, or disagreement on the base
                 raise FileFormatError(f"transcript event at stage {stage}: {exc}") from None
-            if {current.universe[p] for p, _ in v.shared} != set(event.base_ids):
+            if {current.universe[p] for p, _ in v.shared} != set(event["base"]):
                 raise FileFormatError(f"transcript event at stage {stage}: its base ids are "
                                       "not the ids its arm shares with the stage")
             if len(v.shared) == len(arm.universe):

@@ -8,7 +8,9 @@ ranks over positions.  For a k-ary predicate on n elements, entry
 positions (i_1, ..., i_k).  String ids matter only at the boundary:
 ``make_structure``, the file format, ``value`` and morphism mappings.
 Structures are immutable, hashable values; renaming is explicit.  All
-operations here are pure.
+operations here are pure.  Input is validated once, at the boundary (see
+``GradedStructure``); an induced substructure is built from positions by
+``_induced``, which checks nothing.
 
 Every table is ``bytes``: one rank per byte, at most 256 ranks
 (``algebra.MAX_RANKS``).  A table is validated by one ``translate``,
@@ -59,20 +61,9 @@ __all__ = [
 
 def _check_universe(universe: tuple) -> None:
     """Every id is a nonempty string with no whitespace and no "=", and
-    no id repeats.
-
-    Joined by spaces, the ids split back into themselves exactly when
-    each is a nonempty string without whitespace, so a good universe
-    costs a few passes in C; a bad one is read id by id to name the
-    first bad id.
-    """
-    try:
-        joined = " ".join(universe)
-    except TypeError:  # an id that is not a string
-        joined = None
-    if (joined is not None and "=" not in joined and joined.split() == list(universe)
-            and len(set(universe)) == len(universe)):
-        return
+    no id repeats; ``ValueError`` names the first bad id.  Only ids from
+    outside the library (see ``GradedStructure``) and those that
+    ``rename`` brings in come here."""
     seen = set()
     for eid in universe:
         # split() drops every whitespace character, so this also rejects "".
@@ -94,14 +85,15 @@ def _check_table(table, length: int, size: int, pname: str) -> bytes:
     ``length`` ranks, each in 0..size-1, as ``bytes``.
 
     A tuple is converted by ``bytes()``, which rejects every entry that
-    is not an int in 0..255, and the ranks are in range exactly when
-    deleting every byte below ``size`` leaves nothing.
+    is not an int in 0..255; a rank is never a bool, which ``bytes()``
+    would take.  The ranks are in range exactly when deleting every byte
+    below ``size`` leaves nothing.
     """
     if type(table) not in (tuple, bytes) or len(table) != length:
         raise ValueError(f"interpretation of predicate {pname!r} is not a total table "
                          f"of {length} entries")
     try:
-        table = bytes(table)
+        table = None if type(table) is tuple and bool in map(type, table) else bytes(table)
     except (TypeError, ValueError):
         table = None
     if table is None or table.translate(None, _ranks_below(size)):
@@ -138,14 +130,17 @@ class GradedStructure:
     ``pred_tables`` follows ``signature.predicates`` and holds ranks of
     ``chain``.  The constructor validates, so code reading the tables
     checks nothing again.  It takes each table as a tuple or as
-    ``bytes`` and stores it as ``bytes``.
-    Equality and hashing ignore ``name``.
+    ``bytes`` and stores it as ``bytes``; a rank is an int, never a bool.
+    ``name`` is one word, nonempty and without whitespace, as the file
+    header holds it.  Equality and hashing ignore ``name``.
 
     One rule: a structure from outside the library (``make_structure``,
     ``structure_from_text``, a user's call) is validated here, and one
-    derived from valid input (``restrict``, ``rename``, ``age``,
-    amalgams, enumerated members, the random graph) is built by
-    ``_trusted`` without it; ``rename`` checks only the ids it brings in.
+    derived from valid input (induced substructures by ``_induced``,
+    ``rename``, ``age``, amalgams, enumerated members, the random graph)
+    is built by ``_trusted`` without it.  Of the public functions that
+    derive one, ``restrict`` checks only the ids it is given and
+    ``rename`` only the ids it brings in.
 
     ``_derived`` caches data that depend on the chain, the signature and
     the tables alone, not on the ids: the masks of ``find_embeddings``
@@ -164,6 +159,8 @@ class GradedStructure:
     def __post_init__(self):
         if not (type(self.universe) is type(self.pred_tables) is tuple):
             raise ValueError("the universe and the tables must be tuples")
+        if not isinstance(self.name, str) or self.name.split() != [self.name]:
+            raise ValueError(f"bad structure name {self.name!r}")
         _check_universe(self.universe)
         n = len(self.universe)
         preds = self.signature.predicates
@@ -553,26 +550,37 @@ def canonical_form(m: GradedStructure) -> bytes:
     return repr((best[0], *map(tuple, best[1:]))).encode("utf-8")
 
 
+def _induced(m: GradedStructure, pos) -> GradedStructure:
+    """The induced substructure of m on the positions ``pos``, increasing:
+    every table pulled at ``pos``, built by ``_trusted``."""
+    n = len(m.universe)
+    pred_tables = tuple(_pull(table, pos, n, arity)
+                        for (_, arity), table in zip(m.signature.predicates, m.pred_tables))
+    return _trusted(m.chain, m.signature, tuple(map(m.universe.__getitem__, pos)), pred_tables,
+                    m.name)
+
+
 def restrict(m: GradedStructure, elements) -> GradedStructure:
-    """Induced substructure on a subset of the universe, in universe order."""
+    """Induced substructure on a subset of the universe, in universe order;
+    an id outside the universe raises ``ValueError``."""
     where = m.positions
     keep = set(elements)
     for e in keep:
         if e not in where:
             raise ValueError(f"element {e!r} not in universe")
-    pos = sorted(where[e] for e in keep)
-    n = len(m.universe)
-    pred_tables = tuple(_pull(table, pos, n, arity)
-                        for (_, arity), table in zip(m.signature.predicates, m.pred_tables))
-    return _trusted(m.chain, m.signature, tuple(m.universe[i] for i in pos), pred_tables, m.name)
+    return _induced(m, sorted(where[e] for e in keep))
 
 
 def substructures(m: GradedStructure):
     """``(subset, restrict(m, subset))`` for every nonempty proper subset
-    of m's universe: by size, then in ``itertools.combinations`` order."""
+    of m's universe: by size, then in ``itertools.combinations`` order.
+    The subsets are walked as positions through ``_induced``, so no id is
+    looked up or checked again."""
+    every = range(len(m.universe))
     for size in range(1, len(m.universe)):
-        for subset in itertools.combinations(m.universe, size):
-            yield subset, restrict(m, subset)
+        for pos in itertools.combinations(every, size):
+            sub = _induced(m, pos)
+            yield sub.universe, sub
 
 
 def rename(m: GradedStructure, mapping: dict) -> GradedStructure:

@@ -13,11 +13,12 @@ in a temporary working directory.  They cover every subcommand: ``age``,
 20 to 256 ranks.  The five valid commands of ``ARGPARSE_ONLY`` follow,
 spelled the ways that only argparse takes: ``--k=2``, an abbreviation,
 a value that starts with ``-``, an option before a positional and a
-repeated flag.  Then the commands of ``USAGE`` follow, which exit
-through ``SystemExit``, whose code is taken as the exit code.  For
-each command it prints one line, the exit code and the sha256 of its
-standard output and of its standard error, then one line per file that
-the command wrote, with its sha256.
+repeated flag.  Then the 23 commands of ``USAGE`` follow, 183 commands
+in all: the help of the top level, of every subcommand and of every
+action, and six usage errors.  They exit through ``SystemExit``, whose
+code is taken as the exit code.  For each command it prints one line,
+the exit code and the sha256 of its standard output and of its standard
+error, then one line per file that the command wrote, with its sha256.
 So a refactor that should not change any output is checked by
 
     python3 tests/cli_digests.py > after.txt
@@ -126,10 +127,15 @@ ARGPARSE_ONLY = [
      "--count-only"],
 ]
 
-# Help and usage errors, which exit through ``SystemExit``: the top
-# level's and every subcommand's help, then one error of each kind.
+# Every action of a command with actions.
+ACTIONS = [("algebra", "validate"), ("algebra", "show"), ("limit", "build"), ("limit", "check"),
+           ("limit", "replay"), ("randgraph", "build"), ("randgraph", "check")]
+
+# Help and usage errors, which exit through ``SystemExit``: the help of
+# the top level, of every subcommand and of every action, then one error
+# of each kind.
 USAGE = [["-h"]] + [[name, "-h"] for name in SUBCOMMANDS] + [
-    ["limit", "build", "-h"],
+    *([*key, "-h"] for key in ACTIONS),
     ["frobnicate"],
     ["enumerate", "--class", "k0", "--chain", "bool"],
     ["check", "--class", "k9", "--chain", "bool", "--k", "2", "--property", "ap"],
@@ -195,15 +201,15 @@ def run_command(cli, command: list[str]) -> tuple[int, str, str]:
     """Run one command of ``COMMANDS`` through ``cli.main`` in the working
     directory, after those before it: its exit code, standard output and
     standard error; a usage error or help exits with its ``SystemExit``
-    code.  The output of ``randgraph build`` is saved for
-    ``randgraph check``."""
+    code.  The output of ``randgraph build --chain C``, but not its help,
+    is saved for ``randgraph check``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(command)
         except SystemExit as exc:
             rc = exc.code
-    if command[:2] == ["randgraph", "build"]:
+    if command[:3] == ["randgraph", "build", "--chain"]:
         with open(_randgraph_file(command[3]), "w", encoding="utf-8") as fh:
             fh.write(out.getvalue())
     return rc, out.getvalue(), err.getvalue()

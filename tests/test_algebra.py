@@ -107,6 +107,27 @@ def test_direct_construction_validates():
     assert built.res_table[1][0] == 0
 
 
+BOOL_TABLE = [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("table, one, zero, message", [
+    ([[False, False], [False, True]], True, False, "table entry False is not a rank below 2"),
+    ([[0, 0], [0, True]], 1, 0, "table entry True is not a rank below 2"),
+    (BOOL_TABLE, True, 0, "one=True is not a rank below 2"),
+    (BOOL_TABLE, 1, False, "zero=False is not a rank below 2"),
+    (BOOL_TABLE, 1.0, 0, "one=1.0 is not a rank below 2"),
+    (BOOL_TABLE, 1, 0.0, "zero=0.0 is not a rank below 2"),
+    (BOOL_TABLE, "1", 0, "one='1' is not a rank below 2"),
+], ids=["bool-table", "one-bool-entry", "bool-one", "bool-zero", "float-one", "float-zero",
+        "str-one"])
+def test_ranks_are_ints_and_never_bools(table, one, zero, message):
+    """A rank is an int and never a bool: ``chain_to_text`` would write a
+    bool as ``True`` or ``False``, which ``chain_from_text`` rejects."""
+    with pytest.raises(ValueError) as err:
+        Chain(2, table, one=one, zero=zero)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("size", [2, 3])
 def test_one_at_bottom_is_not_a_chain(size):
     """Every table with ``one`` at bottom is refused: neutrality makes

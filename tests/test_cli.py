@@ -458,6 +458,9 @@ MALFORMED_TRANSCRIPTS = {
     "chain of one rank": {**GOOD_TRANSCRIPT,
                           "chain": {"name": "c", "size": 1, "one": 0, "zero": 0, "conj": [[0]]}},
     "ragged chain table": {**GOOD_TRANSCRIPT, "chain": {**GOOD_TRANSCRIPT["chain"], "conj": [[0, 0], [0]]}},
+    # JSON's false and true are not ranks, as everywhere else in a transcript.
+    "chain table of bools": {**GOOD_TRANSCRIPT,
+                             "chain": {**GOOD_TRANSCRIPT["chain"], "conj": [[False, False], [False, True]]}},
     # Text that is not JSON; every other case is an object to serialize.
     "not JSON": '{"class": "k1",',
 }

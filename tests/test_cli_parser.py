@@ -22,7 +22,7 @@ def argparse_vars(argv):
     exits with help or a usage error."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.build_parser(argv).parse_args(argv))
+            return vars(cli.build_parser().parse_args(argv))
         except SystemExit:
             return None
 

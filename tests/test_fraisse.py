@@ -26,6 +26,7 @@ from gradedmodels.classes import (
     k1_member,
     k2_member,
     k3_member,
+    verify_amalgam,
 )
 from gradedmodels.errors import AmalgamationError, BudgetError, FileFormatError
 from gradedmodels.fraisse import (
@@ -43,6 +44,7 @@ from gradedmodels.structure import (
     find_embeddings,
     is_isomorphic,
     is_substructure,
+    rename,
     restrict,
     structure_to_text,
 )
@@ -455,6 +457,27 @@ def test_build_limit_k3_with_zero_in_the_filter():
     stages, _ = build_limit(get_class("k3"), chain, 2, 2)
     assert [len(s.universe) for s in stages] == [1, 4, 8]
     assert all(k3_member(s) for s in stages)
+
+
+def new_elements_moved(v):
+    """k0's amalgam of v with the arm's new elements under other ids: it
+    holds a copy of the arm, but not the arm itself, and
+    ``verify_amalgam`` rejects it."""
+    out = get_class("k0").amalgamate(v)
+    out = rename(out, {e: e + "m" for e in out.universe[len(v.arm1.universe):]})
+    assert not verify_amalgam(get_class("k0"), v, out)
+    return out
+
+
+@pytest.mark.parametrize("amalgamate", [lambda v: v.arm1, new_elements_moved],
+                         ids=["first-arm-unchanged", "new-elements-moved"])
+def test_an_amalgam_that_does_not_hold_its_arm_fails_its_task(luk3, amalgamate):
+    """After each amalgam the builder checks that the aligned arm is a
+    substructure of it, where the amalgamator was to put it."""
+    k0 = get_class("k0")
+    spec = ClassSpec("k0", k0.membership, amalgamate, k0.loops_in_filter)
+    with pytest.raises(AmalgamationError, match="^stage 0: amalgam did not satisfy its task$"):
+        build_limit(spec, luk3, 1, 2)
 
 
 def test_build_limit_transcript_json_roundtrip(bool_chain):

@@ -11,20 +11,23 @@ builds, and the check through the new elements and membership that
 read carried lines with the rank loops of ``membership_reference``.
 Both are coded by one helper, so the fresh lines are also checked cell
 by cell against the table, and a counted constructor shows that no
-derived structure is validated again.
+derived structure is validated again, and a counted ``restrict`` that
+no library loop checks ids again.
 """
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from gradedmodels import classes
+from gradedmodels import classes, structure
 from gradedmodels.classes import (
     ClassSpec,
     align_v_formation,
     check_ap,
     check_hp,
+    check_jep,
     enumerate_class,
     get_class,
     k0_member,
@@ -118,6 +121,32 @@ def test_derived_structures_are_not_validated_again(luk3, monkeypatch):
     random_weighted_graph(luk3, 2)
     assert calls == []
     fresh(m)
+    assert len(calls) == 1
+
+
+def test_no_library_loop_calls_restrict(luk3, monkeypatch):
+    """``restrict`` checks the ids it is given, a check for callers from
+    outside: the property checks and a limit build take their induced
+    substructures by position.  Every binding of ``restrict`` in the
+    package's modules is counted."""
+    calls = []
+    original = structure.restrict
+
+    def counted(m, elements):
+        calls.append(elements)
+        return original(m, elements)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gradedmodels" and getattr(module, "restrict", None) is original:
+            monkeypatch.setattr(module, "restrict", counted)
+    for name in NAMES:
+        spec = get_class(name)
+        check_hp(spec, luk3, 2)
+        check_jep(spec, luk3, 2)
+        check_ap(spec, luk3, 2)
+        build_limit(spec, luk3, 2, 2)
+    assert calls == []
+    structure.restrict(binary_structure(luk3, ["a", "b"], {}, default=0), ["a"])
     assert len(calls) == 1
 
 

@@ -356,6 +356,22 @@ def test_constructor_rejects_bad_input(build, luk3):
         build(luk3)
 
 
+@pytest.mark.parametrize("name", ["demo", "k0_3", "a=b", "chain=bool", "\u00e9t\u00e9", "x" * 200])
+def test_names_the_constructor_takes_round_trip_through_the_file_format(name, luk3):
+    m = binary_structure(luk3, ["a", "b"], {("a", "b"): 2}, default=0, name=name)
+    back = structure_from_text(structure_to_text(m), chain=luk3)
+    assert back.name == name
+    assert structure_to_text(back) == structure_to_text(m)
+
+
+@pytest.mark.parametrize("name", ["", "my graph", " demo", "demo\n", "a\tb"])
+def test_a_name_the_file_format_cannot_read_back_is_rejected(name):
+    with pytest.raises(ValueError, match="bad structure name"):
+        binary_structure(boolean_chain(), ["a"], {("a", "a"): 1}, name=name)
+    with pytest.raises(ValueError, match="bad structure name"):
+        GradedStructure(boolean_chain(), SIG_LT, ("a",), (b"\x01",), name=name)
+
+
 def test_structures_hash_by_value(luk3):
     a = binary_structure(luk3, ["a", "b"], {("a", "b"): 2}, default=0, name="first")
     b = binary_structure(luk3, ["a", "b"], {("a", "b"): 2}, default=0, name="second")
@@ -620,6 +636,8 @@ BAD_TABLES = {
     "rank-float": lambda size: (0, 0, 0, 1.5),
     "rank-str": lambda size: (0, 0, 0, "1"),
     "rank-none": lambda size: (0, 0, 0, None),
+    "rank-true": lambda size: (0, 0, 0, True),
+    "rank-false": lambda size: (False, 0, 0, 0),
 }
 
 
